@@ -178,22 +178,26 @@ def bloch_cloud(
     grid_n: int,
     detect_eps: float = DEFAULT_TOLERANCE.detect_eps,
 ) -> Iterator[tuple[float, float, float, float, str]]:
-    """Yield (x, y, z, value, verdict) over the in-ball lattice.
+    """Iterate (x, y, z, value, verdict) over the in-ball lattice.
 
     Point order matches :func:`cohwit.verify.bloch_grid`: x, then y, then z
-    ascending.
+    ascending.  Inputs are validated and every verdict computed before the
+    iterator is returned.
     """
-    w = qubit_witness(K, a, b, c, detect_eps)
     x, y, z = bloch_grid(grid_n)
+    w = qubit_witness(K, a, b, c, detect_eps)
     values, _, detected = w.evaluate_batch(qubit_states_stack(x, y, z))
-    for i in range(x.size):
-        verdict = "Detected" if detected[i] else "NotDetected"
-        yield float(x[i]), float(y[i]), float(z[i]), float(values[i]), verdict
+    return (
+        (float(x[i]), float(y[i]), float(z[i]), float(values[i]),
+         "Detected" if detected[i] else "NotDetected")
+        for i in range(x.size)
+    )
 
 
 def write_bloch_cloud(stream, K, a, b, c, grid_n, detect_eps=DEFAULT_TOLERANCE.detect_eps) -> None:
+    rows = bloch_cloud(K, a, b, c, grid_n, detect_eps)
     stream.write("x,y,z,value,verdict\n")
-    for x, y, z, value, verdict in bloch_cloud(K, a, b, c, grid_n, detect_eps):
+    for x, y, z, value, verdict in rows:
         stream.write(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(value)},{verdict}\n")
 
 
@@ -257,6 +261,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise DocumentError(f"--samples: must be >= 1, got {args.samples}")
     if args.family is not None:
         family = family_from_document(_load_json(args.family))
         if family.dim != args.d:

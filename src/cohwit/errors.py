@@ -42,11 +42,20 @@ class ZeroOperatorError(CohwitError):
 
 
 class DegenerateFamilyError(CohwitError):
-    """Qubit pair family coefficients are proportional (or a pair is zero)."""
+    """A witness family is empty, or qubit pair family coefficients are
+    proportional (or a pair is zero)."""
 
 
 class ZeroCoefficientError(CohwitError):
     """A family coefficient is zero where a nonzero one is required."""
+
+
+class NonFiniteError(CohwitError):
+    """A matrix contains NaN or infinite entries."""
+
+
+class InvalidParameterError(CohwitError):
+    """A count, grid size, tolerance or margin is outside its valid range."""
 
 
 class DocumentError(CohwitError):

@@ -1,8 +1,13 @@
 """Traceless Hermitian generator basis (generalized Gell-Mann matrices) and
 the coefficient-vector maps between states and real vectors.
 
-This module is the single place the index convention is defined; reports and
-coefficient vectors elsewhere refer back to it.
+This module is the single place the index convention is defined, and the
+index map exists in code once: ``_diagonal_weights`` for the diagonal
+generators and ``np.triu_indices(d, 1)``, which lists the pairs in the order
+above, for U and V.  ``_operator`` builds ``sum_i v_i g_i`` through them and
+``bloch_vector`` reads a state's entries through them, so evaluation never
+touches a materialized basis.  Reports and coefficient vectors elsewhere refer
+back to this convention.
 
 For dimension d the basis has d**2 - 1 members, indexed 1-based:
 
@@ -25,9 +30,7 @@ only the indices >= d, which is what ``offdiag_support`` reads off.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,34 +45,50 @@ if TYPE_CHECKING:
 OFFDIAG_TOL = 1e-9
 
 
+def _diagonal_weights(d: int) -> np.ndarray:
+    """(d-1, d) table whose row l is the diagonal of D_l."""
+    l = np.arange(d - 1)[:, None]
+    a = np.arange(d)[None, :]
+    coeff = np.sqrt(2.0 / ((l + 1) * (l + 2)))
+    return np.where(a <= l, coeff, np.where(a == l + 1, -(l + 1) * coeff, 0.0))
+
+
+def _operator(d: int, coeffs) -> np.ndarray:
+    """sum_i v_i g_i for a real coefficient vector v of length d**2 - 1.
+
+    Rejects d < 2 and vectors of any other length.  Every entry accumulates
+    onto +0, one generator at a time, as a contraction over the stacked basis
+    does; the result matches that contraction bit for bit, signs of zeros
+    included.
+    """
+    if d < 2:
+        raise DimensionMismatchError(f"generators need dim >= 2, got {d}")
+    v = np.asarray(coeffs, dtype=np.float64)
+    if v.shape != (d * d - 1,):
+        raise LengthMismatchError(
+            f"coefficient vector must have length {d * d - 1} for dim {d}, got {v.shape}"
+        )
+    n_pairs = d * (d - 1) // 2
+    u, w = v[d - 1 : d - 1 + n_pairs], v[d - 1 + n_pairs :]
+    j, k = np.triu_indices(d, 1)
+    M = np.zeros((d, d), dtype=np.complex128)
+    M[np.diag_indices(d)] += np.sum(v[: d - 1, None] * _diagonal_weights(d), axis=0)
+    M[j, k] += u - 1j * w
+    M[k, j] += u + 1j * w
+    return M
+
+
 def _build_matrices(d: int) -> list[np.ndarray]:
-    mats = []
-    for l in range(d - 1):
-        m = np.zeros((d, d), dtype=np.complex128)
-        coeff = math.sqrt(2.0 / ((l + 1) * (l + 2)))
-        for a in range(l + 1):
-            m[a, a] = coeff
-        m[l + 1, l + 1] = -(l + 1) * coeff
-        mats.append(m)
-    pairs = list(combinations(range(d), 2))
-    for j, k in pairs:
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[j, k] = 1.0
-        m[k, j] = 1.0
-        mats.append(m)
-    for j, k in pairs:
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[j, k] = -1.0j
-        m[k, j] = 1.0j
-        mats.append(m)
-    return mats
+    return [_operator(d, e) for e in np.eye(d * d - 1)]
 
 
 class GeneratorBasis:
-    """The full generator basis for one dimension.
+    """The full generator basis for one dimension, as explicit matrices.
 
-    Immutable after construction; ``generator_basis(d)`` memoizes one instance
-    per dimension, safe to share across threads.
+    A materialized view for callers who want the matrices themselves; nothing
+    in evaluation uses it.  Immutable after construction;
+    ``generator_basis(d)`` memoizes one instance per dimension, safe to share
+    across threads.
     """
 
     def __init__(self, dim: int):
@@ -120,9 +139,18 @@ def bloch_vector(state: "DensityMatrix") -> np.ndarray:
     For a valid state ``norm(r) <= sqrt(d(d-1)/2)`` up to roundoff, with
     equality only on pure states.
     """
-    b = generator_basis(state.dim)
-    # One trace product per generator, vectorized over the stacked basis.
-    return 0.5 * state.dim * np.real(np.einsum("kij,ji->k", b.stack, state.matrix))
+    d = state.dim
+    rho = state.matrix
+    j, k = np.triu_indices(d, 1)
+    # Tr(g_i rho) for the D, U and V blocks, read off rho's entries.  Each sum
+    # runs in the order a contraction over the stacked basis uses
+    # (sequentially, onto +0), so the result matches it bit for bit.
+    tr = 0.0 + np.concatenate([
+        np.cumsum(_diagonal_weights(d) * rho.real.diagonal(), axis=1)[:, -1],
+        rho.real[k, j] + rho.real[j, k],
+        rho.imag[k, j] - rho.imag[j, k],
+    ])
+    return 0.5 * d * tr
 
 
 def state_from_bloch(d: int, r) -> ComplexMatrix:
@@ -131,13 +159,7 @@ def state_from_bloch(d: int, r) -> ComplexMatrix:
     The result is NOT guaranteed positive semidefinite for d >= 3 even at
     small norm; wrap it in ``DensityMatrix`` to validate.
     """
-    v = np.asarray(r, dtype=np.float64)
-    if v.shape != (d * d - 1,):
-        raise LengthMismatchError(
-            f"coefficient vector must have length {d * d - 1} for dim {d}, got {v.shape}"
-        )
-    b = generator_basis(d)
-    return (np.eye(d, dtype=np.complex128) + np.einsum("k,kij->ij", v, b.stack)) / d
+    return (np.eye(d, dtype=np.complex128) + _operator(d, r)) / d
 
 
 def offdiag_support(state: "DensityMatrix") -> set[int]:

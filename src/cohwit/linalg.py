@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
+from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteError, NotHermitianError
 
 # Alias for readability in signatures; any square complex128 array qualifies.
 ComplexMatrix = np.ndarray
@@ -35,7 +35,7 @@ class Tolerance:
     def __post_init__(self):
         for name in ("hermiticity", "psd_floor", "trace_dev", "detect_eps"):
             if getattr(self, name) < 0:
-                raise ValueError(f"tolerance {name} must be nonnegative")
+                raise InvalidParameterError(f"tolerance {name} must be nonnegative")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -49,14 +49,30 @@ def as_complex_matrix(matrix, *, what: str = "matrix") -> ComplexMatrix:
     if out.shape[0] < 2:
         raise DimensionMismatchError(f"{what} must have dim >= 2, got {out.shape[0]}")
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise ValueError(f"{what} contains non-finite entries")
+        raise NonFiniteError(f"{what} contains non-finite entries")
     return out
+
+
+def _deviation(A: ComplexMatrix) -> float:
+    # max_ij |A_ij - conj(A_ji)| of an already coerced matrix.
+    return float(np.max(np.abs(A - A.conj().T)))
+
+
+def _require_hermitian(A: ComplexMatrix, tol: float, what: str) -> None:
+    # For an already coerced matrix; a NaN tolerance accepts nothing.
+    dev = _deviation(A)
+    if not dev <= tol:
+        raise NotHermitianError(f"{what} is not Hermitian within {tol}: deviation {dev}")
+
+
+def _min_eig(A: ComplexMatrix) -> float:
+    # Smallest eigenvalue of the Hermitian part of an already coerced matrix.
+    return float(np.linalg.eigvalsh((A + A.conj().T) / 2.0)[0])
 
 
 def hermitian_deviation(matrix: ComplexMatrix) -> float:
     """max_ij |A_ij - conj(A_ji)|."""
-    A = as_complex_matrix(matrix)
-    return float(np.max(np.abs(A - A.conj().T)))
+    return _deviation(as_complex_matrix(matrix))
 
 
 def is_hermitian(matrix: ComplexMatrix, tol: float = DEFAULT_TOLERANCE.hermiticity) -> bool:
@@ -80,9 +96,5 @@ def min_eigenvalue(matrix: ComplexMatrix, tol: float = DEFAULT_TOLERANCE.hermiti
     the symmetrization only absorbs roundoff, never a genuinely skew part.
     """
     A = as_complex_matrix(matrix)
-    if not is_hermitian(A, tol):
-        raise NotHermitianError(
-            f"matrix is not Hermitian within {tol}: deviation {hermitian_deviation(A)}"
-        )
-    H = (A + A.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(H)[0])
+    _require_hermitian(A, tol, "matrix")
+    return _min_eig(A)

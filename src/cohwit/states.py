@@ -13,13 +13,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidStateError, NotHermitianError, OutOfIntervalError
+from .errors import InvalidStateError, OutOfIntervalError
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
+    _min_eig,
+    _require_hermitian,
     as_complex_matrix,
-    hermitian_deviation,
-    min_eigenvalue,
 )
 from .rng import Seed, SplitMix64
 
@@ -30,21 +30,17 @@ if TYPE_CHECKING:
 class DensityMatrix:
     """A d x d quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Validation happens at construction against a :class:`Tolerance`; the
-    stored matrix is a read-only copy of the input.
+    Validation happens at construction against a :class:`Tolerance`, in one
+    pass over the coerced input; the stored matrix is a read-only copy of it.
     """
 
     def __init__(self, matrix, tol: Tolerance = DEFAULT_TOLERANCE):
         M = as_complex_matrix(matrix, what="density matrix")
-        dev = hermitian_deviation(M)
-        if dev > tol.hermiticity:
-            raise NotHermitianError(
-                f"density matrix is not Hermitian within {tol.hermiticity}: deviation {dev}"
-            )
+        _require_hermitian(M, tol.hermiticity, "density matrix")
         tr = complex(np.trace(M))
         if abs(tr - 1.0) > tol.trace_dev:
             raise InvalidStateError(f"density matrix trace must be 1, got {tr}")
-        lam = min_eigenvalue(M, tol.hermiticity)
+        lam = _min_eig(M)
         if lam < -tol.psd_floor:
             raise InvalidStateError(f"density matrix is not PSD: min eigenvalue {lam}")
         self._matrix = M.copy()

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import DEFAULT_TOLERANCE
 from .rng import Seed
 from .states import DensityMatrix, l1_coherence, sample_ginibre, sample_hermitian, sample_incoherent
@@ -113,20 +113,21 @@ def verify_incoherent_containment(
     fault-inject the harness (a positive shrink must produce a FAIL).
     """
     if n_witnesses < 1 or n_states < 1:
-        raise ValueError(f"counts must be >= 1, got {n_witnesses} witnesses, {n_states} states")
-    witnesses = [Witness(sample_hermitian(d, seed + j)) for j in range(n_witnesses)]
+        raise InvalidParameterError(
+            f"counts must be >= 1, got {n_witnesses} witnesses, {n_states} states"
+        )
+    family = WitnessFamily(
+        label=f"random-hermitian(d={d})",
+        members=tuple(Witness(sample_hermitian(d, seed + j)) for j in range(n_witnesses)),
+    )
     probs = np.stack(
         [sample_incoherent(d, seed + n_witnesses + t).probs for t in range(n_states)]
     )
     stack = np.zeros((n_states, d, d), dtype=np.complex128)
     idx = np.arange(d)
     stack[:, idx, idx] = probs
-    worst = -np.inf
-    for w in witnesses:
-        lo = w.interval_lo + interval_shrink
-        hi = w.interval_hi - interval_shrink
-        values, _, _ = w.evaluate_batch(stack)
-        worst = max(worst, float(np.max(np.maximum(lo - values, values - hi))))
+    _, margins, _ = family.evaluate_batch(stack)
+    worst = float(np.max(margins + interval_shrink))
     return ContainmentReport(
         dim=d,
         n_witnesses=n_witnesses,
@@ -168,7 +169,7 @@ def verify_coverage(
             n_detected=0,
             n_false_alarm=0,
             min_margin_detected=None,
-            per_witness_hits=tuple(0 for _ in family.members),
+            per_witness_hits=(0,) * len(family),
             seed=seed,
             coherence_threshold=coherence_threshold,
             detect_eps=family.members[0].detect_eps,
@@ -177,12 +178,7 @@ def verify_coverage(
         )
     stack = np.stack([s.matrix for s in states])
     coherent = np.array([l1_coherence(s) for s in states]) > coherence_threshold
-
-    detected = np.zeros((len(family.members), n_total), dtype=bool)
-    margins = np.empty((len(family.members), n_total))
-    for w_idx, w in enumerate(family.members):
-        _, margins[w_idx], detected[w_idx] = w.evaluate_batch(stack)
-
+    _, margins, detected = family.evaluate_batch(stack)
     any_detected = detected.any(axis=0)
     detected_margins = margins[detected]
     n_detected = int(np.count_nonzero(any_detected))
@@ -208,8 +204,10 @@ def bloch_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """In-ball points of the grid_n**3 lattice over [-1, 1]^3.
 
     Points are ordered by x, then y, then z ascending; the same order is used
-    by the CLI point-cloud output.
+    by the CLI point-cloud output.  Rejects ``grid_n < 2``.
     """
+    if grid_n < 2:
+        raise InvalidParameterError(f"grid_n must be >= 2, got {grid_n}")
     axis = np.linspace(-1.0, 1.0, grid_n)
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
     mask = X * X + Y * Y + Z * Z <= 1.0
@@ -242,10 +240,8 @@ def qubit_geometry_check(
     independently from the coordinates with the same 2 * detect_eps buffer, so
     boundary-plane lattice points agree on NotDetected from both sides.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    w = qubit_witness(K, a, b, c, detect_eps)
     x, y, z = bloch_grid(grid_n)
+    w = qubit_witness(K, a, b, c, detect_eps)
     _, _, detected = w.evaluate_batch(qubit_states_stack(x, y, z))
     predicate = np.abs(a * x + b * y + c * z) > abs(c) + 2.0 * detect_eps
     n_mismatch = int(np.count_nonzero(detected != predicate))

@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -20,22 +21,15 @@ from .errors import (
     DegenerateFamilyError,
     DimensionMismatchError,
     InvalidIntervalError,
+    InvalidParameterError,
     LengthMismatchError,
     NotCoherentError,
-    NotHermitianError,
     ZeroCoefficientError,
     ZeroOperatorError,
     NumericallyMarginalWarning,
 )
-from .generators import bloch_vector, generator_basis, offdiag_support
-from .linalg import (
-    DEFAULT_TOLERANCE,
-    ComplexMatrix,
-    as_complex_matrix,
-    hermitian_deviation,
-    is_hermitian,
-    trace_product,
-)
+from .generators import OFFDIAG_TOL, _operator, bloch_vector
+from .linalg import DEFAULT_TOLERANCE, _require_hermitian, as_complex_matrix
 from .states import DensityMatrix
 
 # Off-diagonal moduli below this cannot anchor a tailored witness.
@@ -65,6 +59,30 @@ class DetectionReport:
         return self.verdict is Verdict.DETECTED
 
 
+def _evaluate(witnesses: Sequence["Witness"], stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, margins and verdicts of every witness on every state matrix.
+
+    ``stack`` has shape (n, d, d); each result has shape (len(witnesses), n).
+    This is the one home of the margin rule ``max(lo - value, value - hi)``
+    and of the verdict ``margin > detect_eps``.
+    """
+    d = witnesses[0].dim
+    stack = np.asarray(stack, dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[1:] != (d, d):
+        raise DimensionMismatchError(
+            f"witness dim {d} does not match state stack of shape {stack.shape}"
+        )
+    # One contraction per witness: a single three-index einsum sums in a
+    # different order and changes values in their last bits.
+    values = np.array([np.real(np.einsum("ij,nji->n", w.matrix, stack)) for w in witnesses])
+    bounds = np.array([(w.interval_lo, w.interval_hi, w.detect_eps) for w in witnesses])
+    lo, hi, eps = bounds.T[..., None]
+    # max(lo - value, value - hi), with operands swapped because np.maximum
+    # keeps its second operand on a tie of signed zeros, as max keeps its first.
+    margins = np.maximum(values - hi, lo - values)
+    return values, margins, margins > eps
+
+
 class Witness:
     """Hermitian operator with its diagonal-derived interval.
 
@@ -83,13 +101,9 @@ class Witness:
         hermiticity_tol: float = DEFAULT_TOLERANCE.hermiticity,
     ):
         M = as_complex_matrix(matrix, what="witness matrix")
-        if not is_hermitian(M, hermiticity_tol):
-            raise NotHermitianError(
-                f"witness matrix is not Hermitian within {hermiticity_tol}: "
-                f"deviation {hermitian_deviation(M)}"
-            )
+        _require_hermitian(M, hermiticity_tol, "witness matrix")
         if detect_eps < 0:
-            raise ValueError(f"detect_eps must be nonnegative, got {detect_eps}")
+            raise InvalidParameterError(f"detect_eps must be nonnegative, got {detect_eps}")
         self._matrix = M.copy()
         self._matrix.setflags(write=False)
         diag = np.real(np.diagonal(self._matrix))
@@ -127,29 +141,17 @@ class Witness:
 
     def evaluate(self, state: DensityMatrix) -> DetectionReport:
         """Expectation value, margin, and verdict on one state."""
-        if state.dim != self.dim:
-            raise DimensionMismatchError(
-                f"witness dim {self.dim} does not match state dim {state.dim}"
-            )
-        value = float(trace_product(self._matrix, state.matrix).real)
-        margin = max(self._lo - value, value - self._hi)
-        verdict = Verdict.DETECTED if margin > self._eps else Verdict.NOT_DETECTED
-        return DetectionReport(value=value, interval=self.interval, margin=margin, verdict=verdict)
+        values, margins, detected = _evaluate((self,), state.matrix[None])
+        verdict = Verdict.DETECTED if detected[0, 0] else Verdict.NOT_DETECTED
+        return DetectionReport(float(values[0, 0]), self.interval, float(margins[0, 0]), verdict)
 
     def evaluate_batch(self, matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized evaluate over a stack of state matrices, shape (n, d, d).
 
-        Returns (values, margins, detected) arrays.  Performs exactly the same
-        trace products and margin rule as :meth:`evaluate`.
+        Returns (values, margins, detected) arrays of shape (n,), the same
+        numbers :meth:`evaluate` reports one state at a time.
         """
-        stack = np.asarray(matrices, dtype=np.complex128)
-        if stack.ndim != 3 or stack.shape[1:] != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"expected stack of shape (n, {self.dim}, {self.dim}), got {stack.shape}"
-            )
-        values = np.real(np.einsum("ij,nji->n", self._matrix, stack))
-        margins = np.maximum(self._lo - values, values - self._hi)
-        return values, margins, margins > self._eps
+        return tuple(a[0] for a in _evaluate((self,), matrices))
 
     def __repr__(self):
         return f"Witness(dim={self.dim}, interval=[{self._lo}, {self._hi}], eps={self._eps})"
@@ -164,7 +166,7 @@ class WitnessFamily:
 
     def __post_init__(self):
         if not self.members:
-            raise ValueError("witness family must be nonempty")
+            raise DegenerateFamilyError("witness family must be nonempty")
         dims = {w.dim for w in self.members}
         if len(dims) != 1:
             raise DimensionMismatchError(f"family members have mixed dims {sorted(dims)}")
@@ -175,6 +177,11 @@ class WitnessFamily:
 
     def evaluate(self, state: DensityMatrix) -> tuple[DetectionReport, ...]:
         return tuple(w.evaluate(state) for w in self.members)
+
+    def evaluate_batch(self, matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, margins, detected) of every member on a stack of state
+        matrices, shape (n, d, d); row i belongs to member i."""
+        return _evaluate(self.members, matrices)
 
     def detects(self, state: DensityMatrix) -> bool:
         """True when at least one member detects the state."""
@@ -206,36 +213,6 @@ def canonical_witness(
     return Witness(M, detect_eps)
 
 
-def _largest_offdiagonal(matrix: np.ndarray) -> tuple[int, int, complex]:
-    """Index pair (k < l) of the off-diagonal entry of largest modulus.
-
-    Ties resolve to the lexicographically smallest pair.
-    """
-    d = matrix.shape[0]
-    best = (0, 1)
-    best_mod = -1.0
-    for k in range(d):
-        for l in range(k + 1, d):
-            mod = abs(matrix[k, l])
-            if mod > best_mod:
-                best = (k, l)
-                best_mod = mod
-    k, l = best
-    return k, l, complex(matrix[k, l])
-
-
-def _component_operator(d: int, k: int, l: int, real_part: bool) -> np.ndarray:
-    # (|k><l| + |l><k|)/2 picks out Re(rho_kl); i(|k><l| - |l><k|)/2 picks Im.
-    M = np.zeros((d, d), dtype=np.complex128)
-    if real_part:
-        M[k, l] = 0.5
-        M[l, k] = 0.5
-    else:
-        M[k, l] = 0.5j
-        M[l, k] = -0.5j
-    return M
-
-
 def tailored_witness(
     state: DensityMatrix, lo: float, hi: float, detect_eps: float = DEFAULT_TOLERANCE.detect_eps
 ) -> Witness:
@@ -254,19 +231,28 @@ def tailored_witness(
     """
     if lo > hi:
         raise InvalidIntervalError(f"interval reversed: [{lo}, {hi}]")
-    mat = state.matrix
     d = state.dim
-    k, l, entry = _largest_offdiagonal(mat)
+    upper = state.matrix[np.triu_indices(d, 1)]
+    t = int(np.argmax(np.abs(upper)))  # first maximum: the lowest pair on ties
+    entry = complex(upper[t])
     if abs(entry) <= COHERENT_ENTRY_TOL:
         raise NotCoherentError(
             f"no off-diagonal entry above {COHERENT_ENTRY_TOL}: max modulus {abs(entry)}"
         )
     use_re = abs(entry.real) >= abs(entry.imag)
-    comp_op = _component_operator(d, k, l, use_re)
+    coeffs = np.zeros(d * d - 1)
+    if use_re:
+        coeffs[d - 1 + t] = 0.5  # U/2 picks out Re(rho_kl)
+        comp_op = _operator(d, coeffs)
+    else:
+        coeffs[d - 1 + len(upper) + t] = -0.5  # -V/2 picks out Im(rho_kl)
+        # 1j times a real matrix gives the -0.5j entry a negative-zero real
+        # part, as i(|k><l| - |l><k|)/2 written out entry by entry has.
+        comp_op = 1j * _operator(d, coeffs).imag
     if lo == hi:
         return Witness(comp_op + lo * np.eye(d), detect_eps)
     base = canonical_witness(d, lo, hi, detect_eps)
-    gap = hi + 1.0 - float(trace_product(base.matrix, mat).real)
+    gap = hi + 1.0 - base.evaluate(state).value
     if gap == 0.0:
         return base
     component = entry.real if use_re else entry.imag
@@ -344,13 +330,7 @@ def generator_witness(
     The expectation on a state with coefficient vector r is
     K/d + (2/d**2) * dot(r, s).
     """
-    b = generator_basis(d)
-    v = np.asarray(coeffs, dtype=np.float64)
-    if v.shape != (b.size,):
-        raise LengthMismatchError(
-            f"coefficient vector must have length {b.size} for dim {d}, got {v.shape}"
-        )
-    M = (K * np.eye(d, dtype=np.complex128) + np.einsum("k,kij->ij", v, b.stack)) / d
+    M = (K * np.eye(d, dtype=np.complex128) + _operator(d, coeffs)) / d
     return Witness(M, detect_eps)
 
 
@@ -363,14 +343,14 @@ def witness_for_state(
     index on ties) and uses coefficient 1 there.  The expectation is
     K/d + 2 r_i / d**2, which differs from K/d exactly when r_i != 0.
     """
-    support = offdiag_support(state)
-    if not support:
+    d = state.dim
+    off = np.abs(bloch_vector(state)[d - 1 :])
+    t = int(np.argmax(off))  # first maximum: the lowest index on ties
+    if off[t] <= OFFDIAG_TOL:
         raise NotCoherentError("state has no off-diagonal generator support")
-    r = bloch_vector(state)
-    m0 = max(sorted(support), key=lambda i: abs(r[i - 1]))
-    eta = np.zeros(state.dim * state.dim - 1)
-    eta[m0 - 1] = 1.0
-    return generator_witness(state.dim, K, eta, detect_eps)
+    eta = np.zeros(d * d - 1)
+    eta[d - 1 + t] = 1.0
+    return generator_witness(d, K, eta, detect_eps)
 
 
 def finite_family(
@@ -386,6 +366,8 @@ def finite_family(
     [K/d, K/d].  Jointly the family detects every state with off-diagonal
     support while leaving every diagonal state undetected.
     """
+    if d < 2:
+        raise DimensionMismatchError(f"family needs dim >= 2, got {d}")
     n = d * (d - 1)
     v = np.ones(n) if coeffs is None else np.asarray(coeffs, dtype=np.float64)
     if v.shape != (n,):

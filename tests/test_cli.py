@@ -269,3 +269,24 @@ class TestArgparse:
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--d", "1", "--samples", "10", "--seed", "0"],
+        ["gen", "--kind", "family", "--d", "1", "--out", "{out}"],
+        ["gen", "--kind", "lemma2", "--d", "2", "--m", "0", "--M", "nan", "--out", "{out}"],
+        ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "-2"],
+        ["verify", "--d", "2", "--samples", "0", "--seed", "0"],
+        ["verify", "--d", "2", "--samples", "-4", "--seed", "0"],
+    ],
+)
+def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert run([a.format(out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no CSV header, no vacuous PASS report
+    assert not out.exists()

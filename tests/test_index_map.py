@@ -1,0 +1,157 @@
+"""Oracle tests for the generator index map and the evaluation kernel.
+
+The reference is the dense path: the generators written out entry by entry
+and stacked into a (d**2 - 1, d, d) tensor, then contracted with einsum.  The
+library no longer evaluates anything that way; it lives on here only, and
+every comparison is bit for bit (array bytes, so signs of zeros count too).
+"""
+
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from cohwit import (
+    DensityMatrix,
+    Witness,
+    WitnessFamily,
+    bloch_vector,
+    canonical_witness,
+    generator_basis,
+    generator_witness,
+    sample_ginibre,
+    sample_hermitian,
+    sample_incoherent,
+    state_from_bloch,
+    tailored_witness,
+)
+from cohwit.generators import _operator
+from cohwit.verify import mixed_ensemble
+
+DIMS = range(2, 13)
+
+
+def dense_basis(d):
+    """The generalized Gell-Mann matrices in the documented 1-based order."""
+    mats = []
+    for l in range(d - 1):
+        m = np.zeros((d, d), dtype=np.complex128)
+        coeff = math.sqrt(2.0 / ((l + 1) * (l + 2)))
+        for a in range(l + 1):
+            m[a, a] = coeff
+        m[l + 1, l + 1] = -(l + 1) * coeff
+        mats.append(m)
+    pairs = list(combinations(range(d), 2))
+    for j, k in pairs:
+        m = np.zeros((d, d), dtype=np.complex128)
+        m[j, k] = m[k, j] = 1.0
+        mats.append(m)
+    for j, k in pairs:
+        m = np.zeros((d, d), dtype=np.complex128)
+        m[j, k] = -1.0j
+        m[k, j] = 1.0j
+        mats.append(m)
+    return np.stack(mats)
+
+
+def coefficient_vectors(d):
+    """Seeded real vectors: dense, sparse with exact zeros, and with -0.0."""
+    rng = np.random.default_rng(d)
+    out = []
+    for t in range(6):
+        v = rng.standard_normal(d * d - 1)
+        if t % 3:
+            v[rng.random(v.size) < 0.5] = 0.0 if t % 3 == 1 else -0.0
+        out.append(v)
+    return out
+
+
+def states(d):
+    return [sample_ginibre(d, 500 + d), sample_incoherent(d, 600 + d).as_density_matrix()]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_materialized_basis_matches_written_out_generators(d):
+    assert np.array_equal(generator_basis(d).stack, dense_basis(d))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_operator_matches_dense_contraction(d):
+    stack = dense_basis(d)
+    for v in coefficient_vectors(d):
+        assert same_bits(_operator(d, v), np.einsum("k,kij->ij", v, stack))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_state_from_bloch_and_generator_witness_match_dense(d):
+    stack = dense_basis(d)
+    eye = np.eye(d, dtype=np.complex128)
+    for v in coefficient_vectors(d):
+        dense = np.einsum("k,kij->ij", v, stack)
+        assert same_bits(state_from_bloch(d, v), (eye + dense) / d)
+        for K in (0.0, 1.0, -2.5):
+            assert same_bits(generator_witness(d, K, v).matrix, (K * eye + dense) / d)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_bloch_vector_matches_dense_contraction(d):
+    stack = dense_basis(d)
+    for rho in states(d):
+        want = 0.5 * d * np.real(np.einsum("kij,ji->k", stack, rho.matrix))
+        assert same_bits(bloch_vector(rho), want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_family_kernel_matches_per_member_evaluate(d):
+    rho = sample_ginibre(d, 70 + d)
+    members = (
+        canonical_witness(d, -0.5, 1.5),
+        tailored_witness(rho, 0.0, 1.0),
+        tailored_witness(rho, 0.25, 0.25),
+        Witness(sample_hermitian(d, 80 + d), detect_eps=1e-3),
+        Witness(sample_hermitian(d, 90 + d)),
+    )
+    family = WitnessFamily(label="mixed", members=members)
+    ensemble = mixed_ensemble(d, 12, 100 + d) + [rho, DensityMatrix(np.eye(d) / d)]
+    values, margins, detected = family.evaluate_batch(np.stack([s.matrix for s in ensemble]))
+    assert values.shape == margins.shape == detected.shape == (len(members), len(ensemble))
+    for m, w in enumerate(members):
+        reports = [w.evaluate(s) for s in ensemble]
+        assert same_bits(values[m], np.array([r.value for r in reports]))
+        assert same_bits(margins[m], np.array([r.margin for r in reports]))
+        assert list(detected[m]) == [r.detected for r in reports]
+    # Family.evaluate reads the same kernel column by column.
+    for t, s in enumerate(ensemble):
+        assert [r.value for r in family.evaluate(s)] == list(values[:, t])
+
+
+def test_margin_is_builtin_max_even_on_a_signed_zero_tie():
+    # Interval [-0.0, -0.0] and value +0.0 give lo - value = -0.0 and
+    # value - hi = +0.0; max() keeps its first argument on that tie.
+    w = canonical_witness(3, -0.0, -0.0)
+    report = w.evaluate(DensityMatrix(np.diag([0.5, 0.25, 0.25])))
+    want = max(w.interval_lo - report.value, report.value - w.interval_hi)
+    assert same_bits(report.margin, want)
+    assert math.copysign(1.0, report.margin) == -1.0
+
+
+@pytest.mark.parametrize("entry", [0.1, -0.1j, 0.05 + 0.1j])
+@pytest.mark.parametrize("lo", [-0.3, -0.0, 0.0, 0.4])
+def test_tailored_point_witness_matches_written_out_operator(entry, lo):
+    # Anchor (1, 3): U/2 reads its real part, i(|1><3| - |3><1|)/2 its imaginary part.
+    d = 4
+    M = np.eye(d, dtype=np.complex128) / d
+    M[1, 3], M[3, 1] = entry, np.conj(entry)
+    comp = np.zeros((d, d), dtype=np.complex128)
+    if abs(entry.real) >= abs(entry.imag):
+        comp[1, 3] = comp[3, 1] = 0.5
+    else:
+        comp[1, 3] = 0.5j
+        comp[3, 1] = -0.5j
+    assert same_bits(tailored_witness(DensityMatrix(M), lo, lo).matrix, comp + lo * np.eye(d))
