@@ -35,14 +35,7 @@ from .generators import (
     offdiag_support,
     state_from_bloch,
 )
-from .linalg import (
-    DEFAULT_TOLERANCE,
-    ComplexMatrix,
-    Tolerance,
-    is_hermitian,
-    min_eigenvalue,
-    trace_product,
-)
+from .linalg import DETECT_EPS, ComplexMatrix, is_hermitian, min_eigenvalue, trace_product
 from .rng import Seed, SplitMix64
 from .states import (
     DensityMatrix,
@@ -106,9 +99,8 @@ __all__ = [
     "generator_basis",
     "offdiag_support",
     "state_from_bloch",
-    "DEFAULT_TOLERANCE",
+    "DETECT_EPS",
     "ComplexMatrix",
-    "Tolerance",
     "is_hermitian",
     "min_eigenvalue",
     "trace_product",

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CohwitError, DocumentError, NotHermitianError
-from .linalg import DEFAULT_TOLERANCE
+from .linalg import DETECT_EPS
 from .rng import Seed
 from .states import DensityMatrix, l1_coherence
 from .verify import COHERENCE_THRESHOLD, bloch_grid, qubit_states_stack, verify_coverage
@@ -97,7 +97,7 @@ def witness_to_document(witness: Witness, kind: str = "custom", params: dict | N
 
 def witness_from_document(doc) -> Witness:
     M = matrix_from_document(doc, what="witness")
-    eps = _num(doc.get("detect_eps", DEFAULT_TOLERANCE.detect_eps), "witness.detect_eps")
+    eps = _num(doc.get("detect_eps", DETECT_EPS), "witness.detect_eps")
     if eps < 0:
         raise DocumentError(f"witness.detect_eps: must be nonnegative, got {eps}")
     kind = doc.get("kind", "custom")
@@ -166,17 +166,8 @@ def _require(args: argparse.Namespace, names: Sequence[str], kind: str) -> None:
         raise DocumentError(f"gen --kind {kind} requires {', '.join(missing)}")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def bloch_cloud(
-    K: float,
-    a: float,
-    b: float,
-    c: float,
-    grid_n: int,
-    detect_eps: float = DEFAULT_TOLERANCE.detect_eps,
+    K: float, a: float, b: float, c: float, grid_n: int
 ) -> Iterator[tuple[float, float, float, float, str]]:
     """Iterate (x, y, z, value, verdict) over the in-ball lattice.
 
@@ -185,20 +176,17 @@ def bloch_cloud(
     iterator is returned.
     """
     x, y, z = bloch_grid(grid_n)
-    w = qubit_witness(K, a, b, c, detect_eps)
+    w = qubit_witness(K, a, b, c)
     values, _, detected = w.evaluate_batch(qubit_states_stack(x, y, z))
-    return (
-        (float(x[i]), float(y[i]), float(z[i]), float(values[i]),
-         "Detected" if detected[i] else "NotDetected")
-        for i in range(x.size)
-    )
+    verdicts = ["Detected" if hit else "NotDetected" for hit in detected.tolist()]
+    return zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)
 
 
-def write_bloch_cloud(stream, K, a, b, c, grid_n, detect_eps=DEFAULT_TOLERANCE.detect_eps) -> None:
-    rows = bloch_cloud(K, a, b, c, grid_n, detect_eps)
+def write_bloch_cloud(stream, K, a, b, c, grid_n) -> None:
+    rows = bloch_cloud(K, a, b, c, grid_n)
     stream.write("x,y,z,value,verdict\n")
     for x, y, z, value, verdict in rows:
-        stream.write(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(value)},{verdict}\n")
+        stream.write(f"{x!r},{y!r},{z!r},{value!r},{verdict}\n")
 
 
 def _cmd_gen(args) -> int:
@@ -360,7 +348,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        # Overflow in user-supplied numbers surfaces as a finiteness error
+        # below, not as numpy warnings on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (CohwitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

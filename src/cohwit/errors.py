@@ -55,7 +55,7 @@ class NonFiniteError(CohwitError):
 
 
 class InvalidParameterError(CohwitError):
-    """A count, grid size, tolerance or margin is outside its valid range."""
+    """A count, grid size, threshold or margin is outside its valid range."""
 
 
 class DocumentError(CohwitError):

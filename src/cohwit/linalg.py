@@ -8,37 +8,23 @@ fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteError, NotHermitianError
+from .errors import DimensionMismatchError, NonFiniteError, NotHermitianError
 
 # Alias for readability in signatures; any square complex128 array qualifies.
 ComplexMatrix = np.ndarray
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numeric slack used in validation and detection.
-
-    ``psd_floor`` accepts eigenvalues down to ``-psd_floor`` (they are clamped
-    to 0 for reporting); ``detect_eps`` is the margin a witness value must
-    clear beyond its interval before a state counts as detected.
-    """
-
-    hermiticity: float = 1e-10
-    psd_floor: float = 1e-9
-    trace_dev: float = 1e-9
-    detect_eps: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("hermiticity", "psd_floor", "trace_dev", "detect_eps"):
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"tolerance {name} must be nonnegative")
-
-
-DEFAULT_TOLERANCE = Tolerance()
+# Fixed numeric slack.  Validation accepts a deviation from Hermiticity up to
+# HERMITICITY_TOL, eigenvalues down to -PSD_FLOOR (clamped to 0 for reporting)
+# and a trace within TRACE_DEV of 1.  DETECT_EPS is the default margin a
+# witness value must clear beyond its interval before a state counts as
+# detected; a witness carries its own margin (``Witness.with_eps``).
+HERMITICITY_TOL = 1e-10
+PSD_FLOOR = 1e-9
+TRACE_DEV = 1e-9
+DETECT_EPS = 1e-9
 
 
 def as_complex_matrix(matrix, *, what: str = "matrix") -> ComplexMatrix:
@@ -58,11 +44,11 @@ def _deviation(A: ComplexMatrix) -> float:
     return float(np.max(np.abs(A - A.conj().T)))
 
 
-def _require_hermitian(A: ComplexMatrix, tol: float, what: str) -> None:
-    # For an already coerced matrix; a NaN tolerance accepts nothing.
+def _require_hermitian(A: ComplexMatrix, what: str) -> None:
+    # For an already coerced matrix.
     dev = _deviation(A)
-    if not dev <= tol:
-        raise NotHermitianError(f"{what} is not Hermitian within {tol}: deviation {dev}")
+    if not dev <= HERMITICITY_TOL:
+        raise NotHermitianError(f"{what} is not Hermitian within {HERMITICITY_TOL}: deviation {dev}")
 
 
 def _min_eig(A: ComplexMatrix) -> float:
@@ -75,7 +61,7 @@ def hermitian_deviation(matrix: ComplexMatrix) -> float:
     return _deviation(as_complex_matrix(matrix))
 
 
-def is_hermitian(matrix: ComplexMatrix, tol: float = DEFAULT_TOLERANCE.hermiticity) -> bool:
+def is_hermitian(matrix: ComplexMatrix, tol: float = HERMITICITY_TOL) -> bool:
     """True iff the matrix equals its conjugate transpose within ``tol``."""
     return hermitian_deviation(matrix) <= tol
 
@@ -89,12 +75,13 @@ def trace_product(a: ComplexMatrix, b: ComplexMatrix) -> complex:
     return complex(np.einsum("ij,ji->", A, B))
 
 
-def min_eigenvalue(matrix: ComplexMatrix, tol: float = DEFAULT_TOLERANCE.hermiticity) -> float:
+def min_eigenvalue(matrix: ComplexMatrix) -> float:
     """Smallest eigenvalue of the Hermitian part (A + A†)/2.
 
-    Raises NotHermitianError when the input is not Hermitian within ``tol``;
+    Raises NotHermitianError when the input is not Hermitian within
+    ``HERMITICITY_TOL``;
     the symmetrization only absorbs roundoff, never a genuinely skew part.
     """
     A = as_complex_matrix(matrix)
-    _require_hermitian(A, tol, "matrix")
+    _require_hermitian(A, "matrix")
     return _min_eig(A)

@@ -14,13 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidStateError, OutOfIntervalError
-from .linalg import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
-    _min_eig,
-    _require_hermitian,
-    as_complex_matrix,
-)
+from .linalg import PSD_FLOOR, TRACE_DEV, _min_eig, _require_hermitian, as_complex_matrix
 from .rng import Seed, SplitMix64
 
 if TYPE_CHECKING:
@@ -30,18 +24,19 @@ if TYPE_CHECKING:
 class DensityMatrix:
     """A d x d quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Validation happens at construction against a :class:`Tolerance`, in one
-    pass over the coerced input; the stored matrix is a read-only copy of it.
+    Validation happens at construction against the fixed tolerances of
+    :mod:`cohwit.linalg`, in one pass over the coerced input; the stored matrix
+    is a read-only copy of it.
     """
 
-    def __init__(self, matrix, tol: Tolerance = DEFAULT_TOLERANCE):
+    def __init__(self, matrix):
         M = as_complex_matrix(matrix, what="density matrix")
-        _require_hermitian(M, tol.hermiticity, "density matrix")
+        _require_hermitian(M, "density matrix")
         tr = complex(np.trace(M))
-        if abs(tr - 1.0) > tol.trace_dev:
+        if abs(tr - 1.0) > TRACE_DEV:
             raise InvalidStateError(f"density matrix trace must be 1, got {tr}")
         lam = _min_eig(M)
-        if lam < -tol.psd_floor:
+        if lam < -PSD_FLOOR:
             raise InvalidStateError(f"density matrix is not PSD: min eigenvalue {lam}")
         self._matrix = M.copy()
         self._matrix.setflags(write=False)
@@ -90,9 +85,9 @@ class IncoherentState:
     def dim(self) -> int:
         return self.probs.size
 
-    def as_density_matrix(self, tol: Tolerance = DEFAULT_TOLERANCE) -> DensityMatrix:
+    def as_density_matrix(self) -> DensityMatrix:
         """Embed as a diagonal DensityMatrix."""
-        return DensityMatrix(np.diag(self.probs.astype(np.complex128)), tol)
+        return DensityMatrix(np.diag(self.probs.astype(np.complex128)))
 
 
 def l1_coherence(state: DensityMatrix) -> float:
@@ -109,7 +104,7 @@ def _complex_normal_matrix(d: int, rng: SplitMix64) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def sample_ginibre(d: int, seed: Seed, tol: Tolerance = DEFAULT_TOLERANCE) -> DensityMatrix:
+def sample_ginibre(d: int, seed: Seed) -> DensityMatrix:
     """Random full-rank state G G† / Tr(G G†) with standard complex normal G.
 
     Such states carry off-diagonal content with probability 1, which makes the
@@ -119,7 +114,7 @@ def sample_ginibre(d: int, seed: Seed, tol: Tolerance = DEFAULT_TOLERANCE) -> De
     G = _complex_normal_matrix(d, rng)
     M = G @ G.conj().T
     M = (M + M.conj().T) / 2.0  # exact Hermitian symmetry despite roundoff
-    return DensityMatrix(M / float(np.trace(M).real), tol)
+    return DensityMatrix(M / float(np.trace(M).real))
 
 
 def sample_incoherent(d: int, seed: Seed) -> IncoherentState:
@@ -135,7 +130,7 @@ def sample_hermitian(d: int, seed: Seed) -> np.ndarray:
     return (G + G.conj().T) / 2.0
 
 
-def canonical_coherent(d: int, tol: Tolerance = DEFAULT_TOLERANCE) -> DensityMatrix:
+def canonical_coherent(d: int) -> DensityMatrix:
     """The maximally mixed state plus a single symmetric off-diagonal pair.
 
     Entries: 1/d on the whole diagonal and on positions (0, 1) and (1, 0).
@@ -145,13 +140,13 @@ def canonical_coherent(d: int, tol: Tolerance = DEFAULT_TOLERANCE) -> DensityMat
     M = np.eye(d, dtype=np.complex128) / d
     M[0, 1] = 1.0 / d
     M[1, 0] = 1.0 / d
-    return DensityMatrix(M, tol)
+    return DensityMatrix(M)
 
 
-def qubit_state(x: float, y: float, z: float, tol: Tolerance = DEFAULT_TOLERANCE) -> DensityMatrix:
+def qubit_state(x: float, y: float, z: float) -> DensityMatrix:
     """Qubit state (I + x sigma_x + y sigma_y + z sigma_z)/2 for x²+y²+z² <= 1."""
     M = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=np.complex128)
-    return DensityMatrix(M, tol)
+    return DensityMatrix(M)
 
 
 def incoherent_with_value(witness: "Witness", target: float) -> IncoherentState:

@@ -8,13 +8,13 @@ alone.  Reports carry their seed and tolerances for that reason.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
-from .linalg import DEFAULT_TOLERANCE
 from .rng import Seed
 from .states import DensityMatrix, l1_coherence, sample_ginibre, sample_hermitian, sample_incoherent
 from .witness import Witness, WitnessFamily, is_effective_qubit, qubit_witness
@@ -47,6 +47,8 @@ class CoverageReport:
 
     PASS means every state with l1 coherence above the threshold was detected
     by at least one member and no state at or below it was detected by any.
+    ``detect_eps`` is the members' common margin, or the tuple of every
+    member's margin when they differ.
     """
 
     dim: int
@@ -58,7 +60,7 @@ class CoverageReport:
     per_witness_hits: tuple[int, ...]
     seed: Seed
     coherence_threshold: float
-    detect_eps: float
+    detect_eps: float | tuple[float, ...]
     family_label: str
     passed: bool
 
@@ -104,7 +106,6 @@ def verify_incoherent_containment(
     seed: Seed,
     *,
     interval_shrink: float = 0.0,
-    slack: float = CONTAINMENT_SLACK,
 ) -> ContainmentReport:
     """Check that diagonal states never leave random witnesses' intervals.
 
@@ -135,8 +136,8 @@ def verify_incoherent_containment(
         seed=seed,
         interval_shrink=interval_shrink,
         worst_violation=worst,
-        slack=slack,
-        passed=worst <= slack,
+        slack=CONTAINMENT_SLACK,
+        passed=worst <= CONTAINMENT_SLACK,
     )
 
 
@@ -153,30 +154,20 @@ def verify_coverage(
 
     ``extra_states`` are appended after the sampled ensemble; they make
     targeted blind spots testable without changing the sampling contract.
+    Rejects a negative or non-finite ``coherence_threshold``.
     """
+    if not (math.isfinite(coherence_threshold) and coherence_threshold >= 0.0):
+        raise InvalidParameterError(
+            f"coherence threshold must be finite and nonnegative, got {coherence_threshold}"
+        )
     if family.dim != d:
         raise DimensionMismatchError(f"family dim {family.dim} does not match d={d}")
     states = mixed_ensemble(d, n_states, seed) + list(extra_states)
     for s in extra_states:
         if s.dim != d:
             raise DimensionMismatchError(f"extra state dim {s.dim} does not match d={d}")
-    n_total = len(states)
-    if n_total == 0:
-        return CoverageReport(
-            dim=d,
-            n_states=0,
-            n_coherent=0,
-            n_detected=0,
-            n_false_alarm=0,
-            min_margin_detected=None,
-            per_witness_hits=(0,) * len(family),
-            seed=seed,
-            coherence_threshold=coherence_threshold,
-            detect_eps=family.members[0].detect_eps,
-            family_label=family.label,
-            passed=True,
-        )
-    stack = np.stack([s.matrix for s in states])
+    # The reshape gives an empty ensemble its (0, d, d) shape.
+    stack = np.array([s.matrix for s in states]).reshape(len(states), d, d)
     coherent = np.array([l1_coherence(s) for s in states]) > coherence_threshold
     _, margins, detected = family.evaluate_batch(stack)
     any_detected = detected.any(axis=0)
@@ -184,9 +175,10 @@ def verify_coverage(
     n_detected = int(np.count_nonzero(any_detected))
     n_false_alarm = int(np.count_nonzero(any_detected & ~coherent))
     missed = np.count_nonzero(coherent & ~any_detected)
+    eps = tuple(w.detect_eps for w in family.members)
     return CoverageReport(
         dim=d,
-        n_states=n_total,
+        n_states=len(states),
         n_coherent=int(np.count_nonzero(coherent)),
         n_detected=n_detected,
         n_false_alarm=n_false_alarm,
@@ -194,7 +186,7 @@ def verify_coverage(
         per_witness_hits=tuple(int(n) for n in detected.sum(axis=1)),
         seed=seed,
         coherence_threshold=coherence_threshold,
-        detect_eps=family.members[0].detect_eps,
+        detect_eps=eps[0] if len(set(eps)) == 1 else eps,
         family_label=family.label,
         passed=(missed == 0 and n_false_alarm == 0),
     )
@@ -225,15 +217,7 @@ def qubit_states_stack(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarra
     return stack
 
 
-def qubit_geometry_check(
-    K: float,
-    a: float,
-    b: float,
-    c: float,
-    grid_n: int,
-    *,
-    detect_eps: float = DEFAULT_TOLERANCE.detect_eps,
-) -> GeometryReport:
+def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) -> GeometryReport:
     """Compare witness verdicts against |ax + by + cz| > |c| on a ball lattice.
 
     Verdicts come from the actual matrix evaluation; the predicate is computed
@@ -241,9 +225,9 @@ def qubit_geometry_check(
     boundary-plane lattice points agree on NotDetected from both sides.
     """
     x, y, z = bloch_grid(grid_n)
-    w = qubit_witness(K, a, b, c, detect_eps)
+    w = qubit_witness(K, a, b, c)
     _, _, detected = w.evaluate_batch(qubit_states_stack(x, y, z))
-    predicate = np.abs(a * x + b * y + c * z) > abs(c) + 2.0 * detect_eps
+    predicate = np.abs(a * x + b * y + c * z) > abs(c) + 2.0 * w.detect_eps
     n_mismatch = int(np.count_nonzero(detected != predicate))
     return GeometryReport(
         grid_n=grid_n,
@@ -251,7 +235,7 @@ def qubit_geometry_check(
         n_mismatch=n_mismatch,
         n_detected=int(np.count_nonzero(detected)),
         witness_params=(K, a, b, c),
-        detect_eps=detect_eps,
+        detect_eps=w.detect_eps,
         effective=is_effective_qubit(a, b, c),
         passed=n_mismatch == 0,
     )

@@ -29,7 +29,7 @@ from .errors import (
     NumericallyMarginalWarning,
 )
 from .generators import OFFDIAG_TOL, _operator, bloch_vector
-from .linalg import DEFAULT_TOLERANCE, _require_hermitian, as_complex_matrix
+from .linalg import DETECT_EPS, _require_hermitian, as_complex_matrix
 from .states import DensityMatrix
 
 # Off-diagonal moduli below this cannot anchor a tailored witness.
@@ -93,17 +93,13 @@ class Witness:
     witness never claims coherence on numerical fuzz.
     """
 
-    def __init__(
-        self,
-        matrix,
-        detect_eps: float = DEFAULT_TOLERANCE.detect_eps,
-        *,
-        hermiticity_tol: float = DEFAULT_TOLERANCE.hermiticity,
-    ):
+    def __init__(self, matrix, detect_eps: float = DETECT_EPS):
         M = as_complex_matrix(matrix, what="witness matrix")
-        _require_hermitian(M, hermiticity_tol, "witness matrix")
-        if detect_eps < 0:
-            raise InvalidParameterError(f"detect_eps must be nonnegative, got {detect_eps}")
+        _require_hermitian(M, "witness matrix")
+        if not (math.isfinite(detect_eps) and detect_eps >= 0):
+            raise InvalidParameterError(
+                f"detect_eps must be finite and nonnegative, got {detect_eps}"
+            )
         self._matrix = M.copy()
         self._matrix.setflags(write=False)
         diag = np.real(np.diagonal(self._matrix))
@@ -191,9 +187,7 @@ class WitnessFamily:
         return len(self.members)
 
 
-def canonical_witness(
-    d: int, lo: float, hi: float, detect_eps: float = DEFAULT_TOLERANCE.detect_eps
-) -> Witness:
+def canonical_witness(d: int, lo: float, hi: float) -> Witness:
     """The minimal explicit witness with interval exactly [lo, hi].
 
     Diagonal (hi, lo, hi, ..., hi) with (d - lo + hi)/2 at entries (0, 1) and
@@ -210,12 +204,10 @@ def canonical_witness(
     off = (d - lo + hi) / 2.0
     M[0, 1] = off
     M[1, 0] = off
-    return Witness(M, detect_eps)
+    return Witness(M)
 
 
-def tailored_witness(
-    state: DensityMatrix, lo: float, hi: float, detect_eps: float = DEFAULT_TOLERANCE.detect_eps
-) -> Witness:
+def tailored_witness(state: DensityMatrix, lo: float, hi: float) -> Witness:
     """A witness with interval exactly [lo, hi] that detects the given state.
 
     Anchored on the state's off-diagonal entry of largest modulus, at (k, l).
@@ -250,30 +242,28 @@ def tailored_witness(
         # part, as i(|k><l| - |l><k|)/2 written out entry by entry has.
         comp_op = 1j * _operator(d, coeffs).imag
     if lo == hi:
-        return Witness(comp_op + lo * np.eye(d), detect_eps)
-    base = canonical_witness(d, lo, hi, detect_eps)
+        return Witness(comp_op + lo * np.eye(d))
+    base = canonical_witness(d, lo, hi)
     gap = hi + 1.0 - base.evaluate(state).value
     if gap == 0.0:
         return base
     component = entry.real if use_re else entry.imag
-    return Witness((gap / component) * comp_op + base.matrix, detect_eps)
+    return Witness((gap / component) * comp_op + base.matrix)
 
 
-def qubit_witness(
-    K: float, a: float, b: float, c: float, detect_eps: float = DEFAULT_TOLERANCE.detect_eps
-) -> Witness:
+def qubit_witness(K: float, a: float, b: float, c: float) -> Witness:
     """(K I + a sigma_x + b sigma_y + c sigma_z)/2.
 
     Interval [(K - |c|)/2, (K + |c|)/2]; on the qubit state with coordinates
     (x, y, z) the expectation is (K + ax + by + cz)/2, so detection is
-    equivalent to |ax + by + cz| > |c| + 2 * detect_eps.
+    equivalent to |ax + by + cz| > |c| + 2 * DETECT_EPS.
     """
     if a == 0.0 and b == 0.0 and c == 0.0:
         raise ZeroOperatorError("qubit witness needs a, b, c not all zero")
     M = 0.5 * np.array(
         [[K + c, a - 1j * b], [a + 1j * b, K - c]], dtype=np.complex128
     )
-    return Witness(M, detect_eps)
+    return Witness(M)
 
 
 def is_effective_qubit(a: float, b: float, c: float) -> bool:
@@ -295,14 +285,7 @@ def is_effective_qubit(a: float, b: float, c: float) -> bool:
     return plane > 0.0
 
 
-def qubit_pair_family(
-    K: float,
-    a1: float,
-    b1: float,
-    a2: float,
-    b2: float,
-    detect_eps: float = DEFAULT_TOLERANCE.detect_eps,
-) -> WitnessFamily:
+def qubit_pair_family(K: float, a1: float, b1: float, a2: float, b2: float) -> WitnessFamily:
     """Two zero-diagonal-spread qubit witnesses that jointly detect every
     coherent qubit state.
 
@@ -313,16 +296,11 @@ def qubit_pair_family(
         raise DegenerateFamilyError(
             f"directions ({a1}, {b1}) and ({a2}, {b2}) are proportional or degenerate"
         )
-    members = (
-        qubit_witness(K, a1, b1, 0.0, detect_eps),
-        qubit_witness(K, a2, b2, 0.0, detect_eps),
-    )
+    members = (qubit_witness(K, a1, b1, 0.0), qubit_witness(K, a2, b2, 0.0))
     return WitnessFamily(label=f"qubit-pair(K={K}, ({a1},{b1}), ({a2},{b2}))", members=members)
 
 
-def generator_witness(
-    d: int, K: float, coeffs, detect_eps: float = DEFAULT_TOLERANCE.detect_eps
-) -> Witness:
+def generator_witness(d: int, K: float, coeffs) -> Witness:
     """(K I + sum_i s_i g_i) / d for a real coefficient vector of length d**2 - 1.
 
     When the diagonal-generator coefficients (indices 1..d-1) all vanish,
@@ -330,13 +308,11 @@ def generator_witness(
     The expectation on a state with coefficient vector r is
     K/d + (2/d**2) * dot(r, s).
     """
-    M = (K * np.eye(d, dtype=np.complex128) + _operator(d, coeffs)) / d
-    return Witness(M, detect_eps)
+    op = _operator(d, coeffs)  # validates d before np.eye sees it
+    return Witness((K * np.eye(d, dtype=np.complex128) + op) / d)
 
 
-def witness_for_state(
-    state: DensityMatrix, K: float = 0.0, detect_eps: float = DEFAULT_TOLERANCE.detect_eps
-) -> Witness:
+def witness_for_state(state: DensityMatrix, K: float = 0.0) -> Witness:
     """The single-generator witness that detects the given coherent state.
 
     Picks the off-diagonal generator index with the largest |r_i| (lowest
@@ -350,15 +326,10 @@ def witness_for_state(
         raise NotCoherentError("state has no off-diagonal generator support")
     eta = np.zeros(d * d - 1)
     eta[d - 1 + t] = 1.0
-    return generator_witness(d, K, eta, detect_eps)
+    return generator_witness(d, K, eta)
 
 
-def finite_family(
-    d: int,
-    K: float = 0.0,
-    coeffs=None,
-    detect_eps: float = DEFAULT_TOLERANCE.detect_eps,
-) -> WitnessFamily:
+def finite_family(d: int, K: float = 0.0, coeffs=None) -> WitnessFamily:
     """The d(d-1) single-generator witnesses covering every off-diagonal index.
 
     Member t carries coefficient ``coeffs[t]`` (default 1) on generator index
@@ -378,5 +349,5 @@ def finite_family(
     for t, i in enumerate(range(d, d * d)):  # 1-based generator indices d..d**2-1
         eta = np.zeros(d * d - 1)
         eta[i - 1] = v[t]
-        members.append(generator_witness(d, K, eta, detect_eps))
+        members.append(generator_witness(d, K, eta))
     return WitnessFamily(label=f"single-generator(d={d}, K={K})", members=tuple(members))

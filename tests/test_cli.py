@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohwit import canonical_coherent, canonical_witness, finite_family, generator_witness
 from cohwit.cli import (
@@ -142,6 +150,18 @@ class TestDetect:
         assert report["verdict"] == "NotDetected"
         assert report["detect_eps"] == 2.0
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exit_2(self, tmp_path, capsys, eps):
+        wfile = tmp_path / "w.json"
+        sfile = tmp_path / "rho.json"
+        run(["gen", "--kind", "lemma2", "--d", "2", "--m", "0", "--M", "1", "--out", str(wfile)])
+        write_state(sfile, canonical_coherent(2))
+        capsys.readouterr()
+        assert run(["detect", "--witness", str(wfile), "--state", str(sfile), "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_missing_file_exit_2(self, tmp_path):
         sfile = tmp_path / "rho.json"
         write_state(sfile, canonical_coherent(2))
@@ -205,6 +225,15 @@ class TestVerify:
         fpath = tmp_path / "fam.json"
         fpath.write_text(json.dumps({"label": "f", "members": [witness_to_document(w)]}))
         assert run(["verify", "--d", "3", "--samples", "10", "--seed", "0", "--family", str(fpath)]) == 2
+
+    def test_mixed_margins_reported_per_member(self, tmp_path, capsys):
+        u, v = finite_family(2).members
+        docs = [witness_to_document(u), witness_to_document(v.with_eps(1e-3))]
+        fpath = tmp_path / "fam.json"
+        fpath.write_text(json.dumps({"label": "mixed", "members": docs}))
+        rc = run(["verify", "--d", "2", "--samples", "20", "--seed", "5", "--family", str(fpath)])
+        assert rc in (0, 3)
+        assert json.loads(capsys.readouterr().out)["detect_eps"] == [1e-9, 1e-3]
 
     def test_byte_identical_reports(self, capsys):
         argv = ["verify", "--d", "3", "--samples", "100", "--seed", "11"]
@@ -271,6 +300,7 @@ class TestArgparse:
         capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -280,6 +310,14 @@ class TestArgparse:
         ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "-2"],
         ["verify", "--d", "2", "--samples", "0", "--seed", "0"],
         ["verify", "--d", "2", "--samples", "-4", "--seed", "0"],
+        ["verify", "--d", "2", "--samples", "10", "--seed", "0", "--threshold", "nan"],
+        ["verify", "--d", "2", "--samples", "10", "--seed", "0", "--threshold", "inf"],
+        ["verify", "--d", "2", "--samples", "10", "--seed", "0", "--threshold=-1"],
+        ["gen", "--kind", "qubit", "--K", "1e308", "--a", "1e308", "--b", "1e308", "--c", "1e308",
+         "--out", "{out}"],
+        ["gen", "--kind", "eta", "--d", "2", "--K", "1e308", "--eta", "1e308,1e308,1e308",
+         "--out", "{out}"],
+        ["gen", "--kind", "eta", "--d", "-1", "--eta", "1", "--out", "{out}"],
     ],
 )
 def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
@@ -290,3 +328,73 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
     assert captured.out == ""  # no CSV header, no vacuous PASS report
     assert not out.exists()
+
+
+# Reals for the contract property: ordinary values plus the ones that break
+# naive numerics.
+REALS = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0]),
+)
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_cli_contract_holds_for_bounded_argv(data):
+    """Exit 0, 2 or 3 without warnings; exit 2 means one error line and no
+    output; every report and document is strict JSON."""
+    draw = data.draw
+
+    def reals(flag, n=1):
+        values = draw(st.lists(REALS, min_size=n, max_size=n))
+        return f"--{flag}=" + ",".join(repr(v) for v in values)
+
+    cmd = draw(st.sampled_from(["gen", "verify", "bloch"]))
+    d = draw(st.sampled_from(range(-1, 7)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
+        if cmd == "gen":
+            kind = draw(st.sampled_from(["lemma2", "qubit", "eta", "family"]))
+            argv = ["gen", f"--kind={kind}", f"--d={d}", f"--out={out}", reals("K")]
+            if kind == "lemma2":
+                argv += [reals("m"), reals("M")]
+            elif kind == "qubit":
+                argv += [reals("a"), reals("b"), reals("c")]
+            elif kind == "eta":
+                argv.append(reals("eta", draw(st.sampled_from([max(d * d - 1, 1), 3, 8]))))
+            elif draw(st.booleans()):
+                argv.append(reals("s", draw(st.sampled_from([max(d * (d - 1), 1), 2, 6]))))
+        elif cmd == "verify":
+            argv = ["verify", f"--d={d}", f"--samples={draw(st.integers(-2, 30))}",
+                    f"--seed={draw(st.integers(0, 2**32))}", reals("K")]
+            if draw(st.booleans()):
+                argv.append(reals("threshold"))
+        else:
+            argv = ["bloch", reals("K"), reals("a"), reals("b"), reals("c"),
+                    f"--grid={draw(st.integers(-2, 9))}"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = run(argv)
+        out_text, err_text = stdout.getvalue(), stderr.getvalue()
+        assert rc in (0, 2, 3), (argv, err_text)
+        if rc == 2:
+            assert out_text == ""
+            assert err_text.startswith("error:") and err_text.count("\n") == 1, err_text
+            assert not os.path.exists(out)
+        elif cmd == "verify":
+            assert _strict_json(out_text)["verdict"] == ("PASS" if rc == 0 else "FAIL")
+        elif cmd == "gen":
+            assert rc == 0
+            with open(out, encoding="utf-8") as fh:
+                _strict_json(fh.read())
+        else:
+            assert rc == 0 and out_text.startswith("x,y,z,value,verdict\n")

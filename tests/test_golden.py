@@ -55,6 +55,13 @@ def test_gen_document(tmp_path, argv, digest):
     assert sha256(out.read_bytes()) == digest
 
 
+def test_bloch_csv_file(tmp_path):
+    out = tmp_path / "cloud.csv"
+    argv = ["bloch", "--K", "0.3", "--a", "1", "--b", "-0.5", "--c", "0.2", "--grid", "11"]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == "a11d7616b62cd92c11dc6d062fe04b21f15af6c7456161ac8d726a081df9544b"
+
+
 def test_bloch_maps_d9():
     r = bloch_vector(sample_ginibre(9, 2024))
     assert sha256(r.tobytes()) == "50190af6df097d51b2b9d9ae97bc772f8dc0f36e7996ed332a6244a4a6a93b35"

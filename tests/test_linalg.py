@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cohwit import (
     DimensionMismatchError,
     NotHermitianError,
-    Tolerance,
     is_hermitian,
     min_eigenvalue,
     sample_ginibre,
@@ -98,11 +97,6 @@ def test_min_eigenvalue_identity_shift(seed, c):
     d = 2 + seed % 4
     A = sample_hermitian(d, seed)
     assert min_eigenvalue(A + c * np.eye(d)) == pytest.approx(min_eigenvalue(A) + c, abs=1e-9)
-
-
-def test_tolerance_rejects_negative_fields():
-    with pytest.raises(ValueError):
-        Tolerance(hermiticity=-1e-10)
 
 
 def test_non_finite_entries_rejected():

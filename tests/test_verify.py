@@ -79,6 +79,7 @@ class TestCoverage:
         assert report.passed
         assert report.n_states == report.n_coherent == report.n_detected == 0
         assert report.min_margin_detected is None
+        assert report.per_witness_hits == (0, 0)
 
     def test_monotone_in_members(self):
         full = finite_family(2, 0.0)

@@ -56,6 +56,11 @@ class TestWitnessConstruction:
         with pytest.raises(ValueError):
             Witness(SX, detect_eps=-1.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError):
+            Witness(SX, detect_eps=eps)
+
 
 class TestEvaluate:
     def test_plus_state_against_half_sigma_x(self):
