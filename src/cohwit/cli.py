@@ -24,7 +24,13 @@ from .errors import CohwitError, DocumentError, NotHermitianError
 from .linalg import DETECT_EPS
 from .rng import Seed
 from .states import DensityMatrix, l1_coherence
-from .verify import COHERENCE_THRESHOLD, bloch_grid, qubit_states_stack, verify_coverage
+from .verify import (
+    COHERENCE_THRESHOLD,
+    bloch_grid,
+    qubit_states_stack,
+    require_coverage_budget,
+    verify_coverage,
+)
 from .witness import (
     Witness,
     WitnessFamily,
@@ -251,6 +257,9 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise DocumentError(f"--samples: must be >= 1, got {args.samples}")
+    # Checked against the built-in family's d(d-1) members before any is built;
+    # verify_coverage checks again with the family actually used.
+    require_coverage_budget(args.d, args.samples, args.d * (args.d - 1))
     if args.family is not None:
         family = family_from_document(_load_json(args.family))
         if family.dim != args.d:

@@ -16,11 +16,27 @@ Stream conventions:
 
 Samplers are pure functions of an explicit seed; there is no hidden global
 stream, so parallel sweeps can partition seed ranges freely.
+
+Array stream.  After k steps the state is ``s + k * golden`` (mod 2**64) in
+closed form, so draw k of every stream in a batch of seeds is one ``uint64``
+broadcast with no sequential loop.  ``uniforms(seeds, m)`` is the
+(len(seeds), m) table of each seed's first m ``uniform()`` draws;
+``normals(seeds, n)`` and ``exponentials(seeds, m)`` are the matching
+Box-Muller and ``-ln u`` tables.  Row i equals the scalar draws of
+``SplitMix64(seeds[i])`` bit for bit.  The integer stages and ``sqrt``, ``*``
+and ``/`` (correctly rounded in IEEE 754) run in numpy.  ``log``, ``cos`` and
+``sin`` go through ``math`` one element at a time: numpy's SIMD versions
+differ from libm in the last bit on some inputs, and can differ between CPUs,
+which would change every seeded ensemble.  :class:`SplitMix64` stays the
+scalar recurrence the tables are tested against.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Sequence
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -62,3 +78,35 @@ class SplitMix64:
         while len(out) < n:
             out.extend(self.normal_pair())
         return out[:n]
+
+
+def uniforms(seeds: Sequence[Seed], m: int) -> np.ndarray:
+    """(len(seeds), m) table; row i is the first m ``SplitMix64(seeds[i]).uniform()`` draws."""
+    s = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    k = np.arange(1, m + 1, dtype=np.uint64)
+    z = s[:, None] + k * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+
+
+def _elementwise(f: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    # f applied to every element through Python floats (libm, not numpy SIMD).
+    return np.fromiter(map(f, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+
+
+def normals(seeds: Sequence[Seed], n: int) -> np.ndarray:
+    """(len(seeds), n) table; row i is ``SplitMix64(seeds[i]).normals(n)``."""
+    u = uniforms(seeds, 2 * ((n + 1) // 2))
+    r = np.sqrt(-2.0 * _elementwise(math.log, u[:, 0::2]))
+    theta = 2.0 * math.pi * u[:, 1::2]
+    out = np.empty_like(u)
+    out[:, 0::2] = r * _elementwise(math.cos, theta)
+    out[:, 1::2] = r * _elementwise(math.sin, theta)
+    return out[:, :n]
+
+
+def exponentials(seeds: Sequence[Seed], m: int) -> np.ndarray:
+    """(len(seeds), m) table of ``-math.log(u)`` over ``uniforms(seeds, m)``."""
+    return -_elementwise(math.log, uniforms(seeds, m))

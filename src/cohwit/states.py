@@ -2,42 +2,120 @@
 samplers, and the l1-norm coherence oracle.
 
 All sampling is driven by the splitmix64 stream in :mod:`cohwit.rng`; a given
-(dimension, seed) pair always produces the same state, bit for bit.
+(dimension, seed) pair always produces the same state, bit for bit.  Each
+sampler exists once, in batched form over a sequence of seeds (state i from
+seed i); the one-seed samplers are views of it.  Batches are generated
+``_BLOCK_ENTRIES`` matrix entries at a time, so temporaries stay bounded
+however many seeds are asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidStateError, OutOfIntervalError
-from .linalg import PSD_FLOOR, TRACE_DEV, _min_eig, _require_hermitian, as_complex_matrix
-from .rng import Seed, SplitMix64
+from .errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    InvalidStateError,
+    NonFiniteError,
+    NotHermitianError,
+    OutOfIntervalError,
+)
+from .linalg import HERMITICITY_TOL, PSD_FLOOR, TRACE_DEV, as_complex_matrix
+from .rng import Seed, exponentials, normals
 
 if TYPE_CHECKING:
     from .witness import Witness
+
+# Matrix entries generated or validated per block of states.
+_BLOCK_ENTRIES = 1 << 12
+
+
+def _blocks(n: int, d: int) -> list[slice]:
+    step = max(1, _BLOCK_ENTRIES // (d * d))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def validate_states(stack, what: str = "state {t}") -> np.ndarray:
+    """Check that every matrix of an (n, d, d) stack is a density matrix.
+
+    The checks run in this order over the whole stack: finite entries,
+    Hermiticity within ``HERMITICITY_TOL``, trace within ``TRACE_DEV`` of 1,
+    and eigenvalues of the Hermitian part down to ``-PSD_FLOOR``.  The first
+    failing state t is named as ``what.format(t=t)``.  Returns each state's
+    smallest eigenvalue.
+    """
+    S = np.asarray(stack, dtype=np.complex128)
+    if S.ndim != 3 or S.shape[1] != S.shape[2] or S.shape[1] < 2:
+        raise DimensionMismatchError(f"state stack must have shape (n, d, d), d >= 2, got {S.shape}")
+    lam = np.empty(len(S))
+    for b in _blocks(len(S), S.shape[1]):
+        lam[b] = _validate_block(S[b], b.start, what)
+    return lam
+
+
+def _first(bad: np.ndarray, what: str, start: int = 0) -> tuple[int, str]:
+    # Index of the first True in bad, and its name: what.format(t=start + index).
+    t = int(np.argmax(bad))
+    return t, what.format(t=start + t)
+
+
+def _validate_block(S: np.ndarray, start: int, what: str) -> np.ndarray:
+    bad = ~np.isfinite(S).all(axis=(1, 2))
+    if bad.any():
+        raise NonFiniteError(f"{_first(bad, what, start)[1]} contains non-finite entries")
+    H = _dagger(S)
+    dev = np.abs(S - H).max(axis=(1, 2))
+    bad = ~(dev <= HERMITICITY_TOL)
+    if bad.any():
+        t, who = _first(bad, what, start)
+        raise NotHermitianError(f"{who} is not Hermitian within {HERMITICITY_TOL}: deviation {float(dev[t])}")
+    tr = np.trace(S, axis1=1, axis2=2)
+    bad = np.abs(tr - 1.0) > TRACE_DEV
+    if bad.any():
+        t, who = _first(bad, what, start)
+        raise InvalidStateError(f"{who} trace must be 1, got {complex(tr[t])}")
+    lam = np.linalg.eigvalsh((S + H) / 2.0)[:, 0]
+    bad = lam < -PSD_FLOOR
+    if bad.any():
+        t, who = _first(bad, what, start)
+        raise InvalidStateError(f"{who} is not PSD: min eigenvalue {float(lam[t])}")
+    return lam
+
+
+def _check_probabilities(P: np.ndarray, prefix: str) -> None:
+    # Rows of P are probability vectors: nonnegative, summing to 1 within
+    # 1e-12.  A failing row t is named by prefix.format(t=t).
+    bad = (P < 0.0).any(axis=1)
+    if bad.any():
+        t, who = _first(bad, prefix)
+        raise InvalidStateError(f"{who}negative probability: min {P[t].min()}")
+    total = P.sum(axis=1)
+    bad = np.abs(total - 1.0) > 1e-12
+    if bad.any():
+        t, who = _first(bad, prefix)
+        raise InvalidStateError(f"{who}probabilities must sum to 1, got {float(total[t])}")
 
 
 class DensityMatrix:
     """A d x d quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Validation happens at construction against the fixed tolerances of
-    :mod:`cohwit.linalg`, in one pass over the coerced input; the stored matrix
-    is a read-only copy of it.
+    Validation happens at construction through :func:`validate_states`, the
+    routine sampled stacks go through, against the fixed tolerances of
+    :mod:`cohwit.linalg`; the stored matrix is a read-only copy of the input.
     """
 
     def __init__(self, matrix):
         M = as_complex_matrix(matrix, what="density matrix")
-        _require_hermitian(M, "density matrix")
-        tr = complex(np.trace(M))
-        if abs(tr - 1.0) > TRACE_DEV:
-            raise InvalidStateError(f"density matrix trace must be 1, got {tr}")
-        lam = _min_eig(M)
-        if lam < -PSD_FLOOR:
-            raise InvalidStateError(f"density matrix is not PSD: min eigenvalue {lam}")
+        lam = float(validate_states(M[None], "density matrix")[0])
         self._matrix = M.copy()
         self._matrix.setflags(write=False)
         self._min_eig = max(lam, 0.0)
@@ -72,11 +150,7 @@ class IncoherentState:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1 or p.size < 2:
             raise InvalidStateError(f"probability vector must be 1-d with length >= 2, got {p.shape}")
-        if np.any(p < 0.0):
-            raise InvalidStateError(f"negative probability: min {p.min()}")
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidStateError(f"probabilities must sum to 1, got {total}")
+        _check_probabilities(p[None], "")
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -90,44 +164,117 @@ class IncoherentState:
         return DensityMatrix(np.diag(self.probs.astype(np.complex128)))
 
 
+def l1_coherence_batch(stack: np.ndarray) -> np.ndarray:
+    """Sum of |rho_ij| over i != j for every matrix of an (n, d, d) stack."""
+    a = np.abs(stack)
+    return a.sum(axis=(1, 2)) - np.trace(a, axis1=1, axis2=2)
+
+
 def l1_coherence(state: DensityMatrix) -> float:
     """Sum of |rho_ij| over i != j; exactly 0 on diagonal states."""
-    a = np.abs(state.matrix)
-    return float(a.sum() - np.trace(a))
+    return float(l1_coherence_batch(state.matrix[None])[0])
 
 
-def _complex_normal_matrix(d: int, rng: SplitMix64) -> np.ndarray:
+def _require_dim(d: int) -> None:
+    if d < 2:
+        raise DimensionMismatchError(f"dimension must be >= 2, got {d}")
+
+
+def _fill(out: np.ndarray, block: Callable, d: int, seeds: Sequence[Seed]) -> np.ndarray:
+    # out[i] is row i of block(d, seeds), computed one block of seeds at a time.
+    for b in _blocks(len(seeds), d):
+        out[b] = block(d, seeds[b])
+    return out
+
+
+def _complex_normals(d: int, seeds: Sequence[Seed]) -> np.ndarray:
     # Entries filled row-major; each consumes one Box-Muller pair (re, im).
-    z = rng.normals(2 * d * d)
-    re = np.asarray(z[0::2]).reshape(d, d)
-    im = np.asarray(z[1::2]).reshape(d, d)
+    z = normals(seeds, 2 * d * d)
+    re = z[:, 0::2].reshape(-1, d, d)
+    im = z[:, 1::2].reshape(-1, d, d)
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def sample_ginibre(d: int, seed: Seed) -> DensityMatrix:
-    """Random full-rank state G G† / Tr(G G†) with standard complex normal G.
+def _ginibre_block(d: int, seeds: Sequence[Seed]) -> np.ndarray:
+    G = _complex_normals(d, seeds)
+    M = G @ _dagger(G)
+    M = (M + _dagger(M)) / 2.0  # exact Hermitian symmetry despite roundoff
+    return M / np.trace(M, axis1=1, axis2=2).real[:, None, None]
 
-    Such states carry off-diagonal content with probability 1, which makes the
-    ensemble a natural stress source for detection sweeps.
+
+def _incoherent_block(d: int, seeds: Sequence[Seed]) -> np.ndarray:
+    e = exponentials(seeds, d)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _hermitian_block(d: int, seeds: Sequence[Seed]) -> np.ndarray:
+    G = _complex_normals(d, seeds)
+    return (G + _dagger(G)) / 2.0
+
+
+def sample_ginibre_batch(d: int, seeds: Sequence[Seed]) -> np.ndarray:
+    """Validated (len(seeds), d, d) stack of random full-rank states
+    G G† / Tr(G G†) with standard complex normal G; state i from ``seeds[i]``.
+
+    Such states carry off-diagonal content with probability 1, which makes
+    them a natural stress source for detection sweeps.
     """
-    rng = SplitMix64(seed)
-    G = _complex_normal_matrix(d, rng)
-    M = G @ G.conj().T
-    M = (M + M.conj().T) / 2.0  # exact Hermitian symmetry despite roundoff
-    return DensityMatrix(M / float(np.trace(M).real))
+    _require_dim(d)
+    stack = _fill(np.empty((len(seeds), d, d), np.complex128), _ginibre_block, d, seeds)
+    validate_states(stack, "Ginibre state {t}")
+    return stack
+
+
+def sample_incoherent_batch(d: int, seeds: Sequence[Seed]) -> np.ndarray:
+    """(len(seeds), d) probability vectors drawn uniformly from the simplex
+    (normalized exponentials); row i from ``seeds[i]``."""
+    _require_dim(d)
+    probs = _fill(np.empty((len(seeds), d)), _incoherent_block, d, seeds)
+    _check_probabilities(probs, "sampled probability vector {t}: ")
+    return probs
+
+
+def sample_hermitian_batch(d: int, seeds: Sequence[Seed]) -> np.ndarray:
+    """(len(seeds), d, d) random Hermitian matrices (G + G†)/2 with standard
+    complex normal G; matrix i from ``seeds[i]``."""
+    _require_dim(d)
+    return _fill(np.empty((len(seeds), d, d), np.complex128), _hermitian_block, d, seeds)
+
+
+def sample_ginibre(d: int, seed: Seed) -> DensityMatrix:
+    """The state of :func:`sample_ginibre_batch` for one seed."""
+    _require_dim(d)
+    return DensityMatrix(_ginibre_block(d, [seed])[0])  # validated once, here
 
 
 def sample_incoherent(d: int, seed: Seed) -> IncoherentState:
-    """Probability vector drawn uniformly from the simplex (normalized exponentials)."""
-    rng = SplitMix64(seed)
-    e = np.array([-math.log(rng.uniform()) for _ in range(d)])
-    return IncoherentState(e / e.sum())
+    """The probability vector of :func:`sample_incoherent_batch` for one seed."""
+    _require_dim(d)
+    return IncoherentState(_incoherent_block(d, [seed])[0])  # checked once, here
 
 
 def sample_hermitian(d: int, seed: Seed) -> np.ndarray:
-    """Random Hermitian matrix (G + G†)/2 with standard complex normal G."""
-    G = _complex_normal_matrix(d, SplitMix64(seed))
-    return (G + G.conj().T) / 2.0
+    """The matrix of :func:`sample_hermitian_batch` for one seed."""
+    return sample_hermitian_batch(d, [seed])[0]
+
+
+def sample_ensemble(d: int, n_states: int, seed: Seed) -> np.ndarray:
+    """Validated (n_states, d, d) stack: half random full-rank states
+    (coherent a.s.), half diagonal states.
+
+    State t uses sub-seed ``seed + t``; the first ``n_states // 2`` are the
+    random full-rank ones.  Rejects a negative ``n_states``.
+    """
+    if n_states < 0:
+        raise InvalidParameterError(f"n_states must be >= 0, got {n_states}")
+    _require_dim(d)
+    n_g = n_states // 2
+    stack = np.zeros((n_states, d, d), np.complex128)
+    _fill(stack[:n_g], _ginibre_block, d, range(seed, seed + n_g))
+    idx = np.arange(d)
+    stack[n_g:, idx, idx] = sample_incoherent_batch(d, range(seed + n_g, seed + n_states))
+    validate_states(stack, "ensemble state {t}")
+    return stack
 
 
 def canonical_coherent(d: int) -> DensityMatrix:

@@ -16,7 +16,13 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .rng import Seed
-from .states import DensityMatrix, l1_coherence, sample_ginibre, sample_hermitian, sample_incoherent
+from .states import (
+    DensityMatrix,
+    l1_coherence_batch,
+    sample_ensemble,
+    sample_hermitian_batch,
+    sample_incoherent_batch,
+)
 from .witness import Witness, WitnessFamily, is_effective_qubit, qubit_witness
 
 # States with l1 coherence at or below this are exempt from detection demands:
@@ -25,6 +31,10 @@ COHERENCE_THRESHOLD = 1e-7
 
 # Interval containment slack for diagonal states (pure roundoff budget).
 CONTAINMENT_SLACK = 1e-12
+
+# Largest coverage_bytes estimate a sweep may have; a larger one is refused
+# before anything is allocated.
+MAX_COVERAGE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -84,19 +94,31 @@ class GeometryReport:
 
 
 def mixed_ensemble(d: int, n_states: int, seed: Seed) -> list[DensityMatrix]:
-    """Half full-rank random states (coherent a.s.), half diagonal states.
+    """The states of :func:`cohwit.states.sample_ensemble`: half full-rank
+    random states (coherent a.s.), half diagonal states.
 
     State t uses sub-seed ``seed + t``; the first ``n_states // 2`` are the
     random full-rank ones.
     """
-    n_g = n_states // 2
-    out: list[DensityMatrix] = []
-    for t in range(n_states):
-        if t < n_g:
-            out.append(sample_ginibre(d, seed + t))
-        else:
-            out.append(sample_incoherent(d, seed + t).as_density_matrix())
-    return out
+    return [DensityMatrix(m) for m in sample_ensemble(d, n_states, seed)]
+
+
+def coverage_bytes(d: int, n_states: int, n_members: int) -> int:
+    """Bytes a coverage sweep holds at once: the complex (n_states, d, d)
+    state stack and the members' d x d matrices, plus, per (member, state)
+    pair, the kernel's float values, margins and two margin temporaries and
+    its bool verdict."""
+    return 16 * d * d * (n_states + n_members) + 33 * n_members * n_states
+
+
+def require_coverage_budget(d: int, n_states: int, n_members: int) -> None:
+    """Reject a sweep whose :func:`coverage_bytes` exceed ``MAX_COVERAGE_BYTES``."""
+    need = coverage_bytes(d, n_states, n_members)
+    if need > MAX_COVERAGE_BYTES:
+        raise InvalidParameterError(
+            f"a sweep of {n_states} states against {n_members} members at d={d} needs "
+            f"about {need} bytes, more than the {MAX_COVERAGE_BYTES} allowed"
+        )
 
 
 def verify_incoherent_containment(
@@ -119,11 +141,10 @@ def verify_incoherent_containment(
         )
     family = WitnessFamily(
         label=f"random-hermitian(d={d})",
-        members=tuple(Witness(sample_hermitian(d, seed + j)) for j in range(n_witnesses)),
+        members=tuple(Witness(m) for m in sample_hermitian_batch(d, range(seed, seed + n_witnesses))),
     )
-    probs = np.stack(
-        [sample_incoherent(d, seed + n_witnesses + t).probs for t in range(n_states)]
-    )
+    first = seed + n_witnesses
+    probs = sample_incoherent_batch(d, range(first, first + n_states))
     stack = np.zeros((n_states, d, d), dtype=np.complex128)
     idx = np.arange(d)
     stack[:, idx, idx] = probs
@@ -154,7 +175,8 @@ def verify_coverage(
 
     ``extra_states`` are appended after the sampled ensemble; they make
     targeted blind spots testable without changing the sampling contract.
-    Rejects a negative or non-finite ``coherence_threshold``.
+    Rejects a negative ``n_states``, a negative or non-finite
+    ``coherence_threshold``, and a sweep over ``MAX_COVERAGE_BYTES``.
     """
     if not (math.isfinite(coherence_threshold) and coherence_threshold >= 0.0):
         raise InvalidParameterError(
@@ -162,13 +184,14 @@ def verify_coverage(
         )
     if family.dim != d:
         raise DimensionMismatchError(f"family dim {family.dim} does not match d={d}")
-    states = mixed_ensemble(d, n_states, seed) + list(extra_states)
     for s in extra_states:
         if s.dim != d:
             raise DimensionMismatchError(f"extra state dim {s.dim} does not match d={d}")
-    # The reshape gives an empty ensemble its (0, d, d) shape.
-    stack = np.array([s.matrix for s in states]).reshape(len(states), d, d)
-    coherent = np.array([l1_coherence(s) for s in states]) > coherence_threshold
+    require_coverage_budget(d, n_states + len(extra_states), len(family.members))
+    stack = sample_ensemble(d, n_states, seed)
+    if extra_states:
+        stack = np.concatenate([stack, [s.matrix for s in extra_states]])
+    coherent = l1_coherence_batch(stack) > coherence_threshold
     _, margins, detected = family.evaluate_batch(stack)
     any_detected = detected.any(axis=0)
     detected_margins = margins[detected]
@@ -178,7 +201,7 @@ def verify_coverage(
     eps = tuple(w.detect_eps for w in family.members)
     return CoverageReport(
         dim=d,
-        n_states=len(states),
+        n_states=len(stack),
         n_coherent=int(np.count_nonzero(coherent)),
         n_detected=n_detected,
         n_false_alarm=n_false_alarm,

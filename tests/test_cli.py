@@ -330,6 +330,28 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--d", "4", "--samples", "1000000000", "--seed", "0"],
+        ["verify", "--d", "100000", "--samples", "1", "--seed", "0"],
+        ["verify", "--d", "300", "--samples", "100000", "--seed", "0", "--family", "{out}"],
+    ],
+)
+def test_oversized_sweep_rejected_before_building(monkeypatch, tmp_path, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the family was built before the size check")
+
+    monkeypatch.setattr("cohwit.cli.finite_family", refuse)
+    monkeypatch.setattr("cohwit.cli.family_from_document", refuse)
+    out = tmp_path / "family.json"
+    assert run([a.format(out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "bytes" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 # Reals for the contract property: ordinary values plus the ones that break
 # naive numerics.
 REALS = st.one_of(

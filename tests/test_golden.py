@@ -8,9 +8,18 @@ test still passes, so these pin the arithmetic, not just the numbers.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from cohwit import bloch_vector, sample_ginibre, state_from_bloch
+from cohwit import (
+    SplitMix64,
+    bloch_vector,
+    mixed_ensemble,
+    sample_ginibre,
+    sample_hermitian,
+    state_from_bloch,
+    verify_incoherent_containment,
+)
 from cohwit.cli import run
 
 # 35 generator coefficients for d = 6, with zeros and both signs.
@@ -67,3 +76,46 @@ def test_bloch_maps_d9():
     assert sha256(r.tobytes()) == "50190af6df097d51b2b9d9ae97bc772f8dc0f36e7996ed332a6244a4a6a93b35"
     back = state_from_bloch(9, r)
     assert sha256(back.tobytes()) == "ccb72b339e852391b51e24190995c447c581be894b0b38e9974aa2ac6f353fed"
+
+
+# The Box-Muller floats and whole seeded ensembles.  A vectorized log, cos or
+# sin (numpy's SIMD versions differ from libm in the last bit on some inputs)
+# or a reordered trace or sum changes these bytes.
+
+
+@pytest.mark.parametrize(
+    "seed,n,digest",
+    [
+        (0, 1000, "50edf2559606317ef51bacbc1d4ac671717dfb81f7f3c28a91fa4eb197b33add"),
+        (7, 999, "bc6ec7d8daec96d24d78fe399cba6e7ee78eb9d3e8c90da2b2a55109c76f1ef4"),
+        (2**64 - 1, 64, "69e8418bb447291f9125549784f72b34e0be94b2a3b6a42cd7efde31b2a8b53a"),
+        (-5, 64, "b820b2d35f30ae9db35ec096398407bff9d1b12dc34d99d401132935e6091698"),
+    ],
+)
+def test_normals(seed, n, digest):
+    assert sha256(np.array(SplitMix64(seed).normals(n)).tobytes()) == digest
+
+
+@pytest.mark.parametrize(
+    "d,n,seed,digest",
+    [
+        (2, 301, 1, "45db22c82ec1b2c20fc21cb8bb3697bdb011c80c1e1f41a4375c6746e5643242"),
+        (3, 40, -7, "02f61d02619305dc159eca77c88b271167f028dd502122515baee5fe830f92d4"),
+        (4, 1000, 5, "9dacb837ad30f11b6d877a13a53a297a8351450e69c05bcd43c7650c510b98c5"),
+        (7, 33, 2**64 - 3, "8f59c99a7ced16ba4a5f3a05a413af1a3361d0d9a4e9f8108be29ac69d019976"),
+        (18, 40, 2024, "5dc8716acda734f5fe942e07c0f72ba3ccbe5aec0bf203e15021a1a0f54c92fd"),
+    ],
+)
+def test_mixed_ensemble(d, n, seed, digest):
+    states = np.array([s.matrix for s in mixed_ensemble(d, n, seed)])
+    assert sha256(states.tobytes()) == digest
+
+
+def test_hermitian_samples():
+    stack = np.array([sample_hermitian(5, 100 + t) for t in range(10)])
+    assert sha256(stack.tobytes()) == "b2336ef61a1093aa43fbaadc45b606125911116dc92707a80fdc7819b0583869"
+
+
+def test_containment_worst_violation():
+    report = verify_incoherent_containment(4, 20, 200, 11)
+    assert report.worst_violation.hex() == "-0x1.4f4fbd7e20f30p-6"

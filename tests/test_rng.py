@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from cohwit.rng import SplitMix64
+from cohwit.rng import SplitMix64, exponentials, normals, uniforms
 
 
 def reference_stream(seed, n):
@@ -59,3 +60,35 @@ def test_normals_odd_count_prefix_of_even():
     a = SplitMix64(3).normals(5)
     b = SplitMix64(3).normals(6)
     assert a == b[:5]
+
+
+ARRAY_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -5]
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 33])
+def test_uniform_table_matches_scalar_stream(m):
+    table = uniforms(ARRAY_SEEDS, m)
+    assert table.shape == (len(ARRAY_SEEDS), m)
+    for row, seed in zip(table, ARRAY_SEEDS):
+        r = SplitMix64(seed)
+        assert row.tolist() == [r.uniform() for _ in range(m)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
+def test_normal_table_matches_scalar_stream(n):
+    table = normals(ARRAY_SEEDS, n)
+    assert table.shape == (len(ARRAY_SEEDS), n)
+    for row, seed in zip(table, ARRAY_SEEDS):
+        assert row.tolist() == SplitMix64(seed).normals(n)
+
+
+@pytest.mark.parametrize("m", [1, 6, 9])
+def test_exponential_table_matches_scalar_stream(m):
+    for row, seed in zip(exponentials(ARRAY_SEEDS, m), ARRAY_SEEDS):
+        r = SplitMix64(seed)
+        assert row.tolist() == [-math.log(r.uniform()) for _ in range(m)]
+
+
+def test_empty_tables():
+    assert uniforms([], 4).shape == (0, 4)
+    assert normals([3], 0).shape == (1, 0)

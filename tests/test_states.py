@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,20 +8,28 @@ from hypothesis import strategies as st
 from cohwit import (
     DensityMatrix,
     IncoherentState,
+    InvalidParameterError,
     InvalidStateError,
     NotHermitianError,
     OutOfIntervalError,
+    SplitMix64,
     Witness,
     canonical_coherent,
     canonical_witness,
     generator_witness,
     incoherent_with_value,
     l1_coherence,
+    sample_ensemble,
     sample_ginibre,
+    sample_ginibre_batch,
     sample_hermitian,
+    sample_hermitian_batch,
     sample_incoherent,
+    sample_incoherent_batch,
     trace_product,
+    validate_states,
 )
+from cohwit.states import _BLOCK_ENTRIES
 
 
 class TestDensityMatrix:
@@ -174,3 +184,113 @@ def test_incoherent_with_value_property(seed, f):
     delta = incoherent_with_value(w, target)
     value = trace_product(w.matrix, delta.as_density_matrix().matrix).real
     assert abs(value - target) <= 1e-12
+
+
+# The samplers as first written: one SplitMix64 stream and one state at a time.
+
+
+def reference_complex_normal(d, seed):
+    z = SplitMix64(seed).normals(2 * d * d)
+    re = np.asarray(z[0::2]).reshape(d, d)
+    im = np.asarray(z[1::2]).reshape(d, d)
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
+def reference_ginibre(d, seed):
+    G = reference_complex_normal(d, seed)
+    M = G @ G.conj().T
+    M = (M + M.conj().T) / 2.0
+    return M / float(np.trace(M).real)
+
+
+def reference_incoherent(d, seed):
+    rng = SplitMix64(seed)
+    e = np.array([-math.log(rng.uniform()) for _ in range(d)])
+    return e / e.sum()
+
+
+def reference_hermitian(d, seed):
+    G = reference_complex_normal(d, seed)
+    return (G + G.conj().T) / 2.0
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 6), seeds=st.lists(st.integers(), max_size=40))
+def test_batched_samplers_match_one_seed_and_reference(d, seeds):
+    ginibre = sample_ginibre_batch(d, seeds)
+    probs = sample_incoherent_batch(d, seeds)
+    hermitian = sample_hermitian_batch(d, seeds)
+    assert ginibre.shape == hermitian.shape == (len(seeds), d, d)
+    assert probs.shape == (len(seeds), d)
+    for i, seed in enumerate(seeds):
+        assert same_bits(ginibre[i], sample_ginibre(d, seed).matrix)
+        assert same_bits(ginibre[i], reference_ginibre(d, seed))
+        assert same_bits(probs[i], sample_incoherent(d, seed).probs)
+        assert same_bits(probs[i], reference_incoherent(d, seed))
+        assert same_bits(hermitian[i], sample_hermitian(d, seed))
+        assert same_bits(hermitian[i], reference_hermitian(d, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 6), n=st.integers(0, 40), seed=st.integers())
+def test_ensemble_matches_reference(d, n, seed):
+    want = np.zeros((n, d, d), dtype=np.complex128)
+    for t in range(n):
+        if t < n // 2:
+            want[t] = reference_ginibre(d, seed + t)
+        else:
+            want[t] = np.diag(reference_incoherent(d, seed + t))
+    assert same_bits(sample_ensemble(d, n, seed), want)
+
+
+def test_ensemble_spanning_several_blocks_matches_reference():
+    assert 250 > 3 * (_BLOCK_ENTRIES // 18**2)  # each half of 500 states takes several blocks
+    stack = sample_ensemble(18, 500, 9)
+    for t in (0, 11, 12, 201, 249, 250, 262, 499):
+        want = reference_ginibre(18, 9 + t) if t < 250 else np.diag(reference_incoherent(18, 9 + t))
+        assert same_bits(stack[t], want.astype(np.complex128))
+
+
+def test_ensemble_rejects_negative_count():
+    with pytest.raises(InvalidParameterError):
+        sample_ensemble(2, -4, 0)
+
+
+BAD_STATES = {
+    "non-Hermitian": [[0.5, 0.5], [0.0, 0.5]],
+    "trace 1.1": [[0.55, 0.0], [0.0, 0.55]],
+    "negative eigenvalue": [[1.5, 0.0], [0.0, -0.5]],
+    "NaN": [[math.nan, 0.0], [0.0, 0.5]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_STATES))
+@pytest.mark.parametrize("t", [0, 3, 5])
+def test_validator_names_the_bad_state_like_density_matrix(kind, t):
+    bad = np.array(BAD_STATES[kind], dtype=np.complex128)
+    with pytest.raises(Exception) as single:
+        DensityMatrix(bad)
+    stack = sample_ensemble(2, 6, 1).copy()
+    stack[t] = bad
+    with pytest.raises(type(single.value)) as batched:
+        validate_states(stack)
+    assert str(batched.value) == str(single.value).replace("density matrix", f"state {t}", 1)
+
+
+def test_validator_names_a_state_in_a_later_block():
+    assert 37 > _BLOCK_ENTRIES // 64**2  # state 37 is not in the first validation block
+    stack = np.repeat(np.eye(64, dtype=np.complex128)[None] / 64, 40, axis=0)
+    stack[37] *= 1.1
+    with pytest.raises(InvalidStateError, match="^ensemble state 37 trace"):
+        validate_states(stack, "ensemble state {t}")
+
+
+def test_validator_returns_min_eigenvalues():
+    stack = np.array([np.diag([0.25, 0.75]), np.full((2, 2), 0.5)], dtype=np.complex128)
+    assert validate_states(stack) == pytest.approx([0.25, 0.0], abs=1e-15)
+    assert validate_states(np.zeros((0, 3, 3))).shape == (0,)

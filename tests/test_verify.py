@@ -4,6 +4,7 @@ import pytest
 from cohwit import (
     DensityMatrix,
     DimensionMismatchError,
+    InvalidParameterError,
     WitnessFamily,
     ZeroOperatorError,
     finite_family,
@@ -17,6 +18,7 @@ from cohwit import (
     verify_coverage,
     verify_incoherent_containment,
 )
+from cohwit.verify import MAX_COVERAGE_BYTES, coverage_bytes
 
 
 class TestMixedEnsemble:
@@ -80,6 +82,19 @@ class TestCoverage:
         assert report.n_states == report.n_coherent == report.n_detected == 0
         assert report.min_margin_detected is None
         assert report.per_witness_hits == (0, 0)
+
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            verify_coverage(finite_family(2), 2, -4, 0)
+        with pytest.raises(InvalidParameterError):
+            mixed_ensemble(2, -4, 0)
+
+    def test_working_set_estimate(self):
+        # Stack and member matrices at 16 B per entry, 33 B per (member, state) pair.
+        assert coverage_bytes(4, 1000, 12) == 16 * 16 * 1012 + 33 * 12 * 1000
+        assert coverage_bytes(4, 1000, 12) < MAX_COVERAGE_BYTES
+        assert coverage_bytes(4, 10**9, 12) > MAX_COVERAGE_BYTES
+        assert coverage_bytes(10**5, 1, 10**5 * (10**5 - 1)) > MAX_COVERAGE_BYTES
 
     def test_monotone_in_members(self):
         full = finite_family(2, 0.0)
