@@ -26,6 +26,7 @@ from .rng import Seed
 from .states import DensityMatrix, l1_coherence
 from .verify import (
     COHERENCE_THRESHOLD,
+    _require_bytes,
     bloch_grid,
     qubit_states_stack,
     require_coverage_budget,
@@ -166,6 +167,14 @@ def _parse_csv_floats(text: str, flag: str) -> list[float]:
         raise DocumentError(f"{flag}: could not parse {text!r} as comma-separated reals") from exc
 
 
+def document_bytes(d: int, n_members: int) -> int:
+    """Bytes ``gen`` holds at once for n_members witnesses of dim d: per
+    member and matrix entry, the complex entry and its document's [re, im]
+    list of two Python floats (128 bytes), plus four complex d x d
+    temporaries while one member is built.  A negative d builds nothing."""
+    return (144 * n_members + 64) * max(d, 0) ** 2
+
+
 def _require(args: argparse.Namespace, names: Sequence[str], kind: str) -> None:
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
@@ -198,6 +207,7 @@ def write_bloch_cloud(stream, K, a, b, c, grid_n) -> None:
 def _cmd_gen(args) -> int:
     if args.kind == "lemma2":
         _require(args, ("d", "m", "M"), "lemma2")
+        _require_bytes(document_bytes(args.d, 1), f"gen --kind lemma2 at d={args.d}")
         w = canonical_witness(args.d, args.m, args.M)
         doc = witness_to_document(w, "lemma2", {"d": args.d, "m": args.m, "M": args.M})
     elif args.kind == "qubit":
@@ -211,9 +221,11 @@ def _cmd_gen(args) -> int:
         doc = witness_to_document(w, "eta", {"d": args.d, "K": args.K, "eta": coeffs})
     else:  # family
         _require(args, ("d",), "family")
+        n = args.d * (args.d - 1)
+        _require_bytes(document_bytes(args.d, n), f"gen --kind family at d={args.d}")
         coeffs = _parse_csv_floats(args.s, "--s") if args.s is not None else None
         family = finite_family(args.d, args.K, coeffs)
-        used = list(coeffs) if coeffs is not None else [1.0] * (args.d * (args.d - 1))
+        used = list(coeffs) if coeffs is not None else [1.0] * n
         member_docs = [
             witness_to_document(
                 w, "family-member", {"d": args.d, "K": args.K, "index": args.d + t, "coeff": used[t]}

@@ -51,7 +51,8 @@ class ZeroCoefficientError(CohwitError):
 
 
 class NonFiniteError(CohwitError):
-    """A matrix contains NaN or infinite entries."""
+    """A matrix contains NaN or infinite entries, or a value computed from
+    finite ones overflows."""
 
 
 class InvalidParameterError(CohwitError):

@@ -1,9 +1,11 @@
 """Dense complex-Hermitian matrix primitives shared by the rest of the package.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  This module
-adds only the validation and trace helpers everything else is built on; the
-dimensions stay small (d <= a few hundred), so dense O(d**3) eigensolves are
-fine.
+holds the matrix checks everything else is built on, each written once for an
+(n, d, d) stack S: a check names S's first failing matrix t as
+``what.format(t=start + t)``, and a single matrix M is checked as ``M[None]``.
+The dimensions stay small (d <= a few hundred), so dense O(d**3) eigensolves
+are fine.
 """
 
 from __future__ import annotations
@@ -27,38 +29,62 @@ TRACE_DEV = 1e-9
 DETECT_EPS = 1e-9
 
 
+def _dagger(A: np.ndarray) -> np.ndarray:
+    return A.conj().swapaxes(-1, -2)
+
+
+def _first(bad: np.ndarray, what: str, start: int = 0) -> tuple[int, str]:
+    t = int(np.argmax(bad))
+    return t, what.format(t=start + t)
+
+
+def _as_stack(a, one: str | None = None) -> np.ndarray:
+    # a as a complex128 stack with d >= 2; with `one`, a is the matrix so named.
+    S = np.asarray(a, dtype=np.complex128)
+    S = S if one is None else S[None]
+    if S.ndim == 3 and S.shape[1] == S.shape[2] and S.shape[1] >= 2:
+        return S
+    if one is None:
+        raise DimensionMismatchError(f"state stack must have shape (n, d, d), d >= 2, got {S.shape}")
+    if S.ndim != 3 or S.shape[1] != S.shape[2]:
+        raise DimensionMismatchError(f"{one} must be square, got shape {S.shape[1:]}")
+    raise DimensionMismatchError(f"{one} must have dim >= 2, got {S.shape[1]}")
+
+
+def _require_finite(S: np.ndarray, what: str, start: int = 0) -> None:
+    bad = ~np.isfinite(S).all(axis=(1, 2))
+    if bad.any():
+        raise NonFiniteError(f"{_first(bad, what, start)[1]} contains non-finite entries")
+
+
+def _deviations(S: np.ndarray) -> np.ndarray:
+    return np.abs(S - _dagger(S)).max(axis=(1, 2))
+
+
+def _require_hermitian(S: np.ndarray, what: str, start: int = 0) -> None:
+    # Finite entries, then a deviation within HERMITICITY_TOL.
+    _require_finite(S, what, start)
+    dev = _deviations(S)
+    bad = ~(dev <= HERMITICITY_TOL)
+    if bad.any():
+        t, who = _first(bad, what, start)
+        raise NotHermitianError(f"{who} is not Hermitian within {HERMITICITY_TOL}: deviation {float(dev[t])}")
+
+
+def _min_eigenvalues(S: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh((S + _dagger(S)) / 2.0)[:, 0]
+
+
 def as_complex_matrix(matrix, *, what: str = "matrix") -> ComplexMatrix:
     """Coerce to a square complex128 array with dim >= 2 and finite entries."""
-    out = np.asarray(matrix, dtype=np.complex128)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise DimensionMismatchError(f"{what} must be square, got shape {out.shape}")
-    if out.shape[0] < 2:
-        raise DimensionMismatchError(f"{what} must have dim >= 2, got {out.shape[0]}")
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise NonFiniteError(f"{what} contains non-finite entries")
-    return out
-
-
-def _deviation(A: ComplexMatrix) -> float:
-    # max_ij |A_ij - conj(A_ji)| of an already coerced matrix.
-    return float(np.max(np.abs(A - A.conj().T)))
-
-
-def _require_hermitian(A: ComplexMatrix, what: str) -> None:
-    # For an already coerced matrix.
-    dev = _deviation(A)
-    if not dev <= HERMITICITY_TOL:
-        raise NotHermitianError(f"{what} is not Hermitian within {HERMITICITY_TOL}: deviation {dev}")
-
-
-def _min_eig(A: ComplexMatrix) -> float:
-    # Smallest eigenvalue of the Hermitian part of an already coerced matrix.
-    return float(np.linalg.eigvalsh((A + A.conj().T) / 2.0)[0])
+    S = _as_stack(matrix, what)
+    _require_finite(S, what)
+    return S[0]
 
 
 def hermitian_deviation(matrix: ComplexMatrix) -> float:
     """max_ij |A_ij - conj(A_ji)|."""
-    return _deviation(as_complex_matrix(matrix))
+    return float(_deviations(as_complex_matrix(matrix)[None])[0])
 
 
 def is_hermitian(matrix: ComplexMatrix, tol: float = HERMITICITY_TOL) -> bool:
@@ -79,9 +105,9 @@ def min_eigenvalue(matrix: ComplexMatrix) -> float:
     """Smallest eigenvalue of the Hermitian part (A + A†)/2.
 
     Raises NotHermitianError when the input is not Hermitian within
-    ``HERMITICITY_TOL``;
-    the symmetrization only absorbs roundoff, never a genuinely skew part.
+    ``HERMITICITY_TOL``; the symmetrization only absorbs roundoff, never a
+    genuinely skew part.
     """
-    A = as_complex_matrix(matrix)
-    _require_hermitian(A, "matrix")
-    return _min_eig(A)
+    S = _as_stack(matrix, "matrix")
+    _require_hermitian(S, "matrix")
+    return float(_min_eigenvalues(S)[0])

@@ -17,15 +17,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    InvalidStateError,
-    NonFiniteError,
-    NotHermitianError,
-    OutOfIntervalError,
-)
-from .linalg import HERMITICITY_TOL, PSD_FLOOR, TRACE_DEV, as_complex_matrix
+from .errors import DimensionMismatchError, InvalidParameterError, InvalidStateError, OutOfIntervalError
+from .linalg import PSD_FLOOR, TRACE_DEV, _as_stack, _dagger, _first, _min_eigenvalues, _require_hermitian
 from .rng import Seed, exponentials, normals
 
 if TYPE_CHECKING:
@@ -40,10 +33,6 @@ def _blocks(n: int, d: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _dagger(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
-
-
 def validate_states(stack, what: str = "state {t}") -> np.ndarray:
     """Check that every matrix of an (n, d, d) stack is a density matrix.
 
@@ -53,37 +42,21 @@ def validate_states(stack, what: str = "state {t}") -> np.ndarray:
     failing state t is named as ``what.format(t=t)``.  Returns each state's
     smallest eigenvalue.
     """
-    S = np.asarray(stack, dtype=np.complex128)
-    if S.ndim != 3 or S.shape[1] != S.shape[2] or S.shape[1] < 2:
-        raise DimensionMismatchError(f"state stack must have shape (n, d, d), d >= 2, got {S.shape}")
+    S = _as_stack(stack)
     lam = np.empty(len(S))
     for b in _blocks(len(S), S.shape[1]):
         lam[b] = _validate_block(S[b], b.start, what)
     return lam
 
 
-def _first(bad: np.ndarray, what: str, start: int = 0) -> tuple[int, str]:
-    # Index of the first True in bad, and its name: what.format(t=start + index).
-    t = int(np.argmax(bad))
-    return t, what.format(t=start + t)
-
-
 def _validate_block(S: np.ndarray, start: int, what: str) -> np.ndarray:
-    bad = ~np.isfinite(S).all(axis=(1, 2))
-    if bad.any():
-        raise NonFiniteError(f"{_first(bad, what, start)[1]} contains non-finite entries")
-    H = _dagger(S)
-    dev = np.abs(S - H).max(axis=(1, 2))
-    bad = ~(dev <= HERMITICITY_TOL)
-    if bad.any():
-        t, who = _first(bad, what, start)
-        raise NotHermitianError(f"{who} is not Hermitian within {HERMITICITY_TOL}: deviation {float(dev[t])}")
+    _require_hermitian(S, what, start)
     tr = np.trace(S, axis1=1, axis2=2)
     bad = np.abs(tr - 1.0) > TRACE_DEV
     if bad.any():
         t, who = _first(bad, what, start)
         raise InvalidStateError(f"{who} trace must be 1, got {complex(tr[t])}")
-    lam = np.linalg.eigvalsh((S + H) / 2.0)[:, 0]
+    lam = _min_eigenvalues(S)
     bad = lam < -PSD_FLOOR
     if bad.any():
         t, who = _first(bad, what, start)
@@ -108,15 +81,15 @@ def _check_probabilities(P: np.ndarray, prefix: str) -> None:
 class DensityMatrix:
     """A d x d quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Validation happens at construction through :func:`validate_states`, the
-    routine sampled stacks go through, against the fixed tolerances of
+    Validation happens at construction, in one pass of :func:`validate_states`'
+    checks over ``matrix[None]``, against the fixed tolerances of
     :mod:`cohwit.linalg`; the stored matrix is a read-only copy of the input.
     """
 
     def __init__(self, matrix):
-        M = as_complex_matrix(matrix, what="density matrix")
-        lam = float(validate_states(M[None], "density matrix")[0])
-        self._matrix = M.copy()
+        S = _as_stack(matrix, "density matrix")
+        lam = float(_validate_block(S, 0, "density matrix")[0])
+        self._matrix = S[0].copy()
         self._matrix.setflags(write=False)
         self._min_eig = max(lam, 0.0)
 

@@ -32,8 +32,9 @@ COHERENCE_THRESHOLD = 1e-7
 # Interval containment slack for diagonal states (pure roundoff budget).
 CONTAINMENT_SLACK = 1e-12
 
-# Largest coverage_bytes estimate a sweep may have; a larger one is refused
-# before anything is allocated.
+# Largest memory estimate (coverage_bytes, bloch_bytes, the CLI's
+# document_bytes) a task may have; a larger one is refused before anything is
+# allocated.
 MAX_COVERAGE_BYTES = 1 << 30
 
 
@@ -111,14 +112,28 @@ def coverage_bytes(d: int, n_states: int, n_members: int) -> int:
     return 16 * d * d * (n_states + n_members) + 33 * n_members * n_states
 
 
-def require_coverage_budget(d: int, n_states: int, n_members: int) -> None:
-    """Reject a sweep whose :func:`coverage_bytes` exceed ``MAX_COVERAGE_BYTES``."""
-    need = coverage_bytes(d, n_states, n_members)
+def bloch_bytes(grid_n: int) -> int:
+    """Bytes the ``bloch`` command holds at once, counting every point of the
+    grid_n**3 lattice as in the ball.  Its largest stage holds, per point, the
+    three float64 coordinates, the kernel's value, margin and verdict, and the
+    CSV rows' lists: four of Python floats (32 bytes an item) and one of
+    verdicts (8 bytes an item)."""
+    return 177 * grid_n**3
+
+
+def _require_bytes(need: int, task: str) -> None:
     if need > MAX_COVERAGE_BYTES:
         raise InvalidParameterError(
-            f"a sweep of {n_states} states against {n_members} members at d={d} needs "
-            f"about {need} bytes, more than the {MAX_COVERAGE_BYTES} allowed"
+            f"{task} needs about {need} bytes, more than the {MAX_COVERAGE_BYTES} allowed"
         )
+
+
+def require_coverage_budget(d: int, n_states: int, n_members: int) -> None:
+    """Reject a sweep whose :func:`coverage_bytes` exceed ``MAX_COVERAGE_BYTES``."""
+    _require_bytes(
+        coverage_bytes(d, n_states, n_members),
+        f"a sweep of {n_states} states against {n_members} members at d={d}",
+    )
 
 
 def verify_incoherent_containment(
@@ -219,10 +234,12 @@ def bloch_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """In-ball points of the grid_n**3 lattice over [-1, 1]^3.
 
     Points are ordered by x, then y, then z ascending; the same order is used
-    by the CLI point-cloud output.  Rejects ``grid_n < 2``.
+    by the CLI point-cloud output.  Rejects ``grid_n < 2`` and a lattice
+    whose :func:`bloch_bytes` exceed ``MAX_COVERAGE_BYTES``.
     """
     if grid_n < 2:
         raise InvalidParameterError(f"grid_n must be >= 2, got {grid_n}")
+    _require_bytes(bloch_bytes(grid_n), f"a lattice of {grid_n}**3 points")
     axis = np.linspace(-1.0, 1.0, grid_n)
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
     mask = X * X + Y * Y + Z * Z <= 1.0

@@ -23,13 +23,14 @@ from .errors import (
     InvalidIntervalError,
     InvalidParameterError,
     LengthMismatchError,
+    NonFiniteError,
     NotCoherentError,
     ZeroCoefficientError,
     ZeroOperatorError,
     NumericallyMarginalWarning,
 )
 from .generators import OFFDIAG_TOL, _operator, bloch_vector
-from .linalg import DETECT_EPS, _require_hermitian, as_complex_matrix
+from .linalg import DETECT_EPS, _as_stack, _require_hermitian
 from .states import DensityMatrix
 
 # Off-diagonal moduli below this cannot anchor a tailored witness.
@@ -64,7 +65,8 @@ def _evaluate(witnesses: Sequence["Witness"], stack) -> tuple[np.ndarray, np.nda
 
     ``stack`` has shape (n, d, d); each result has shape (len(witnesses), n).
     This is the one home of the margin rule ``max(lo - value, value - hi)``
-    and of the verdict ``margin > detect_eps``.
+    and of the verdict ``margin > detect_eps``.  A value or margin that
+    overflows finite inputs raises NonFiniteError.
     """
     d = witnesses[0].dim
     stack = np.asarray(stack, dtype=np.complex128)
@@ -80,7 +82,20 @@ def _evaluate(witnesses: Sequence["Witness"], stack) -> tuple[np.ndarray, np.nda
     # max(lo - value, value - hi), with operands swapped because np.maximum
     # keeps its second operand on a tie of signed zeros, as max keeps its first.
     margins = np.maximum(values - hi, lo - values)
+    bad = ~np.isfinite(margins)  # NaN or inf values make NaN or inf margins
+    if bad.any():
+        i, t = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonFiniteError(f"witness {i} on state {t}: value {values[i, t]} or its margin overflows")
     return values, margins, margins > eps
+
+
+def _reports(witnesses: Sequence["Witness"], state: DensityMatrix) -> tuple[DetectionReport, ...]:
+    # One report per witness on one state, from a single kernel call.
+    values, margins, detected = _evaluate(witnesses, state.matrix[None])
+    return tuple(
+        DetectionReport(float(v), w.interval, float(m), Verdict.DETECTED if hit else Verdict.NOT_DETECTED)
+        for w, v, m, hit in zip(witnesses, values[:, 0], margins[:, 0], detected[:, 0])
+    )
 
 
 class Witness:
@@ -94,13 +109,13 @@ class Witness:
     """
 
     def __init__(self, matrix, detect_eps: float = DETECT_EPS):
-        M = as_complex_matrix(matrix, what="witness matrix")
-        _require_hermitian(M, "witness matrix")
+        S = _as_stack(matrix, "witness matrix")
+        _require_hermitian(S, "witness matrix")
         if not (math.isfinite(detect_eps) and detect_eps >= 0):
             raise InvalidParameterError(
                 f"detect_eps must be finite and nonnegative, got {detect_eps}"
             )
-        self._matrix = M.copy()
+        self._matrix = S[0].copy()
         self._matrix.setflags(write=False)
         diag = np.real(np.diagonal(self._matrix))
         self._lo = float(diag.min())
@@ -137,9 +152,7 @@ class Witness:
 
     def evaluate(self, state: DensityMatrix) -> DetectionReport:
         """Expectation value, margin, and verdict on one state."""
-        values, margins, detected = _evaluate((self,), state.matrix[None])
-        verdict = Verdict.DETECTED if detected[0, 0] else Verdict.NOT_DETECTED
-        return DetectionReport(float(values[0, 0]), self.interval, float(margins[0, 0]), verdict)
+        return _reports((self,), state)[0]
 
     def evaluate_batch(self, matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized evaluate over a stack of state matrices, shape (n, d, d).
@@ -172,7 +185,8 @@ class WitnessFamily:
         return self.members[0].dim
 
     def evaluate(self, state: DensityMatrix) -> tuple[DetectionReport, ...]:
-        return tuple(w.evaluate(state) for w in self.members)
+        """Every member's report on one state, in member order."""
+        return _reports(self.members, state)
 
     def evaluate_batch(self, matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(values, margins, detected) of every member on a stack of state

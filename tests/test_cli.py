@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohwit import canonical_coherent, canonical_witness, finite_family, generator_witness
+from cohwit import (
+    canonical_coherent,
+    canonical_witness,
+    finite_family,
+    generator_witness,
+    sample_ginibre,
+    sample_hermitian,
+)
 from cohwit.cli import (
     bloch_cloud,
     family_from_document,
@@ -161,6 +168,18 @@ class TestDetect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_overflowing_value_exit_2(self, tmp_path, capsys):
+        # Finite entries whose expectation overflows: Tr(W rho) = 4 * 0.85e308.
+        wfile = tmp_path / "w.json"
+        sfile = tmp_path / "rho.json"
+        big = {"dim": 2, "entries": [[1.7e308, 0.0]] * 4, "interval": [1.7e308, 1.7e308]}
+        wfile.write_text(json.dumps(big))
+        write_state(sfile, canonical_coherent(2))
+        assert run(["detect", "--witness", str(wfile), "--state", str(sfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "overflows" in captured.err
 
     def test_missing_file_exit_2(self, tmp_path):
         sfile = tmp_path / "rho.json"
@@ -352,6 +371,34 @@ def test_oversized_sweep_rejected_before_building(monkeypatch, tmp_path, capsys,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "lemma2", "--d", "100000", "--m", "0", "--M", "1", "--out", "{out}"],
+        ["gen", "--kind", "lemma2", "--d", "2273", "--m", "0", "--M", "1", "--out", "{out}"],
+        ["gen", "--kind", "family", "--d", "2000", "--out", "{out}"],
+        ["gen", "--kind", "family", "--d", "53", "--out", "{out}"],
+        ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "2000"],
+        ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "183"],
+    ],
+)
+def test_oversized_document_or_lattice_rejected_before_building(monkeypatch, tmp_path, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the size check")
+
+    monkeypatch.setattr("cohwit.cli.canonical_witness", refuse)
+    monkeypatch.setattr("cohwit.cli.finite_family", refuse)
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    out = tmp_path / "out.json"
+    assert run([a.format(out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "bytes" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # Reals for the contract property: ordinary values plus the ones that break
 # naive numerics.
 REALS = st.one_of(
@@ -420,3 +467,132 @@ def test_cli_contract_holds_for_bounded_argv(data):
                 _strict_json(fh.read())
         else:
             assert rc == 0 and out_text.startswith("x,y,z,value,verdict\n")
+
+
+# JSON values a document may carry where a real number belongs.
+ODD_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, True, False, None, "0.5", [0.5], [[0.5, 0.0]], {}]
+)
+
+
+def _defect(draw, *defects):
+    # None (no defect) two times in three, else one of the named defects.
+    return draw(st.sampled_from([None] * (2 * len(defects)) + list(defects)))
+
+
+@st.composite
+def matrix_documents(draw, dim, hermitian):
+    """A document of a dim x dim matrix, a random Hermitian one or a state,
+    carrying at most one defect."""
+    if dim >= 2:
+        seed = draw(st.integers(0, 2**16))
+        M = sample_hermitian(dim, seed) if hermitian else draw(
+            st.sampled_from([sample_ginibre(dim, seed).matrix, np.diag(np.full(dim, 1.0 / dim))])
+        )
+        with np.errstate(over="ignore"):  # an overflow to inf is one more defect
+            M = M * draw(st.sampled_from([1.0, 1.0, 1.0, 1e300, 1e308]))
+    else:
+        M = np.ones((1, 1))
+    doc = {"dim": dim, "entries": [[float(z.real), float(z.imag)] for z in M.reshape(-1)]}
+    entries = doc["entries"]
+    defect = _defect(draw, "dim", "length", "pair", "value", "asymmetric")
+    if defect == "dim":
+        doc["dim"] = draw(st.sampled_from([0, 1, 5, True, 2.0, "2", None]))
+    elif defect == "length":
+        doc["entries"] = entries[:-1] if draw(st.booleans()) else entries + entries[:1]
+    elif defect == "pair":
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.one_of(ODD_VALUES, st.just([1.0, 0.0, 0.0])))
+    elif defect == "value":
+        entries[draw(st.integers(0, len(entries) - 1))][draw(st.integers(0, 1))] = draw(ODD_VALUES)
+    elif defect == "asymmetric" and dim >= 2:
+        entries[1] = [draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))]
+    return doc
+
+
+@st.composite
+def witness_documents(draw, dim):
+    """A witness document with its own margin; its interval, margin or kind
+    may be malformed."""
+    doc = draw(matrix_documents(dim, hermitian=True))
+    try:
+        diag = [doc["entries"][i * (dim + 1)][0] for i in range(dim)]
+        doc["interval"] = [min(diag), max(diag)]
+    except (LookupError, TypeError, ValueError):  # a defect hit the diagonal
+        doc["interval"] = [0.0, 0.0]
+    eps = draw(st.sampled_from([None, 0.0, 1e-9, 1e-3, 0.5]))
+    if eps is not None:
+        doc["detect_eps"] = eps
+    doc["kind"] = draw(st.sampled_from(["custom", "family-member", "lemma2"]))
+    defect = _defect(draw, "interval", "eps", "kind")
+    if defect == "interval":
+        doc["interval"] = draw(st.sampled_from([[0.0, 1.0], [1.0], "x", None, [math.nan, 0.0]]))
+    elif defect == "eps":
+        doc["detect_eps"] = draw(st.sampled_from([-1.0, math.nan, math.inf, True, "x", None]))
+    elif defect == "kind":
+        doc["kind"] = draw(st.sampled_from(["bogus", 3, None]))
+    return doc
+
+
+@st.composite
+def family_documents(draw, dim):
+    """A family document of 1 to 3 members with mixed margins, a bare witness
+    document, or a malformed family."""
+    shape = _defect(draw, "bare", "label", "members", "not an object")
+    if shape == "bare":
+        return draw(witness_documents(dim))
+    if shape == "not an object":
+        return draw(st.sampled_from([[1, 2], "family", 3, None]))
+    doc = {"label": "f", "members": draw(st.lists(witness_documents(dim), min_size=1, max_size=3))}
+    if shape == "label":
+        doc["label"] = draw(st.sampled_from([3, None, ["f"]]))
+    elif shape == "members":
+        doc["members"] = draw(st.sampled_from([[], {}, "m", [1]]))
+    return doc
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_cli_contract_holds_for_json_documents(data):
+    """detect, oracle and verify --family exit 0, 2 or 3 without warnings or
+    tracebacks on any document; exit 2 means one error line and no output;
+    every report is strict JSON."""
+    draw = data.draw
+    cmd = draw(st.sampled_from(["detect", "oracle", "verify"]))
+    dim = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, doc):
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)  # NaN and Infinity become bare literals
+            return path
+
+        if cmd == "detect":
+            state_dim = draw(st.sampled_from([dim, dim, 2]))
+            argv = ["detect", "--witness", write("w.json", draw(witness_documents(dim))),
+                    "--state", write("s.json", draw(matrix_documents(state_dim, hermitian=False)))]
+            if draw(st.booleans()):
+                argv.append(f"--eps={draw(REALS)!r}")
+        elif cmd == "oracle":
+            argv = ["oracle", "--state", write("s.json", draw(matrix_documents(dim, hermitian=False)))]
+        else:
+            argv = ["verify", f"--d={draw(st.sampled_from([dim, dim, 2]))}",
+                    f"--samples={draw(st.integers(1, 12))}", f"--seed={draw(st.integers(0, 2**32))}",
+                    "--family", write("f.json", draw(family_documents(dim)))]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = run(argv)
+    out_text, err_text = stdout.getvalue(), stderr.getvalue()
+    assert rc in (0, 2, 3), (argv, err_text)
+    assert "Traceback" not in err_text
+    if rc == 2:
+        assert out_text == ""
+        assert err_text.startswith("error:") and err_text.count("\n") == 1, err_text
+    else:
+        assert err_text == ""
+        report = _strict_json(out_text)
+        if cmd == "verify":
+            assert report["verdict"] == ("PASS" if rc == 0 else "FAIL")
+        else:
+            assert rc == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohwit import (
+    CohwitError,
     DensityMatrix,
     IncoherentState,
     InvalidParameterError,
@@ -18,7 +19,9 @@ from cohwit import (
     canonical_witness,
     generator_witness,
     incoherent_with_value,
+    is_hermitian,
     l1_coherence,
+    min_eigenvalue,
     sample_ensemble,
     sample_ginibre,
     sample_ginibre_batch,
@@ -266,6 +269,8 @@ BAD_STATES = {
     "trace 1.1": [[0.55, 0.0], [0.0, 0.55]],
     "negative eigenvalue": [[1.5, 0.0], [0.0, -0.5]],
     "NaN": [[math.nan, 0.0], [0.0, 0.5]],
+    "+inf": [[math.inf, 0.0], [0.0, 0.5]],
+    "-inf": [[0.5, complex(0.0, -math.inf)], [0.0, 0.5]],
 }
 
 
@@ -280,6 +285,132 @@ def test_validator_names_the_bad_state_like_density_matrix(kind, t):
     with pytest.raises(type(single.value)) as batched:
         validate_states(stack)
     assert str(batched.value) == str(single.value).replace("density matrix", f"state {t}", 1)
+
+
+# Malformed shapes: they cannot stand in for a 2 x 2 state of a stack as in the
+# test above, so they join BAD_STATES only in the pins below.
+BAD_SHAPES = {
+    "non-square": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]],
+    "1x1": [[1.0]],
+    "1-D": [0.5, 0.5],
+    "3-D": [[[0.5, 0.0], [0.0, 0.5]]],
+}
+
+VALIDATING_CALLERS = {
+    "DensityMatrix": DensityMatrix,
+    "Witness": Witness,
+    "min_eigenvalue": min_eigenvalue,
+    "is_hermitian": is_hermitian,
+    "trace_product left": lambda x: trace_product(x, np.eye(2)),
+    "trace_product right": lambda x: trace_product(np.eye(2), x),
+    "validate_states": lambda x: validate_states([x]),
+}
+
+# Each caller's outcome on each malformed input: "Class: message" when it
+# raises, else the repr of its result.
+PINNED_OUTCOMES = {
+    "non-Hermitian": {
+        "DensityMatrix": "NotHermitianError: density matrix is not Hermitian within 1e-10: deviation 0.5",
+        "Witness": "NotHermitianError: witness matrix is not Hermitian within 1e-10: deviation 0.5",
+        "min_eigenvalue": "NotHermitianError: matrix is not Hermitian within 1e-10: deviation 0.5",
+        "is_hermitian": "False",
+        "trace_product left": "(1+0j)",
+        "trace_product right": "(1+0j)",
+        "validate_states": "NotHermitianError: state 0 is not Hermitian within 1e-10: deviation 0.5",
+    },
+    "trace 1.1": {
+        "DensityMatrix": "InvalidStateError: density matrix trace must be 1, got (1.1+0j)",
+        "Witness": "Witness(dim=2, interval=[0.55, 0.55], eps=1e-09)",
+        "min_eigenvalue": "0.55",
+        "is_hermitian": "True",
+        "trace_product left": "(1.1+0j)",
+        "trace_product right": "(1.1+0j)",
+        "validate_states": "InvalidStateError: state 0 trace must be 1, got (1.1+0j)",
+    },
+    "negative eigenvalue": {
+        "DensityMatrix": "InvalidStateError: density matrix is not PSD: min eigenvalue -0.5",
+        "Witness": "Witness(dim=2, interval=[-0.5, 1.5], eps=1e-09)",
+        "min_eigenvalue": "-0.5",
+        "is_hermitian": "True",
+        "trace_product left": "(1+0j)",
+        "trace_product right": "(1+0j)",
+        "validate_states": "InvalidStateError: state 0 is not PSD: min eigenvalue -0.5",
+    },
+    "NaN": {
+        "DensityMatrix": "NonFiniteError: density matrix contains non-finite entries",
+        "Witness": "NonFiniteError: witness matrix contains non-finite entries",
+        "min_eigenvalue": "NonFiniteError: matrix contains non-finite entries",
+        "is_hermitian": "NonFiniteError: matrix contains non-finite entries",
+        "trace_product left": "NonFiniteError: left operand contains non-finite entries",
+        "trace_product right": "NonFiniteError: right operand contains non-finite entries",
+        "validate_states": "NonFiniteError: state 0 contains non-finite entries",
+    },
+    "+inf": {
+        "DensityMatrix": "NonFiniteError: density matrix contains non-finite entries",
+        "Witness": "NonFiniteError: witness matrix contains non-finite entries",
+        "min_eigenvalue": "NonFiniteError: matrix contains non-finite entries",
+        "is_hermitian": "NonFiniteError: matrix contains non-finite entries",
+        "trace_product left": "NonFiniteError: left operand contains non-finite entries",
+        "trace_product right": "NonFiniteError: right operand contains non-finite entries",
+        "validate_states": "NonFiniteError: state 0 contains non-finite entries",
+    },
+    "-inf": {
+        "DensityMatrix": "NonFiniteError: density matrix contains non-finite entries",
+        "Witness": "NonFiniteError: witness matrix contains non-finite entries",
+        "min_eigenvalue": "NonFiniteError: matrix contains non-finite entries",
+        "is_hermitian": "NonFiniteError: matrix contains non-finite entries",
+        "trace_product left": "NonFiniteError: left operand contains non-finite entries",
+        "trace_product right": "NonFiniteError: right operand contains non-finite entries",
+        "validate_states": "NonFiniteError: state 0 contains non-finite entries",
+    },
+    "non-square": {
+        "DensityMatrix": "DimensionMismatchError: density matrix must be square, got shape (2, 3)",
+        "Witness": "DimensionMismatchError: witness matrix must be square, got shape (2, 3)",
+        "min_eigenvalue": "DimensionMismatchError: matrix must be square, got shape (2, 3)",
+        "is_hermitian": "DimensionMismatchError: matrix must be square, got shape (2, 3)",
+        "trace_product left": "DimensionMismatchError: left operand must be square, got shape (2, 3)",
+        "trace_product right": "DimensionMismatchError: right operand must be square, got shape (2, 3)",
+        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 2, 3)",
+    },
+    "1x1": {
+        "DensityMatrix": "DimensionMismatchError: density matrix must have dim >= 2, got 1",
+        "Witness": "DimensionMismatchError: witness matrix must have dim >= 2, got 1",
+        "min_eigenvalue": "DimensionMismatchError: matrix must have dim >= 2, got 1",
+        "is_hermitian": "DimensionMismatchError: matrix must have dim >= 2, got 1",
+        "trace_product left": "DimensionMismatchError: left operand must have dim >= 2, got 1",
+        "trace_product right": "DimensionMismatchError: right operand must have dim >= 2, got 1",
+        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 1, 1)",
+    },
+    "1-D": {
+        "DensityMatrix": "DimensionMismatchError: density matrix must be square, got shape (2,)",
+        "Witness": "DimensionMismatchError: witness matrix must be square, got shape (2,)",
+        "min_eigenvalue": "DimensionMismatchError: matrix must be square, got shape (2,)",
+        "is_hermitian": "DimensionMismatchError: matrix must be square, got shape (2,)",
+        "trace_product left": "DimensionMismatchError: left operand must be square, got shape (2,)",
+        "trace_product right": "DimensionMismatchError: right operand must be square, got shape (2,)",
+        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 2)",
+    },
+    "3-D": {
+        "DensityMatrix": "DimensionMismatchError: density matrix must be square, got shape (1, 2, 2)",
+        "Witness": "DimensionMismatchError: witness matrix must be square, got shape (1, 2, 2)",
+        "min_eigenvalue": "DimensionMismatchError: matrix must be square, got shape (1, 2, 2)",
+        "is_hermitian": "DimensionMismatchError: matrix must be square, got shape (1, 2, 2)",
+        "trace_product left": "DimensionMismatchError: left operand must be square, got shape (1, 2, 2)",
+        "trace_product right": "DimensionMismatchError: right operand must be square, got shape (1, 2, 2)",
+        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 1, 2, 2)",
+    },
+}
+
+
+@pytest.mark.parametrize("caller", sorted(VALIDATING_CALLERS))
+@pytest.mark.parametrize("kind", sorted(PINNED_OUTCOMES))
+def test_validator_outcomes_are_pinned(kind, caller):
+    bad = {**BAD_STATES, **BAD_SHAPES}[kind]
+    try:
+        got = repr(VALIDATING_CALLERS[caller](bad))
+    except CohwitError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == PINNED_OUTCOMES[kind][caller]
 
 
 def test_validator_names_a_state_in_a_later_block():

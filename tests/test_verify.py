@@ -18,7 +18,8 @@ from cohwit import (
     verify_coverage,
     verify_incoherent_containment,
 )
-from cohwit.verify import MAX_COVERAGE_BYTES, coverage_bytes
+from cohwit.cli import document_bytes
+from cohwit.verify import MAX_COVERAGE_BYTES, bloch_bytes, bloch_grid, coverage_bytes
 
 
 class TestMixedEnsemble:
@@ -95,6 +96,28 @@ class TestCoverage:
         assert coverage_bytes(4, 1000, 12) < MAX_COVERAGE_BYTES
         assert coverage_bytes(4, 10**9, 12) > MAX_COVERAGE_BYTES
         assert coverage_bytes(10**5, 1, 10**5 * (10**5 - 1)) > MAX_COVERAGE_BYTES
+
+    def test_lattice_and_document_estimates(self):
+        # 177 B per lattice point; 144 B per member entry plus 64 B per entry.
+        assert bloch_bytes(41) == 177 * 41**3 < MAX_COVERAGE_BYTES
+        assert bloch_bytes(182) <= MAX_COVERAGE_BYTES < bloch_bytes(183)
+        assert bloch_bytes(2000) > MAX_COVERAGE_BYTES  # 64 GB for each coordinate array alone
+        assert document_bytes(12, 132) == (144 * 132 + 64) * 144 < MAX_COVERAGE_BYTES
+        assert document_bytes(10**5, 1) > MAX_COVERAGE_BYTES  # 160 GB for the zero matrix alone
+        assert document_bytes(2000, 2000 * 1999) > MAX_COVERAGE_BYTES
+        assert document_bytes(52, 52 * 51) <= MAX_COVERAGE_BYTES < document_bytes(53, 53 * 52)
+        assert document_bytes(-2000, 2000 * 2001) == 0  # left to the dimension check
+
+    def test_oversized_lattice_rejected_before_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice was allocated before the size check")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "meshgrid", refuse)
+        with pytest.raises(InvalidParameterError, match="bytes"):
+            bloch_grid(2000)
+        with pytest.raises(InvalidParameterError, match="bytes"):
+            qubit_geometry_check(0.0, 1.0, 0.0, 0.0, 183)
 
     def test_monotone_in_members(self):
         full = finite_family(2, 0.0)
