@@ -197,8 +197,8 @@ def bloch_cloud(
     return zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)
 
 
-def write_bloch_cloud(stream, K, a, b, c, grid_n) -> None:
-    rows = bloch_cloud(K, a, b, c, grid_n)
+def write_bloch_cloud(stream, rows) -> None:
+    """Write :func:`bloch_cloud` rows as CSV with a header line."""
     stream.write("x,y,z,value,verdict\n")
     for x, y, z, value, verdict in rows:
         stream.write(f"{x!r},{y!r},{z!r},{value!r},{verdict}\n")
@@ -303,11 +303,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bloch(args) -> int:
+    # Validated before --out is opened, so exit 2 leaves no file behind.
+    rows = bloch_cloud(args.K, args.a, args.b, args.c, args.grid)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_bloch_cloud(fh, args.K, args.a, args.b, args.c, args.grid)
+            write_bloch_cloud(fh, rows)
     else:
-        write_bloch_cloud(sys.stdout, args.K, args.a, args.b, args.c, args.grid)
+        write_bloch_cloud(sys.stdout, rows)
     return 0
 
 

@@ -66,13 +66,14 @@ def _validate_block(S: np.ndarray, start: int, what: str) -> np.ndarray:
 
 def _check_probabilities(P: np.ndarray, prefix: str) -> None:
     # Rows of P are probability vectors: nonnegative, summing to 1 within
-    # 1e-12.  A failing row t is named by prefix.format(t=t).
-    bad = (P < 0.0).any(axis=1)
+    # 1e-12.  A failing row t is named by prefix.format(t=t).  Both tests are
+    # written so that NaN fails them.
+    bad = ~(P >= 0.0).all(axis=1)
     if bad.any():
         t, who = _first(bad, prefix)
         raise InvalidStateError(f"{who}negative probability: min {P[t].min()}")
     total = P.sum(axis=1)
-    bad = np.abs(total - 1.0) > 1e-12
+    bad = ~(np.abs(total - 1.0) <= 1e-12)
     if bad.any():
         t, who = _first(bad, prefix)
         raise InvalidStateError(f"{who}probabilities must sum to 1, got {float(total[t])}")

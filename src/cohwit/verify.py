@@ -202,7 +202,7 @@ def verify_coverage(
     for s in extra_states:
         if s.dim != d:
             raise DimensionMismatchError(f"extra state dim {s.dim} does not match d={d}")
-    require_coverage_budget(d, n_states + len(extra_states), len(family.members))
+    require_coverage_budget(d, n_states + len(extra_states), len(family))
     stack = sample_ensemble(d, n_states, seed)
     if extra_states:
         stack = np.concatenate([stack, [s.matrix for s in extra_states]])
@@ -213,7 +213,7 @@ def verify_coverage(
     n_detected = int(np.count_nonzero(any_detected))
     n_false_alarm = int(np.count_nonzero(any_detected & ~coherent))
     missed = np.count_nonzero(coherent & ~any_detected)
-    eps = tuple(w.detect_eps for w in family.members)
+    eps = family.detect_eps
     return CoverageReport(
         dim=d,
         n_states=len(stack),

@@ -60,25 +60,25 @@ class DetectionReport:
         return self.verdict is Verdict.DETECTED
 
 
-def _evaluate(witnesses: Sequence["Witness"], stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, margins and verdicts of every witness on every state matrix.
+def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, margins and verdicts of every member of ``source`` on every
+    state matrix.
 
-    ``stack`` has shape (n, d, d); each result has shape (len(witnesses), n).
-    This is the one home of the margin rule ``max(lo - value, value - hi)``
-    and of the verdict ``margin > detect_eps``.  A value or margin that
-    overflows finite inputs raises NonFiniteError.
+    ``source`` is a Witness or a WitnessFamily; it supplies its members'
+    (lo, hi, eps) bounds as a (3, members) table and their values through
+    ``_values``.  ``stack`` has shape (n, d, d); each result has shape
+    (members, n).  This is the one home of the margin rule
+    ``max(lo - value, value - hi)`` and of the verdict ``margin > detect_eps``.
+    A value or margin that overflows finite inputs raises NonFiniteError.
     """
-    d = witnesses[0].dim
+    d = source.dim
     stack = np.asarray(stack, dtype=np.complex128)
     if stack.ndim != 3 or stack.shape[1:] != (d, d):
         raise DimensionMismatchError(
             f"witness dim {d} does not match state stack of shape {stack.shape}"
         )
-    # One contraction per witness: a single three-index einsum sums in a
-    # different order and changes values in their last bits.
-    values = np.array([np.real(np.einsum("ij,nji->n", w.matrix, stack)) for w in witnesses])
-    bounds = np.array([(w.interval_lo, w.interval_hi, w.detect_eps) for w in witnesses])
-    lo, hi, eps = bounds.T[..., None]
+    values = source._values(stack)
+    lo, hi, eps = source._bounds[..., None]
     # max(lo - value, value - hi), with operands swapped because np.maximum
     # keeps its second operand on a tie of signed zeros, as max keeps its first.
     margins = np.maximum(values - hi, lo - values)
@@ -89,12 +89,13 @@ def _evaluate(witnesses: Sequence["Witness"], stack) -> tuple[np.ndarray, np.nda
     return values, margins, margins > eps
 
 
-def _reports(witnesses: Sequence["Witness"], state: DensityMatrix) -> tuple[DetectionReport, ...]:
-    # One report per witness on one state, from a single kernel call.
-    values, margins, detected = _evaluate(witnesses, state.matrix[None])
+def _reports(source, state: DensityMatrix) -> tuple[DetectionReport, ...]:
+    # One report per member on one state, from a single kernel call.
+    values, margins, detected = _evaluate(source, state.matrix[None])
+    lo, hi = source._bounds[:2].tolist()
     return tuple(
-        DetectionReport(float(v), w.interval, float(m), Verdict.DETECTED if hit else Verdict.NOT_DETECTED)
-        for w, v, m, hit in zip(witnesses, values[:, 0], margins[:, 0], detected[:, 0])
+        DetectionReport(float(v), (a, b), float(m), Verdict.DETECTED if hit else Verdict.NOT_DETECTED)
+        for a, b, v, m, hit in zip(lo, hi, values[:, 0], margins[:, 0], detected[:, 0])
     )
 
 
@@ -121,6 +122,7 @@ class Witness:
         self._lo = float(diag.min())
         self._hi = float(diag.max())
         self._eps = float(detect_eps)
+        self._bounds = np.array([[self._lo], [self._hi], [self._eps]])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -146,13 +148,17 @@ class Witness:
     def detect_eps(self) -> float:
         return self._eps
 
+    def _values(self, stack: np.ndarray) -> np.ndarray:
+        # (1, n) expectation values on an (n, d, d) stack.
+        return np.real(np.einsum("ij,nji->n", self._matrix, stack))[None]
+
     def with_eps(self, detect_eps: float) -> "Witness":
         """Same operator, different detection margin."""
         return Witness(self._matrix, detect_eps)
 
     def evaluate(self, state: DensityMatrix) -> DetectionReport:
         """Expectation value, margin, and verdict on one state."""
-        return _reports((self,), state)[0]
+        return _reports(self, state)[0]
 
     def evaluate_batch(self, matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized evaluate over a stack of state matrices, shape (n, d, d).
@@ -160,45 +166,139 @@ class Witness:
         Returns (values, margins, detected) arrays of shape (n,), the same
         numbers :meth:`evaluate` reports one state at a time.
         """
-        return tuple(a[0] for a in _evaluate((self,), matrices))
+        return tuple(a[0] for a in _evaluate(self, matrices))
 
     def __repr__(self):
         return f"Witness(dim={self.dim}, interval=[{self._lo}, {self._hi}], eps={self._eps})"
 
 
-@dataclass(frozen=True)
 class WitnessFamily:
-    """Ordered, nonempty collection of same-dimension witnesses."""
+    """Ordered, nonempty collection of same-dimension witnesses.
 
-    label: str
-    members: tuple[Witness, ...]
+    The members' intervals and margins are read once, at construction, into a
+    (3, members) bounds table that the kernel uses, so evaluation touches no
+    member object.
+    """
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, label: str, members: Sequence[Witness]):
+        members = tuple(members)
+        if not members:
             raise DegenerateFamilyError("witness family must be nonempty")
-        dims = {w.dim for w in self.members}
+        dims = {w.dim for w in members}
         if len(dims) != 1:
             raise DimensionMismatchError(f"family members have mixed dims {sorted(dims)}")
+        self.label = label
+        self._members = members
+        self._dim = members[0].dim
+        self._bounds = np.concatenate([w._bounds for w in members], axis=1)
+
+    @property
+    def members(self) -> tuple[Witness, ...]:
+        return self._members
 
     @property
     def dim(self) -> int:
-        return self.members[0].dim
+        return self._dim
+
+    @property
+    def detect_eps(self) -> tuple[float, ...]:
+        """Every member's margin, in member order."""
+        return tuple(self._bounds[2].tolist())
+
+    def _values(self, stack: np.ndarray) -> np.ndarray:
+        # One contraction per member: a single three-index einsum over the
+        # whole family sums in a different order and changes last bits.
+        return np.concatenate([w._values(stack) for w in self.members])
 
     def evaluate(self, state: DensityMatrix) -> tuple[DetectionReport, ...]:
         """Every member's report on one state, in member order."""
-        return _reports(self.members, state)
+        return _reports(self, state)
 
     def evaluate_batch(self, matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(values, margins, detected) of every member on a stack of state
         matrices, shape (n, d, d); row i belongs to member i."""
-        return _evaluate(self.members, matrices)
+        return _evaluate(self, matrices)
 
     def detects(self, state: DensityMatrix) -> bool:
         """True when at least one member detects the state."""
         return any(r.detected for r in self.evaluate(state))
 
     def __len__(self):
-        return len(self.members)
+        return self._bounds.shape[1]
+
+
+class _GeneratorFamily(WitnessFamily):
+    """The members (K I + c_t g_{d+t}) / d of :func:`finite_family`, held as
+    (d, K, c) and their few distinct matrix entries.
+
+    Member t (pair (j, k) of ``np.triu_indices(d, 1)``, U for t < d(d-1)/2,
+    V after) is K/d on the diagonal plus the entries ``_upper[t]`` at (j, k)
+    and ``_lower[t]`` at (k, j); every other entry is zero.  The entries come
+    from the matrix expression :func:`generator_witness` evaluates, so they
+    carry its bits.  Member objects are built on first access to ``members``.
+    """
+
+    def __init__(self, label: str, d: int, K: float, coeffs: np.ndarray):
+        self.label = label
+        self._dim, self._K, self._coeffs = d, K, coeffs.copy()
+        self._members = None
+        n_pairs = len(coeffs) // 2
+        # Every U member's pair entries sit in one matrix, every V member's in
+        # another, each where a lone member has it.
+        eta = np.zeros((2, d * d - 1))
+        eta[0, d - 1 : d - 1 + n_pairs] = coeffs[:n_pairs]
+        eta[1, d - 1 + n_pairs :] = coeffs[n_pairs:]
+        U, V = (_generator_matrix(d, K, e) for e in eta)
+        j, k = np.triu_indices(d, 1)
+        self._j, self._k = np.tile(j, 2), np.tile(k, 2)
+        self._upper = np.concatenate([U[j, k], V[j, k]])
+        self._lower = np.concatenate([U[k, j], V[k, j]])
+        self._diag = U.diagonal().copy()  # every member's diagonal
+        diag = self._diag.real
+        bounds = np.array([[diag.min()], [diag.max()], [DETECT_EPS]])
+        self._bounds = np.repeat(bounds, len(coeffs), axis=1)
+
+    @property
+    def members(self) -> tuple[Witness, ...]:
+        if self._members is None:
+            d = self._dim
+            self._members = tuple(
+                generator_witness(d, self._K, np.where(np.arange(d * d - 1) == d - 1 + t, c, 0.0))
+                for t, c in enumerate(self._coeffs)
+            )
+        return self._members
+
+    def _values(self, stack: np.ndarray) -> np.ndarray:
+        """The einsum's values from d row steps over one (members, n)
+        accumulator.
+
+        The einsum of a member with a state sums each row of W rho^T on its
+        own and adds the row sums in order onto +0.  For member (j, k) row j
+        sums to D_j + O_jk, row k to O_kj + D_k and every other row i to D_i,
+        with D_i = Re(w) Re(rho_ii) - Im(w) Im(rho_ii) for the diagonal entry w
+        and O_jk = Re(W_jk) Re(rho_kj) - Im(W_jk) Im(rho_kj); products with the
+        zero entries add nothing to a finite sum.  Row step i reads column i of
+        every state.
+        """
+        if not np.isfinite(stack).all():
+            # A zero entry times inf is NaN in the einsum; keep its report.
+            return super()._values(stack)
+        acc = np.zeros((len(self), len(stack)))
+        row = np.empty_like(acc)
+        for i in range(self._dim):
+            col = stack[:, :, i].T  # rho_li for every l, shape (d, n)
+            re, im = col.real, col.imag
+            w = self._diag[i]
+            D = w.real * re[i] - w.imag * im[i]
+            row[:] = D
+            a = np.flatnonzero(self._j == i)  # members (i, k): row i is D_i + O_ik
+            W = self._upper[a, None]
+            row[a] = D + (W.real * re[self._k[a]] - W.imag * im[self._k[a]])
+            b = np.flatnonzero(self._k == i)  # members (j, i): row i is O_ij + D_i
+            W = self._lower[b, None]
+            row[b] = (W.real * re[self._j[b]] - W.imag * im[self._j[b]]) + D
+            acc += row
+        return acc
 
 
 def canonical_witness(d: int, lo: float, hi: float) -> Witness:
@@ -314,6 +414,12 @@ def qubit_pair_family(K: float, a1: float, b1: float, a2: float, b2: float) -> W
     return WitnessFamily(label=f"qubit-pair(K={K}, ({a1},{b1}), ({a2},{b2}))", members=members)
 
 
+def _generator_matrix(d: int, K: float, coeffs) -> np.ndarray:
+    # (K I + sum_i s_i g_i) / d.
+    op = _operator(d, coeffs)  # validates d before np.eye sees it
+    return (K * np.eye(d, dtype=np.complex128) + op) / d
+
+
 def generator_witness(d: int, K: float, coeffs) -> Witness:
     """(K I + sum_i s_i g_i) / d for a real coefficient vector of length d**2 - 1.
 
@@ -322,8 +428,7 @@ def generator_witness(d: int, K: float, coeffs) -> Witness:
     The expectation on a state with coefficient vector r is
     K/d + (2/d**2) * dot(r, s).
     """
-    op = _operator(d, coeffs)  # validates d before np.eye sees it
-    return Witness((K * np.eye(d, dtype=np.complex128) + op) / d)
+    return Witness(_generator_matrix(d, K, coeffs))
 
 
 def witness_for_state(state: DensityMatrix, K: float = 0.0) -> Witness:
@@ -350,6 +455,11 @@ def finite_family(d: int, K: float = 0.0, coeffs=None) -> WitnessFamily:
     d + t and zero elsewhere, so all members share the degenerate interval
     [K/d, K/d].  Jointly the family detects every state with off-diagonal
     support while leaving every diagonal state undetected.
+
+    The family is held as (d, K, coefficients): evaluation reads each state
+    in d row steps, in the summation order of the per-member einsum, so its
+    values match the member matrices bit for bit.  The member witnesses are
+    built on first access to ``members``.
     """
     if d < 2:
         raise DimensionMismatchError(f"family needs dim >= 2, got {d}")
@@ -359,9 +469,4 @@ def finite_family(d: int, K: float = 0.0, coeffs=None) -> WitnessFamily:
         raise LengthMismatchError(f"family needs {n} coefficients for dim {d}, got {v.shape}")
     if np.any(v == 0.0):
         raise ZeroCoefficientError("family coefficients must all be nonzero")
-    members = []
-    for t, i in enumerate(range(d, d * d)):  # 1-based generator indices d..d**2-1
-        eta = np.zeros(d * d - 1)
-        eta[i - 1] = v[t]
-        members.append(generator_witness(d, K, eta))
-    return WitnessFamily(label=f"single-generator(d={d}, K={K})", members=tuple(members))
+    return _GeneratorFamily(f"single-generator(d={d}, K={K})", d, K, v)

@@ -337,6 +337,7 @@ class TestArgparse:
         ["gen", "--kind", "eta", "--d", "2", "--K", "1e308", "--eta", "1e308,1e308,1e308",
          "--out", "{out}"],
         ["gen", "--kind", "eta", "--d", "-1", "--eta", "1", "--out", "{out}"],
+        ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "1", "--out", "{out}"],
     ],
 )
 def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):

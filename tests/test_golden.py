@@ -20,6 +20,7 @@ from cohwit import (
     state_from_bloch,
     verify_incoherent_containment,
 )
+from cohwit import witness
 from cohwit.cli import run
 
 # 35 generator coefficients for d = 6, with zeros and both signs.
@@ -119,3 +120,19 @@ def test_hermitian_samples():
 def test_containment_worst_violation():
     report = verify_incoherent_containment(4, 20, 200, 11)
     assert report.worst_violation.hex() == "-0x1.4f4fbd7e20f30p-6"
+
+
+def test_verify_builds_no_member_witness(monkeypatch, tmp_path, capsys):
+    # The built-in family evaluates from (d, K, coefficients); only documents
+    # and `members` build Witness objects.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Witness was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(witness.Witness, "__init__", refuse)
+        assert run(["verify", "--d", "18", "--samples", "40", "--seed", "1"]) == 0
+    assert '"verdict": "PASS"' in capsys.readouterr().out
+    # gen builds the members on demand; the digest is test_gen_document's pin.
+    out = tmp_path / "doc.json"
+    assert run(["gen", "--kind", "family", "--d", "5", "--K", "-2.5", "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == "2dcf714d660e5365c459587613844b7fe5317b12b5f86ae2c707547a1fd20ef7"

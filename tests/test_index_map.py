@@ -14,12 +14,15 @@ import pytest
 
 from cohwit import (
     DensityMatrix,
+    NonFiniteError,
     Witness,
     WitnessFamily,
     bloch_vector,
     canonical_witness,
+    finite_family,
     generator_basis,
     generator_witness,
+    sample_ensemble,
     sample_ginibre,
     sample_hermitian,
     sample_incoherent,
@@ -27,7 +30,7 @@ from cohwit import (
     tailored_witness,
 )
 from cohwit.generators import _operator
-from cohwit.verify import mixed_ensemble
+from cohwit.verify import mixed_ensemble, verify_coverage
 
 DIMS = range(2, 13)
 
@@ -155,3 +158,50 @@ def test_tailored_point_witness_matches_written_out_operator(entry, lo):
         comp[1, 3] = 0.5j
         comp[3, 1] = -0.5j
     assert same_bits(tailored_witness(DensityMatrix(M), lo, lo).matrix, comp + lo * np.eye(d))
+
+
+def test_generator_family_entries_match_its_members():
+    # Members built on demand are (K I + c g) / d over the dense basis.
+    for d in (2, 3, 7):
+        basis = dense_basis(d)
+        eye = np.eye(d, dtype=np.complex128)
+        coeffs = np.random.default_rng(d).standard_normal(d * (d - 1))
+        for K in (0.0, 37.0, -2.5):
+            family = finite_family(d, K, coeffs)
+            for t, w in enumerate(family.members):
+                eta = np.zeros(d * d - 1)
+                eta[d - 1 + t] = coeffs[t]
+                assert same_bits(w.matrix, (K * eye + np.einsum("k,kij->ij", eta, basis)) / d)
+
+
+@pytest.mark.parametrize("K", [0.0, 1.0, 37.0, -2.5, 1e6])
+@pytest.mark.parametrize("d", [*DIMS, 18])
+def test_generator_family_kernel_matches_member_kernel(d, K):
+    """finite_family evaluates in d row steps without member objects; the
+    oracle is the one-einsum-per-member path over its materialized members."""
+    mixed = DensityMatrix(np.eye(d) / d)
+    stack = np.concatenate([sample_ensemble(d, 16, 900 + d), mixed.matrix[None]])
+    random = np.random.default_rng(d).uniform(0.5, 2.0, d * (d - 1))
+    random *= np.where(np.arange(random.size) % 3, 1.0, -1.0)
+    for coeffs in (None, random):
+        family = finite_family(d, K, coeffs)
+        got = family.evaluate_batch(stack)
+        report = verify_coverage(family, d, 16, 900 + d, extra_states=[mixed])
+        assert family._members is None  # evaluation built no member
+        oracle = WitnessFamily(label=family.label, members=family.members)
+        for a, b in zip(got, oracle.evaluate_batch(stack)):
+            assert same_bits(a, b)
+        assert report == verify_coverage(oracle, d, 16, 900 + d, extra_states=[mixed])
+
+
+def test_generator_family_reports_non_finite_states_as_its_members_do():
+    family = finite_family(3, 1.0)
+    stack = np.stack([np.eye(3) / 3] * 3).astype(np.complex128)
+    stack[1, 0, 2] = np.inf
+    oracle = WitnessFamily(label=family.label, members=family.members)
+    messages = []
+    for source in (family, oracle):
+        with pytest.raises(NonFiniteError) as exc:
+            source.evaluate_batch(stack)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]

@@ -77,6 +77,12 @@ class TestIncoherentState:
         with pytest.raises(InvalidStateError):
             IncoherentState(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("probs", [[math.nan, math.nan], [1.0, math.nan], [math.nan, 0.0, 1.0]])
+    def test_rejects_nan(self, probs):
+        # NaN compares False both ways, so each check must be written to fail on it.
+        with pytest.raises(InvalidStateError):
+            IncoherentState(np.array(probs))
+
 
 def test_l1_maximally_mixed_is_zero():
     for d in (2, 3, 5):
