@@ -9,11 +9,20 @@ Documents are single JSON objects; complex entries are two-element arrays
 [re, im] in row-major order.  Floats serialize with shortest-roundtrip
 decimals, so written documents reload bit-for-bit.  Exit codes: 0 success or
 PASS, 2 malformed input, 3 verification FAIL.
+
+Byte contract.  A written document is exactly ``json.dumps(doc, indent=2)``
+plus a newline, written a piece at a time with each list of [re, im] float
+pairs rendered in one string.  A read document's entries are type-checked in
+one pass and converted in one array; a malformed entry is reported at its
+first index.  A ``bloch`` CSV row is exactly
+``f"{x!r},{y!r},{z!r},{value!r},{verdict}\n"`` of Python floats, rendered from
+the arrays with one ``repr`` per distinct float64 bit pattern.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterator, Sequence
@@ -45,13 +54,19 @@ from .witness import (
 # most this much before a document is rejected.
 INTERVAL_DOC_TOL = 1e-12
 
+# Rows of the bloch CSV joined into one write.
+_CSV_CHUNK_ROWS = 4096
+
 _KINDS = ("lemma2", "tailored", "qubit", "eta", "family-member", "custom")
 
 
 def _num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(f"{where}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise DocumentError(f"{where}: number out of float range") from None
     if out != out or out in (float("inf"), float("-inf")):
         raise DocumentError(f"{where}: non-finite value")
     return out
@@ -61,8 +76,29 @@ def matrix_to_document(matrix) -> dict:
     M = np.asarray(matrix, dtype=np.complex128)
     return {
         "dim": int(M.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in M.reshape(-1)],
+        "entries": M.reshape(-1).view(np.float64).reshape(-1, 2).tolist(),
     }
+
+
+def _is_pair(entry) -> bool:
+    # A [re, im] list of two numbers, as _num accepts them.
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and isinstance(entry[0], (int, float))
+        and isinstance(entry[1], (int, float))
+        and type(entry[0]) is not bool
+        and type(entry[1]) is not bool
+    )
+
+
+def _raise_first_bad_entry(entries: list, what: str) -> None:
+    # The DocumentError of the first entry that is not a pair of finite numbers.
+    for i, pair in enumerate(entries):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise DocumentError(f"{what}.entries[{i}]: expected a [re, im] pair, got {pair!r}")
+        _num(pair[0], f"{what}.entries[{i}][0]")
+        _num(pair[1], f"{what}.entries[{i}][1]")
 
 
 def matrix_from_document(doc, *, what: str = "matrix") -> np.ndarray:
@@ -75,14 +111,18 @@ def matrix_from_document(doc, *, what: str = "matrix") -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != dim * dim:
         got = len(entries) if isinstance(entries, list) else entries
         raise DocumentError(f"{what}.entries: expected {dim * dim} complex pairs, got {got!r}")
-    flat = np.empty(dim * dim, dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(f"{what}.entries[{i}]: expected a [re, im] pair, got {pair!r}")
-        flat[i] = complex(
-            _num(pair[0], f"{what}.entries[{i}][0]"), _num(pair[1], f"{what}.entries[{i}][1]")
-        )
-    return flat.reshape(dim, dim)
+    # One type pass and one conversion; a malformed entry is then named by
+    # the first index the per-entry checks reject.  The (re, im) float rows
+    # are viewed as complex, which keeps every bit, signed zeros included.
+    flat = None
+    if all(map(_is_pair, entries)):
+        try:
+            flat = np.array(entries, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if flat is None or not np.isfinite(flat).all():
+        _raise_first_bad_entry(entries, what)
+    return flat.view(np.complex128).reshape(dim, dim)
 
 
 def state_from_document(doc) -> DensityMatrix:
@@ -150,13 +190,60 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integers
+    # past the interpreter's digit limit; RecursionError, nesting too deep.
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
 
 
+# The string escaping of json.dumps with its default ensure_ascii=True.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float_pairs(items, ind: str) -> str | None:
+    """The items of a list of [re, im] float pairs as ``json.dumps(indent=2)``
+    renders them, each on lines indented by ``ind``; None for any other list."""
+    if not all(type(p) is list and len(p) == 2 for p in items):
+        return None
+    pair = f"{ind}[{ind}  %s,{ind}  %s{ind}]"
+    try:
+        text = ",".join([pair % (float.__repr__(re), float.__repr__(im)) for re, im in items])
+    except TypeError:  # an int, bool or other non-float element
+        return None
+    # json writes non-finite floats as NaN and Infinity, not nan and inf.
+    return None if "nan" in text or "inf" in text else text
+
+
+def _json_pieces(value, ind: str) -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` in pieces, where ``ind`` is a newline
+    and the indentation of the line ``value`` starts on."""
+    inner = ind + "  "
+    if isinstance(value, (list, tuple)) and value:
+        pairs = _float_pairs(value, inner)
+        if pairs is not None:
+            yield f"[{pairs}{ind}]"
+            return
+        sep = "["
+        for item in value:
+            yield sep + inner
+            yield from _json_pieces(item, inner)
+            sep = ","
+        yield ind + "]"
+    elif isinstance(value, dict) and value:
+        sep = "{"
+        for key, item in value.items():  # a key that is not a str raises TypeError
+            yield f"{sep}{inner}{_quote(key)}: "
+            yield from _json_pieces(item, inner)
+            sep = ","
+        yield ind + "}"
+    else:  # a scalar, [] or {}
+        yield _quote(value) if isinstance(value, str) else json.dumps(value)
+
+
 def _write_json(path: str, doc) -> None:
+    # The bytes of json.dumps(doc, indent=2) + "\n", written a piece at a time.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.writelines(_json_pieces(doc, "\n"))
         fh.write("\n")
 
 
@@ -181,6 +268,13 @@ def _require(args: argparse.Namespace, names: Sequence[str], kind: str) -> None:
         raise DocumentError(f"gen --kind {kind} requires {', '.join(missing)}")
 
 
+def _bloch_arrays(K: float, a: float, b: float, c: float, grid_n: int) -> tuple[np.ndarray, ...]:
+    # Validated lattice coordinates, witness values and verdict mask.
+    x, y, z = bloch_grid(grid_n)
+    values, _, detected = qubit_witness(K, a, b, c).evaluate_batch(qubit_states_stack(x, y, z))
+    return x, y, z, values, detected
+
+
 def bloch_cloud(
     K: float, a: float, b: float, c: float, grid_n: int
 ) -> Iterator[tuple[float, float, float, float, str]]:
@@ -190,18 +284,33 @@ def bloch_cloud(
     ascending.  Inputs are validated and every verdict computed before the
     iterator is returned.
     """
-    x, y, z = bloch_grid(grid_n)
-    w = qubit_witness(K, a, b, c)
-    values, _, detected = w.evaluate_batch(qubit_states_stack(x, y, z))
+    x, y, z, values, detected = _bloch_arrays(K, a, b, c, grid_n)
     verdicts = ["Detected" if hit else "NotDetected" for hit in detected.tolist()]
     return zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)
 
 
-def write_bloch_cloud(stream, rows) -> None:
-    """Write :func:`bloch_cloud` rows as CSV with a header line."""
+def write_bloch_cloud(stream, x, y, z, values, detected) -> None:
+    """Write a point cloud as CSV: a header line, then for point i the row
+    ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\\n"`` of its coordinates and
+    value as Python floats and its verdict, "Detected" where ``detected[i]``
+    is true, else "NotDetected".  These are the rows of :func:`bloch_cloud`.
+
+    Each distinct float64 bit pattern is formatted once, so 0.0 and -0.0 stay
+    apart, and rows are joined and written _CSV_CHUNK_ROWS at a time.
+    """
     stream.write("x,y,z,value,verdict\n")
-    for x, y, z, value, verdict in rows:
-        stream.write(f"{x!r},{y!r},{z!r},{value!r},{verdict}\n")
+    codes = np.array([x, y, z, values], dtype=np.float64).view(np.int64)  # (4, n) bit patterns
+    bits = np.sort(codes, axis=None)
+    first = np.ones(bits.size, dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    bits = bits[first]  # each pattern once, ascending
+    cells = [f"{v!r}," for v in bits.view(np.float64).tolist()]
+    pieces = np.array(cells + ["NotDetected\n", "Detected\n"], dtype=object)
+    index = np.vstack([np.searchsorted(bits, codes), len(cells) + detected])  # (5, n)
+    n = index.shape[1]
+    for start in range(0, n, _CSV_CHUNK_ROWS):
+        rows = pieces[index[:, start : start + _CSV_CHUNK_ROWS].T]
+        stream.write("".join(rows.ravel().tolist()))
 
 
 def _cmd_gen(args) -> int:
@@ -304,16 +413,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bloch(args) -> int:
     # Validated before --out is opened, so exit 2 leaves no file behind.
-    rows = bloch_cloud(args.K, args.a, args.b, args.c, args.grid)
+    cloud = _bloch_arrays(args.K, args.a, args.b, args.c, args.grid)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_bloch_cloud(fh, rows)
+            write_bloch_cloud(fh, *cloud)
     else:
-        write_bloch_cloud(sys.stdout, rows)
+        write_bloch_cloud(sys.stdout, *cloud)
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="cohwit", description="Coherence witness construction, detection, and verification."
     )

@@ -113,11 +113,12 @@ def coverage_bytes(d: int, n_states: int, n_members: int) -> int:
 
 
 def bloch_bytes(grid_n: int) -> int:
-    """Bytes the ``bloch`` command holds at once, counting every point of the
-    grid_n**3 lattice as in the ball.  Its largest stage holds, per point, the
-    three float64 coordinates, the kernel's value, margin and verdict, and the
-    CSV rows' lists: four of Python floats (32 bytes an item) and one of
-    verdicts (8 bytes an item)."""
+    """Bytes ``cohwit.cli.bloch_cloud`` holds at once, counting every point
+    of the grid_n**3 lattice as in the ball; the ``bloch`` command, which
+    writes its CSV from the arrays, holds less.  The largest stage holds, per
+    point, the three float64 coordinates, the kernel's value, margin and
+    verdict, and the rows' lists: four of Python floats (32 bytes an item)
+    and one of verdicts (8 bytes an item)."""
     return 177 * grid_n**3
 
 

@@ -459,7 +459,8 @@ def finite_family(d: int, K: float = 0.0, coeffs=None) -> WitnessFamily:
     The family is held as (d, K, coefficients): evaluation reads each state
     in d row steps, in the summation order of the per-member einsum, so its
     values match the member matrices bit for bit.  The member witnesses are
-    built on first access to ``members``.
+    built on first access to ``members``.  A non-finite K or coefficient
+    raises NonFiniteError, as a member Witness would.
     """
     if d < 2:
         raise DimensionMismatchError(f"family needs dim >= 2, got {d}")
@@ -467,6 +468,8 @@ def finite_family(d: int, K: float = 0.0, coeffs=None) -> WitnessFamily:
     v = np.ones(n) if coeffs is None else np.asarray(coeffs, dtype=np.float64)
     if v.shape != (n,):
         raise LengthMismatchError(f"family needs {n} coefficients for dim {d}, got {v.shape}")
+    if not (math.isfinite(K) and np.isfinite(v).all()):
+        raise NonFiniteError(f"family K and coefficients must be finite, got K={K}")
     if np.any(v == 0.0):
         raise ZeroCoefficientError("family coefficients must all be nonzero")
     return _GeneratorFamily(f"single-generator(d={d}, K={K})", d, K, v)

@@ -472,7 +472,7 @@ def test_cli_contract_holds_for_bounded_argv(data):
 
 # JSON values a document may carry where a real number belongs.
 ODD_VALUES = st.sampled_from(
-    [math.nan, math.inf, -math.inf, 1e308, -1e308, True, False, None, "0.5", [0.5], [[0.5, 0.0]], {}]
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, True, False, None, "0.5", [0.5], [[0.5, 0.0]], {}]
 )
 
 

@@ -1,0 +1,262 @@
+"""Byte identity of the CLI's batched I/O against its references.
+
+The document writer is checked against ``json.dumps(doc, indent=2) + "\\n"``,
+the document reader against the per-entry loop it replaced, and the ``bloch``
+CSV against the per-row format ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\\n"``.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cohwit import DocumentError, sample_ginibre
+from cohwit import cli
+from cohwit.cli import bloch_cloud, matrix_from_document, matrix_to_document, run, write_bloch_cloud
+
+# --- writer ----------------------------------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, 0.1, 1 / 3, 1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+INTS = st.one_of(st.integers(), st.sampled_from([2**53 + 1, -(2**63), 10**30, 10**400]))
+TEXT = st.one_of(st.text(), st.sampled_from(["", "é", "☃", "\U0001f600", '"\\/', "\n\t\x00\x1f", "\ud800"]))
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, TEXT)
+PAIR_LISTS = st.one_of(
+    st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=6),
+    st.lists(st.lists(st.one_of(FLOATS, INTS), min_size=2, max_size=2), max_size=6),
+)
+JSON_TREES = st.recursive(
+    st.one_of(SCALARS, PAIR_LISTS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def written(doc) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        cli._write_json(path, doc)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(deadline=None, max_examples=300)
+@given(doc=JSON_TREES)
+def test_writer_matches_stdlib_indent_2(doc):
+    assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        [[0.0, -0.0], [5e-324, 1e22], [1e16, -1.5]],  # the pair template
+        [[1, 0.5], [0.5, True], [math.nan, 0.0], [math.inf, -math.inf]],  # not float pairs
+        [[0.5, 0.5], (0.5, 0.5)],
+        [[0.5, 0.5, 0.5]],
+        {"é\n": "☃", "q": '"\\'},
+    ],
+)
+def test_writer_edge_documents(doc):
+    assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def test_writer_refuses_keys_json_would_convert():
+    # A JSON object's keys are strings; the writer raises rather than guess.
+    with pytest.raises(TypeError):
+        written({"a": {1: "int key"}})
+
+
+def test_writer_on_a_witness_family_document(tmp_path):
+    path = tmp_path / "fam.json"
+    assert run(["gen", "--kind", "family", "--d", "4", "--K", "-0.5", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+
+# --- reader ----------------------------------------------------------------
+
+
+def reference_matrix(doc, what="matrix"):
+    """The per-entry loop the reader replaced, entry checks included."""
+    dim = doc["dim"]
+    flat = np.empty(dim * dim, dtype=np.complex128)
+    for i, pair in enumerate(doc["entries"]):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise DocumentError(f"{what}.entries[{i}]: expected a [re, im] pair, got {pair!r}")
+        flat[i] = complex(
+            cli._num(pair[0], f"{what}.entries[{i}][0]"), cli._num(pair[1], f"{what}.entries[{i}][1]")
+        )
+    return flat.reshape(dim, dim)
+
+
+def outcome(read, doc):
+    try:
+        return ("ok", read(doc).view(np.float64).view(np.int64).tolist())  # bits, signed zeros kept
+    except DocumentError as exc:
+        return ("error", str(exc))
+
+
+ODD = [math.nan, math.inf, -math.inf, 10**400, True, False, None, "0.5", [0.5], {}, [0.5, 0.0]]
+ENTRY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def entry_lists(draw, dim):
+    entries = [[draw(ENTRY_VALUES), draw(ENTRY_VALUES)] for _ in range(dim * dim)]
+    index = st.integers(0, dim * dim - 1)
+    # Up to three bad values and up to two bad entries, anywhere.
+    for _ in range(draw(st.integers(0, 3))):
+        entries[draw(index)][draw(st.integers(0, 1))] = draw(st.sampled_from(ODD))
+    for _ in range(draw(st.integers(0, 2))):
+        entries[draw(index)] = draw(st.sampled_from([[1.0], [1.0, 0.0, 0.0], (1.0, 0.0), "x", None, 1.0]))
+    return entries
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_reader_matches_per_entry_loop(data):
+    dim = data.draw(st.integers(2, 4))
+    doc = {"dim": dim, "entries": data.draw(entry_lists(dim))}
+    assert outcome(matrix_from_document, doc) == outcome(reference_matrix, doc)
+
+
+def test_reader_keeps_signed_zeros_and_every_bit():
+    M = sample_ginibre(3, 7).matrix.copy()
+    M[0, 0] = complex(-0.0, 0.0)
+    M[1, 2] = complex(0.0, -0.0)
+    M[2, 1] = complex(-0.0, -0.0)
+    doc = json.loads(json.dumps(matrix_to_document(M)))
+    assert np.array_equal(matrix_from_document(doc).view(np.int64), M.view(np.int64))
+
+
+def test_document_entries_match_per_entry_floats():
+    M = sample_ginibre(4, 3).matrix.T  # not C-contiguous
+    M = np.where(np.abs(M) < 0.1, -0.0, M)
+    old = [[float(z.real), float(z.imag)] for z in M.reshape(-1)]
+    assert json.dumps(matrix_to_document(M)["entries"]) == json.dumps(old)
+
+
+def test_huge_integer_entry_exits_2(tmp_path):
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps({"dim": 2, "entries": [[0.5, 0], [10**400, 0], [0, 0], [0.5, 0]]}))
+    witness = tmp_path / "w.json"
+    doc = {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]], "interval": [10**400, 1]}
+    witness.write_text(json.dumps(doc))
+    for argv, where in [
+        (["oracle", "--state", str(state)], "state.entries[1][0]"),
+        (["detect", "--witness", str(witness), "--state", str(state)], "witness.interval[0]"),
+    ]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(argv) == 2
+        assert err.getvalue() == f"error: {where}: number out of float range\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"dim": 2, "entries": [[1' + b"0" * 5000 + b', 0]]}',  # past the int digit limit
+        b'{"dim": 2, "entries": "\xff\xfe"}',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested too deep
+    ],
+)
+def test_unreadable_document_exits_2(tmp_path, data):
+    state = tmp_path / "s.json"
+    state.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(["oracle", "--state", str(state)]) == 2
+    assert err.getvalue().startswith(f"error: {state}: invalid JSON (")
+    assert err.getvalue().count("\n") == 1
+
+
+# --- bloch CSV -------------------------------------------------------------
+
+
+def reference_csv(K, a, b, c, grid):
+    rows = bloch_cloud(K, a, b, c, grid)
+    return "x,y,z,value,verdict\n" + "".join(f"{x!r},{y!r},{z!r},{v!r},{verdict}\n" for x, y, z, v, verdict in rows)
+
+
+COEFFS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-3.0, 3.0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(grid=st.integers(2, 15), K=COEFFS, a=COEFFS, b=COEFFS, c=COEFFS)
+def test_csv_matches_per_row_format(grid, K, a, b, c):
+    if a == 0.0 and b == 0.0 and c == 0.0:
+        c = 1.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cloud.csv")
+        argv = ["bloch", f"--K={K!r}", f"--a={a!r}", f"--b={b!r}", f"--c={c!r}", f"--grid={grid}"]
+        assert run([*argv, "--out", path]) == 0
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv(K, a, b, c, grid).encode()
+
+
+def test_grid_2_is_header_only(tmp_path):
+    path = tmp_path / "cloud.csv"
+    assert run(["bloch", "--K", "0", "--a", "1", "--b", "0", "--c", "0", "--grid", "2", "--out", str(path)]) == 0
+    assert path.read_bytes() == b"x,y,z,value,verdict\n"
+
+
+def test_csv_keeps_zero_and_negative_zero_apart():
+    x = np.array([0.0, -0.0, 0.0, -0.0])
+    y = np.array([-0.0, 0.0, 0.5, 0.5])
+    values = np.array([-0.0, 0.0, 0.0, -0.0])
+    detected = np.array([True, False, False, True])
+    out = io.StringIO()
+    write_bloch_cloud(out, x, y, y, values, detected)
+    verdicts = ["Detected" if hit else "NotDetected" for hit in detected]
+    rows = zip(x.tolist(), y.tolist(), y.tolist(), values.tolist(), verdicts)
+    assert out.getvalue() == "x,y,z,value,verdict\n" + "".join(f"{p!r},{q!r},{r!r},{v!r},{s}\n" for p, q, r, v, s in rows)
+
+
+def test_csv_spans_several_write_chunks():
+    n = 2 * cli._CSV_CHUNK_ROWS + 5
+    x = np.linspace(-0.5, 0.5, n)
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(text)
+
+    write_bloch_cloud(Stream(), x, -x, x * x, x / 3, x > 0)
+    assert len(writes) == 4  # header and three chunks
+    lines = "".join(writes).splitlines()
+    assert len(lines) == n + 1
+    last = float(x[-1])
+    assert lines[-1] == f"{last!r},{-last!r},{last * last!r},{last / 3!r},Detected"
+
+
+# --- parser ----------------------------------------------------------------
+
+
+def test_parser_reuse_keeps_help_and_errors():
+    outs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes = (run(["--help"]), run(["verify", "--d", "2"]), run(["bloch", "--bogus"]))
+        outs.append((codes, out.getvalue(), err.getvalue()))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == (0, 2, 2)
+    assert outs[0][1].startswith("usage: cohwit")

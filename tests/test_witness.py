@@ -9,6 +9,7 @@ from cohwit import (
     DimensionMismatchError,
     InvalidIntervalError,
     LengthMismatchError,
+    NonFiniteError,
     NotCoherentError,
     NotHermitianError,
     NumericallyMarginalWarning,
@@ -386,6 +387,14 @@ class TestFiniteFamily:
     def test_wrong_length_rejected(self):
         with pytest.raises(LengthMismatchError):
             finite_family(3, 0.0, [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_K_or_coefficient_rejected(self, bad):
+        # Rejected when the family is built, as a member Witness would be.
+        with pytest.raises(NonFiniteError):
+            finite_family(2, bad)
+        with pytest.raises(NonFiniteError):
+            finite_family(3, 1.0, [1.0, 1.0, bad, 1.0, 1.0, 1.0])
 
     def test_completeness_on_mixed_sample(self):
         fam = finite_family(3, 1.0)
