@@ -12,8 +12,13 @@ PASS, 2 malformed input, 3 verification FAIL.
 
 Byte contract.  A written document is exactly ``json.dumps(doc, indent=2)``
 plus a newline, written a piece at a time with each list of [re, im] float
-pairs rendered in one string.  A read document's entries are type-checked in
-one pass and converted in one array; a malformed entry is reported at its
+pairs rendered in one string, formatting each distinct float64 bit pattern
+and then each distinct pair once.  A family document is written from the
+family's (members, d, d) member stack and its bounds table, and read back
+into one such stack: every member's entries are type-checked in one pass,
+converted in one array and checked for Hermiticity and against their stored
+intervals at once, with no Witness built.  When any of that fails, the
+members are read one at a time, and a malformed entry is reported at its
 first index.  A ``bloch`` CSV row is exactly
 ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\n"`` of Python floats, rendered from
 the arrays with one ``repr`` per distinct float64 bit pattern.
@@ -25,12 +30,13 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CohwitError, DocumentError, NotHermitianError
-from .linalg import DETECT_EPS
+from .linalg import DETECT_EPS, _require_hermitian
 from .rng import Seed
 from .states import DensityMatrix, l1_coherence
 from .verify import (
@@ -107,6 +113,8 @@ def matrix_from_document(doc, *, what: str = "matrix") -> np.ndarray:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
         raise DocumentError(f"{what}.dim: expected an integer >= 2, got {dim!r}")
+    if dim * dim > sys.maxsize:  # no list is that long, and the count may not print
+        raise DocumentError(f"{what}.dim: a {dim.bit_length()}-bit dim is too large")
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != dim * dim:
         got = len(entries) if isinstance(entries, list) else entries
@@ -167,8 +175,76 @@ def witness_from_document(doc) -> Witness:
     return w
 
 
+def _member_documents(family: WitnessFamily, params: list[dict]) -> list[dict]:
+    """``witness_to_document(member, "family-member", params[t])`` of every member t,
+    read from the member stack and bounds table without member objects; each
+    member's entries are a (d*d, 2) float64 view of its stack row."""
+    m, d = len(family), family.dim
+    entries = family._stack.reshape(m, d * d).view(np.float64).reshape(m, d * d, 2)
+    lo, hi, eps = family._bounds.tolist()
+    return [
+        {"dim": d, "entries": e, "interval": [a, b], "detect_eps": x, "kind": "family-member", "params": p}
+        for e, a, b, x, p in zip(entries, lo, hi, eps, params)
+    ]
+
+
 def family_to_document(family: WitnessFamily, member_docs: list[dict]) -> dict:
     return {"label": family.label, "members": member_docs}
+
+
+def _number_pairs(items: list, types: set) -> np.ndarray | None:
+    """A list of two-element lists whose elements all have a type in
+    ``types`` as an (n, 2) float64 array, from one type pass and one
+    conversion; None for any other list or an integer beyond the float range."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    flat = list(chain.from_iterable(items))
+    if not set(map(type, flat)) <= types:
+        return None
+    try:
+        return np.array(flat, dtype=np.float64).reshape(-1, 2)
+    except OverflowError:
+        return None
+
+
+def _stacked_family(label: str, members: list) -> WitnessFamily | None:
+    """The family of member witness documents read all at once: one type pass
+    over every member's entries, one conversion, one stacked Hermiticity
+    check and one check of the stored intervals against the diagonals.  None
+    when any member is malformed or the dims differ; the per-member reader
+    then raises the first error."""
+    if set(map(type, members)) != {dict}:
+        return None
+    dims = [m.get("dim") for m in members]
+    dim = dims[0]
+    if set(map(type, dims)) != {int} or set(dims) != {dim} or dim < 2:
+        return None
+    entries = [m.get("entries") for m in members]
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {dim * dim}:
+        return None
+    if not all(m.get("kind", "custom") in _KINDS for m in members):
+        return None
+    numbers = {float, int}
+    eps = [m.get("detect_eps", DETECT_EPS) for m in members]
+    if not set(map(type, eps)) <= numbers:
+        return None
+    pairs = _number_pairs(list(chain.from_iterable(entries)), numbers)
+    stored = _number_pairs([m.get("interval") for m in members], numbers)
+    if pairs is None or stored is None:
+        return None
+    try:
+        eps = np.array(eps, dtype=np.float64)
+        stack = pairs.view(np.complex128).reshape(len(members), dim, dim)
+        _require_hermitian(stack, "member {t}")  # finite entries included
+    except (OverflowError, CohwitError):  # OverflowError: an integer beyond the float range
+        return None
+    diag = stack.diagonal(axis1=1, axis2=2).real
+    bounds = np.array([diag.min(axis=1), diag.max(axis=1), eps])
+    # A NaN or infinite stored endpoint fails the distance test too.
+    close = np.abs(stored.T - bounds[:2]) <= INTERVAL_DOC_TOL
+    if not (np.isfinite(eps).all() and (eps >= 0.0).all() and close.all()):
+        return None
+    return WitnessFamily._from_stack(label, stack, bounds)
 
 
 def family_from_document(doc) -> WitnessFamily:
@@ -176,14 +252,18 @@ def family_from_document(doc) -> WitnessFamily:
         raise DocumentError(f"family: expected a JSON object, got {type(doc).__name__}")
     if "members" not in doc:
         # A bare witness document acts as a one-member family.
-        return WitnessFamily(label=str(doc.get("kind", "custom")), members=(witness_from_document(doc),))
-    members = doc["members"]
-    if not isinstance(members, list) or not members:
-        raise DocumentError(f"family.members: expected a nonempty list, got {members!r}")
-    label = doc.get("label")
-    if not isinstance(label, str):
-        raise DocumentError(f"family.label: expected a string, got {label!r}")
-    return WitnessFamily(label=label, members=tuple(witness_from_document(m) for m in members))
+        label, members = str(doc.get("kind", "custom")), [doc]
+    else:
+        members = doc["members"]
+        if not isinstance(members, list) or not members:
+            raise DocumentError(f"family.members: expected a nonempty list, got {members!r}")
+        label = doc.get("label")
+        if not isinstance(label, str):
+            raise DocumentError(f"family.label: expected a string, got {label!r}")
+    family = _stacked_family(label, members)
+    if family is None:
+        family = WitnessFamily(label=label, members=tuple(witness_from_document(m) for m in members))
+    return family
 
 
 def _load_json(path: str):
@@ -200,28 +280,44 @@ def _load_json(path: str):
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _float_pairs(items, ind: str) -> str | None:
-    """The items of a list of [re, im] float pairs as ``json.dumps(indent=2)``
-    renders them, each on lines indented by ``ind``; None for any other list."""
-    if not all(type(p) is list and len(p) == 2 for p in items):
-        return None
-    pair = f"{ind}[{ind}  %s,{ind}  %s{ind}]"
-    try:
-        text = ",".join([pair % (float.__repr__(re), float.__repr__(im)) for re, im in items])
-    except TypeError:  # an int, bool or other non-float element
-        return None
-    # json writes non-finite floats as NaN and Infinity, not nan and inf.
-    return None if "nan" in text or "inf" in text else text
+def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an integer array, ascending, and the index of
+    each element's value among them.  On float64 bit patterns this keeps 0.0
+    and -0.0 apart."""
+    values = np.sort(codes, axis=None)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    values = values[first]
+    return values, np.searchsorted(values, codes)
+
+
+def _render_pairs(pairs: np.ndarray, ind: str) -> str:
+    """The rows of an (n, 2) float64 array as ``json.dumps(pairs.tolist(),
+    indent=2)`` renders the items of that list, each on lines indented by
+    ``ind``.  Each distinct float64 bit pattern is formatted once, then each
+    distinct pair once."""
+    bits, index = _distinct(np.ascontiguousarray(pairs, dtype=np.float64).view(np.int64))
+    # json.dumps spells NaN and the infinities as NaN, Infinity and -Infinity.
+    texts = [json.dumps(v) for v in bits.view(np.float64).tolist()]
+    codes, which = _distinct(index[:, 0] * len(bits) + index[:, 1])
+    items = [
+        f"{ind}[{ind}  {texts[re]},{ind}  {texts[im]}{ind}]"
+        for re, im in zip(*(a.tolist() for a in np.divmod(codes, len(bits))))
+    ]
+    return ",".join(np.array(items, dtype=object)[which].tolist())
 
 
 def _json_pieces(value, ind: str) -> Iterator[str]:
     """``json.dumps(value, indent=2)`` in pieces, where ``ind`` is a newline
-    and the indentation of the line ``value`` starts on."""
+    and the indentation of the line ``value`` starts on.  An (n, 2) float64
+    array stands for its list of [re, im] pairs."""
     inner = ind + "  "
-    if isinstance(value, (list, tuple)) and value:
-        pairs = _float_pairs(value, inner)
+    if isinstance(value, np.ndarray):
+        yield f"[{_render_pairs(value, inner)}{ind}]"
+    elif isinstance(value, (list, tuple)) and value:
+        pairs = _number_pairs(value, {float})
         if pairs is not None:
-            yield f"[{pairs}{ind}]"
+            yield f"[{_render_pairs(pairs, inner)}{ind}]"
             return
         sep = "["
         for item in value:
@@ -258,7 +354,9 @@ def document_bytes(d: int, n_members: int) -> int:
     """Bytes ``gen`` holds at once for n_members witnesses of dim d: per
     member and matrix entry, the complex entry and its document's [re, im]
     list of two Python floats (128 bytes), plus four complex d x d
-    temporaries while one member is built.  A negative d builds nothing."""
+    temporaries while one member is built.  A family is written from its
+    member stack without those lists, so for it this is an upper bound.  A
+    negative d builds nothing."""
     return (144 * n_members + 64) * max(d, 0) ** 2
 
 
@@ -299,14 +397,10 @@ def write_bloch_cloud(stream, x, y, z, values, detected) -> None:
     apart, and rows are joined and written _CSV_CHUNK_ROWS at a time.
     """
     stream.write("x,y,z,value,verdict\n")
-    codes = np.array([x, y, z, values], dtype=np.float64).view(np.int64)  # (4, n) bit patterns
-    bits = np.sort(codes, axis=None)
-    first = np.ones(bits.size, dtype=bool)
-    first[1:] = bits[1:] != bits[:-1]
-    bits = bits[first]  # each pattern once, ascending
+    bits, index = _distinct(np.array([x, y, z, values], dtype=np.float64).view(np.int64))
     cells = [f"{v!r}," for v in bits.view(np.float64).tolist()]
     pieces = np.array(cells + ["NotDetected\n", "Detected\n"], dtype=object)
-    index = np.vstack([np.searchsorted(bits, codes), len(cells) + detected])  # (5, n)
+    index = np.vstack([index, len(cells) + detected])  # (5, n)
     n = index.shape[1]
     for start in range(0, n, _CSV_CHUNK_ROWS):
         rows = pieces[index[:, start : start + _CSV_CHUNK_ROWS].T]
@@ -335,13 +429,8 @@ def _cmd_gen(args) -> int:
         coeffs = _parse_csv_floats(args.s, "--s") if args.s is not None else None
         family = finite_family(args.d, args.K, coeffs)
         used = list(coeffs) if coeffs is not None else [1.0] * n
-        member_docs = [
-            witness_to_document(
-                w, "family-member", {"d": args.d, "K": args.K, "index": args.d + t, "coeff": used[t]}
-            )
-            for t, w in enumerate(family.members)
-        ]
-        doc = family_to_document(family, member_docs)
+        params = [{"d": args.d, "K": args.K, "index": args.d + t, "coeff": c} for t, c in enumerate(used)]
+        doc = family_to_document(family, _member_documents(family, params))
     _write_json(args.out, doc)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

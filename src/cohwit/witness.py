@@ -9,6 +9,7 @@ detection report, and every constructor the library exposes.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,6 +59,11 @@ class DetectionReport:
     @property
     def detected(self) -> bool:
         return self.verdict is Verdict.DETECTED
+
+
+def _member_values(W: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    # Tr(W rho) of one witness matrix on every state of an (n, d, d) stack.
+    return np.real(np.einsum("ij,nji->n", W, stack))
 
 
 def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,7 +156,7 @@ class Witness:
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
         # (1, n) expectation values on an (n, d, d) stack.
-        return np.real(np.einsum("ij,nji->n", self._matrix, stack))[None]
+        return _member_values(self._matrix, stack)[None]
 
     def with_eps(self, detect_eps: float) -> "Witness":
         """Same operator, different detection margin."""
@@ -175,9 +181,11 @@ class Witness:
 class WitnessFamily:
     """Ordered, nonempty collection of same-dimension witnesses.
 
-    The members' intervals and margins are read once, at construction, into a
-    (3, members) bounds table that the kernel uses, so evaluation touches no
-    member object.
+    The members are held as one read-only (members, d, d) matrix stack and a
+    (3, members) table of their intervals and margins, which the kernel uses,
+    so evaluation touches no member object.  A family read from a document
+    builds its member witnesses from the stack on first access to
+    ``members``.
     """
 
     def __init__(self, label: str, members: Sequence[Witness]):
@@ -190,10 +198,28 @@ class WitnessFamily:
         self.label = label
         self._members = members
         self._dim = members[0].dim
+        self._stack = np.stack([w.matrix for w in members])
+        self._stack.setflags(write=False)
         self._bounds = np.concatenate([w._bounds for w in members], axis=1)
+
+    @classmethod
+    def _from_stack(cls, label: str, stack: np.ndarray, bounds: np.ndarray) -> "WitnessFamily":
+        """The family of a nonempty (members, d, d) stack that has passed
+        ``linalg``'s Hermiticity check, with its (3, members) bounds table:
+        each member's diagonal minimum and maximum and its margin."""
+        family = cls.__new__(cls)
+        family.label = label
+        family._members = None
+        family._dim = stack.shape[1]
+        family._stack = stack
+        family._stack.setflags(write=False)
+        family._bounds = bounds
+        return family
 
     @property
     def members(self) -> tuple[Witness, ...]:
+        if self._members is None:
+            self._members = tuple(Witness(W, eps) for W, eps in zip(self._stack, self._bounds[2].tolist()))
         return self._members
 
     @property
@@ -208,7 +234,7 @@ class WitnessFamily:
     def _values(self, stack: np.ndarray) -> np.ndarray:
         # One contraction per member: a single three-index einsum over the
         # whole family sums in a different order and changes last bits.
-        return np.concatenate([w._values(stack) for w in self.members])
+        return np.array([_member_values(W, stack) for W in self._stack])
 
     def evaluate(self, state: DensityMatrix) -> tuple[DetectionReport, ...]:
         """Every member's report on one state, in member order."""
@@ -235,12 +261,13 @@ class _GeneratorFamily(WitnessFamily):
     V after) is K/d on the diagonal plus the entries ``_upper[t]`` at (j, k)
     and ``_lower[t]`` at (k, j); every other entry is zero.  The entries come
     from the matrix expression :func:`generator_witness` evaluates, so they
-    carry its bits.  Member objects are built on first access to ``members``.
+    carry its bits.  The member stack is built on first use, and the member
+    objects from it on first access to ``members``; evaluation needs neither.
     """
 
     def __init__(self, label: str, d: int, K: float, coeffs: np.ndarray):
         self.label = label
-        self._dim, self._K, self._coeffs = d, K, coeffs.copy()
+        self._dim, self._K = d, K
         self._members = None
         n_pairs = len(coeffs) // 2
         # Every U member's pair entries sit in one matrix, every V member's in
@@ -258,15 +285,16 @@ class _GeneratorFamily(WitnessFamily):
         bounds = np.array([[diag.min()], [diag.max()], [DETECT_EPS]])
         self._bounds = np.repeat(bounds, len(coeffs), axis=1)
 
-    @property
-    def members(self) -> tuple[Witness, ...]:
-        if self._members is None:
-            d = self._dim
-            self._members = tuple(
-                generator_witness(d, self._K, np.where(np.arange(d * d - 1) == d - 1 + t, c, 0.0))
-                for t, c in enumerate(self._coeffs)
-            )
-        return self._members
+    @functools.cached_property
+    def _stack(self) -> np.ndarray:
+        # One scatter: the (K I)/d of a member with no pair coefficient, then
+        # each member's two pair entries.
+        d, t = self._dim, np.arange(len(self))
+        stack = np.repeat(_generator_matrix(d, self._K, np.zeros(d * d - 1))[None], len(self), axis=0)
+        stack[t, self._j, self._k] = self._upper
+        stack[t, self._k, self._j] = self._lower
+        stack.setflags(write=False)
+        return stack
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
         """The einsum's values from d row steps over one (members, n)

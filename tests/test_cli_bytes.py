@@ -87,6 +87,28 @@ def test_writer_on_a_witness_family_document(tmp_path):
     assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
+FLOAT_ROWS = st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=1, max_size=12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows=FLOAT_ROWS, more=FLOAT_ROWS)
+def test_writer_renders_float_arrays_as_their_lists(rows, more):
+    # An (n, 2) float64 array is written as its list of [re, im] pairs,
+    # strided views included.
+    a, b = np.array(rows, dtype=np.float64), np.array(more, dtype=np.float64)[::-1]
+    doc = {"entries": a, "members": [{"dim": 2, "entries": b}, a[:, ::-1]]}
+    listed = {"entries": a.tolist(), "members": [{"dim": 2, "entries": b.tolist()}, a[:, ::-1].tolist()]}
+    assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
+
+
+def test_writer_array_edge_values():
+    values = EDGE_FLOATS + [math.nan, -math.nan, math.inf, -math.inf]
+    a = np.array([[x, y] for x in values for y in values[::-1]])
+    text = written([a]).decode()
+    assert text == json.dumps([a.tolist()], indent=2) + "\n"
+    assert "NaN" in text and "-Infinity" in text and "-0.0" in text
+
+
 # --- reader ----------------------------------------------------------------
 
 
