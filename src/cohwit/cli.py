@@ -11,15 +11,15 @@ decimals, so written documents reload bit-for-bit.  Exit codes: 0 success or
 PASS, 2 malformed input, 3 verification FAIL.
 
 Byte contract.  A written document is exactly ``json.dumps(doc, indent=2)``
-plus a newline, written a piece at a time with each list of [re, im] float
-pairs rendered in one string, formatting each distinct float64 bit pattern
-and then each distinct pair once.  A family document is written from the
-family's (members, d, d) member stack and its bounds table, and read back
-into one such stack: every member's entries are type-checked in one pass,
-converted in one array and checked for Hermiticity and against their stored
-intervals at once, with no Witness built.  When any of that fails, the
-members are read one at a time, and a malformed entry is reported at its
-first index.  A ``bloch`` CSV row is exactly
+plus a newline.  ``gen`` builds every document from a (members, d, d) matrix
+stack and its bounds table; json writes the structure, and each member's
+entries, a (d*d, 2) float64 view of its stack row, are rendered in place by
+one renderer that spells floats as json does, one array at a time.  A family
+document is read back into one such stack: every member's entries are
+type-checked in one pass, converted in one array and checked for Hermiticity
+and against their stored intervals at once, with no Witness built.  When any
+of that fails, the members are read one at a time, and a malformed entry is
+reported at its first index.  A ``bloch`` CSV row is exactly
 ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\n"`` of Python floats, rendered from
 the arrays with one ``repr`` per distinct float64 bit pattern.
 """
@@ -86,18 +86,6 @@ def matrix_to_document(matrix) -> dict:
     }
 
 
-def _is_pair(entry) -> bool:
-    # A [re, im] list of two numbers, as _num accepts them.
-    return (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and isinstance(entry[0], (int, float))
-        and isinstance(entry[1], (int, float))
-        and type(entry[0]) is not bool
-        and type(entry[1]) is not bool
-    )
-
-
 def _raise_first_bad_entry(entries: list, what: str) -> None:
     # The DocumentError of the first entry that is not a pair of finite numbers.
     for i, pair in enumerate(entries):
@@ -122,14 +110,10 @@ def matrix_from_document(doc, *, what: str = "matrix") -> np.ndarray:
     # One type pass and one conversion; a malformed entry is then named by
     # the first index the per-entry checks reject.  The (re, im) float rows
     # are viewed as complex, which keeps every bit, signed zeros included.
-    flat = None
-    if all(map(_is_pair, entries)):
-        try:
-            flat = np.array(entries, dtype=np.float64)
-        except OverflowError:  # an integer beyond the float range
-            pass
+    flat = _number_pairs(entries, {int, float})
     if flat is None or not np.isfinite(flat).all():
         _raise_first_bad_entry(entries, what)
+        flat = np.array(entries, dtype=np.float64)  # numbers of int or float subclasses
     return flat.view(np.complex128).reshape(dim, dim)
 
 
@@ -141,12 +125,22 @@ def state_from_document(doc) -> DensityMatrix:
         raise DocumentError(f"state: {exc}") from exc
 
 
+def _member_documents(stack: np.ndarray, bounds: np.ndarray, kind: str, params: list[dict]) -> list[dict]:
+    """The witness document of every member t of a (members, d, d) matrix
+    stack with its (3, members) bounds table, kind ``kind`` and params
+    ``params[t]``; its entries are a (d*d, 2) float64 view of its stack row."""
+    m, d = stack.shape[:2]
+    entries = stack.reshape(m, d * d).view(np.float64).reshape(m, d * d, 2)
+    lo, hi, eps = bounds.tolist()
+    return [
+        {"dim": d, "entries": e, "interval": [a, b], "detect_eps": x, "kind": kind, "params": p}
+        for e, a, b, x, p in zip(entries, lo, hi, eps, params)
+    ]
+
+
 def witness_to_document(witness: Witness, kind: str = "custom", params: dict | None = None) -> dict:
-    doc = matrix_to_document(witness.matrix)
-    doc["interval"] = [witness.interval_lo, witness.interval_hi]
-    doc["detect_eps"] = witness.detect_eps
-    doc["kind"] = kind
-    doc["params"] = params or {}
+    (doc,) = _member_documents(witness.matrix[None], witness._bounds, kind, [params or {}])
+    doc["entries"] = doc["entries"].tolist()
     return doc
 
 
@@ -173,19 +167,6 @@ def witness_from_document(doc) -> Witness:
                 f"diagonal-derived {derived}"
             )
     return w
-
-
-def _member_documents(family: WitnessFamily, params: list[dict]) -> list[dict]:
-    """``witness_to_document(member, "family-member", params[t])`` of every member t,
-    read from the member stack and bounds table without member objects; each
-    member's entries are a (d*d, 2) float64 view of its stack row."""
-    m, d = len(family), family.dim
-    entries = family._stack.reshape(m, d * d).view(np.float64).reshape(m, d * d, 2)
-    lo, hi, eps = family._bounds.tolist()
-    return [
-        {"dim": d, "entries": e, "interval": [a, b], "detect_eps": x, "kind": "family-member", "params": p}
-        for e, a, b, x, p in zip(entries, lo, hi, eps, params)
-    ]
 
 
 def family_to_document(family: WitnessFamily, member_docs: list[dict]) -> dict:
@@ -276,10 +257,6 @@ def _load_json(path: str):
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
 
 
-# The string escaping of json.dumps with its default ensure_ascii=True.
-_quote = json.encoder.encode_basestring_ascii
-
-
 def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of an integer array, ascending, and the index of
     each element's value among them.  On float64 bit patterns this keeps 0.0
@@ -307,40 +284,34 @@ def _render_pairs(pairs: np.ndarray, ind: str) -> str:
     return ",".join(np.array(items, dtype=object)[which].tolist())
 
 
-def _json_pieces(value, ind: str) -> Iterator[str]:
-    """``json.dumps(value, indent=2)`` in pieces, where ``ind`` is a newline
-    and the indentation of the line ``value`` starts on.  An (n, 2) float64
-    array stands for its list of [re, im] pairs."""
-    inner = ind + "  "
-    if isinstance(value, np.ndarray):
-        yield f"[{_render_pairs(value, inner)}{ind}]"
-    elif isinstance(value, (list, tuple)) and value:
-        pairs = _number_pairs(value, {float})
-        if pairs is not None:
-            yield f"[{_render_pairs(pairs, inner)}{ind}]"
-            return
-        sep = "["
-        for item in value:
-            yield sep + inner
-            yield from _json_pieces(item, inner)
-            sep = ","
-        yield ind + "]"
-    elif isinstance(value, dict) and value:
-        sep = "{"
-        for key, item in value.items():  # a key that is not a str raises TypeError
-            yield f"{sep}{inner}{_quote(key)}: "
-            yield from _json_pieces(item, inner)
-            sep = ","
-        yield ind + "}"
-    else:  # a scalar, [] or {}
-        yield _quote(value) if isinstance(value, str) else json.dumps(value)
-
-
 def _write_json(path: str, doc) -> None:
-    # The bytes of json.dumps(doc, indent=2) + "\n", written a piece at a time.
+    """Write ``json.dumps(doc, indent=2)`` and a newline, where ``doc`` may
+    hold (n, 2) float64 arrays that stand for their lists of [re, im] pairs.
+    json's encoder writes the structure, its ``default`` hook putting a stub
+    chunk in each array's place; _render_pairs renders the array there, at the
+    indentation of the stub's line, and the file is written one array at a
+    time.  A stub that is not a chunk of its own raises ValueError."""
+    arrays = []
+
+    def stub(value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return "array"
+
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_pieces(doc, "\n"))
-        fh.write("\n")
+        text = []
+        for chunk in json.JSONEncoder(indent=2, default=stub).iterencode(doc):
+            if not arrays:
+                text.append(chunk)
+                continue
+            if chunk != '"array"':
+                raise ValueError("an array's stub did not arrive as a chunk of its own")
+            piece, text = "".join(text), []
+            line = piece[piece.rfind("\n") + 1 :]
+            ind = "\n" + line[: len(line) - len(line.lstrip(" "))]
+            fh.writelines((piece, "[", _render_pairs(arrays.pop(), ind + "  "), ind, "]"))
+        fh.write("".join(text) + "\n")
 
 
 def _parse_csv_floats(text: str, flag: str) -> list[float]:
@@ -351,12 +322,11 @@ def _parse_csv_floats(text: str, flag: str) -> list[float]:
 
 
 def document_bytes(d: int, n_members: int) -> int:
-    """Bytes ``gen`` holds at once for n_members witnesses of dim d: per
-    member and matrix entry, the complex entry and its document's [re, im]
-    list of two Python floats (128 bytes), plus four complex d x d
-    temporaries while one member is built.  A family is written from its
-    member stack without those lists, so for it this is an upper bound.  A
-    negative d builds nothing."""
+    """An upper bound on the bytes ``gen`` holds at once for n_members
+    witnesses of dim d: per member and matrix entry, the complex entry and a
+    [re, im] list of two Python floats (128 bytes), plus four complex d x d
+    temporaries while one member is built.  Every kind is written from its
+    matrix stack without those lists.  A negative d builds nothing."""
     return (144 * n_members + 64) * max(d, 0) ** 2
 
 
@@ -412,25 +382,30 @@ def _cmd_gen(args) -> int:
         _require(args, ("d", "m", "M"), "lemma2")
         _require_bytes(document_bytes(args.d, 1), f"gen --kind lemma2 at d={args.d}")
         w = canonical_witness(args.d, args.m, args.M)
-        doc = witness_to_document(w, "lemma2", {"d": args.d, "m": args.m, "M": args.M})
+        params = {"d": args.d, "m": args.m, "M": args.M}
     elif args.kind == "qubit":
         _require(args, ("a", "b", "c"), "qubit")
         w = qubit_witness(args.K, args.a, args.b, args.c)
-        doc = witness_to_document(w, "qubit", {"K": args.K, "a": args.a, "b": args.b, "c": args.c})
+        params = {"K": args.K, "a": args.a, "b": args.b, "c": args.c}
     elif args.kind == "eta":
         _require(args, ("d", "eta"), "eta")
         coeffs = _parse_csv_floats(args.eta, "--eta")
         w = generator_witness(args.d, args.K, coeffs)
-        doc = witness_to_document(w, "eta", {"d": args.d, "K": args.K, "eta": coeffs})
-    else:  # family
+        params = {"d": args.d, "K": args.K, "eta": coeffs}
+    if args.kind != "family":
+        (doc,) = _member_documents(w.matrix[None], w._bounds, args.kind, [params])
+    else:
         _require(args, ("d",), "family")
         n = args.d * (args.d - 1)
         _require_bytes(document_bytes(args.d, n), f"gen --kind family at d={args.d}")
         coeffs = _parse_csv_floats(args.s, "--s") if args.s is not None else None
         family = finite_family(args.d, args.K, coeffs)
-        used = list(coeffs) if coeffs is not None else [1.0] * n
-        params = [{"d": args.d, "K": args.K, "index": args.d + t, "coeff": c} for t, c in enumerate(used)]
-        doc = family_to_document(family, _member_documents(family, params))
+        params = [
+            {"d": args.d, "K": args.K, "index": args.d + t, "coeff": c}
+            for t, c in enumerate(coeffs if coeffs is not None else [1.0] * n)
+        ]
+        members = _member_documents(family._stack, family._bounds, "family-member", params)
+        doc = family_to_document(family, members)
     _write_json(args.out, doc)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -127,10 +127,15 @@ def generator_basis(d: int) -> GeneratorBasis:
 
 
 def generator(d: int, i: int) -> ComplexMatrix:
-    """The i-th basis generator (1-based, ordering per module docstring)."""
+    """The i-th basis generator (1-based, ordering per module docstring),
+    read-only; built alone, bit-identical to ``generator_basis(d)``'s."""
     if not 1 <= i <= d * d - 1:
         raise IndexOutOfRangeError(f"generator index {i} outside 1..{d * d - 1} for dim {d}")
-    return generator_basis(d).matrices[i - 1]
+    if d < 2:
+        raise DimensionMismatchError(f"generator basis needs dim >= 2, got {d}")
+    g = _operator(d, np.eye(1, d * d - 1, i - 1)[0])
+    g.setflags(write=False)
+    return g
 
 
 def bloch_vector(state: "DensityMatrix") -> np.ndarray:

@@ -31,7 +31,7 @@ from .errors import (
     NumericallyMarginalWarning,
 )
 from .generators import OFFDIAG_TOL, _operator, bloch_vector
-from .linalg import DETECT_EPS, _as_stack, _require_hermitian
+from .linalg import DETECT_EPS, _as_stack, _require_finite, _require_hermitian
 from .states import DensityMatrix
 
 # Off-diagonal moduli below this cannot anchor a tailored witness.
@@ -75,7 +75,9 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``_values``.  ``stack`` has shape (n, d, d); each result has shape
     (members, n).  This is the one home of the margin rule
     ``max(lo - value, value - hi)`` and of the verdict ``margin > detect_eps``.
-    A value or margin that overflows finite inputs raises NonFiniteError.
+    A state with a NaN or infinite entry raises NonFiniteError naming the
+    first such state, before any value is computed, and so does a value or
+    margin that overflows finite inputs.
     """
     d = source.dim
     stack = np.asarray(stack, dtype=np.complex128)
@@ -83,6 +85,8 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DimensionMismatchError(
             f"witness dim {d} does not match state stack of shape {stack.shape}"
         )
+    if not np.isfinite(stack).all():  # one pass; the state is named only on failure
+        _require_finite(stack, "state {t}")
     values = source._values(stack)
     lo, hi, eps = source._bounds[..., None]
     # max(lo - value, value - hi), with operands swapped because np.maximum
@@ -297,8 +301,8 @@ class _GeneratorFamily(WitnessFamily):
         return stack
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
-        """The einsum's values from d row steps over one (members, n)
-        accumulator.
+        """The einsum's values on a finite stack from d row steps over one
+        (members, n) accumulator.
 
         The einsum of a member with a state sums each row of W rho^T on its
         own and adds the row sums in order onto +0.  For member (j, k) row j
@@ -308,9 +312,6 @@ class _GeneratorFamily(WitnessFamily):
         zero entries add nothing to a finite sum.  Row step i reads column i of
         every state.
         """
-        if not np.isfinite(stack).all():
-            # A zero entry times inf is NaN in the einsum; keep its report.
-            return super()._values(stack)
         acc = np.zeros((len(self), len(stack)))
         row = np.empty_like(acc)
         for i in range(self._dim):

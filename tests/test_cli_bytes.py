@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,10 +75,69 @@ def test_writer_edge_documents(doc):
     assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def test_writer_refuses_keys_json_would_convert():
-    # A JSON object's keys are strings; the writer raises rather than guess.
-    with pytest.raises(TypeError):
-        written({"a": {1: "int key"}})
+def test_writer_converts_keys_as_json_does():
+    # json writes the structure, keys included.
+    doc = {"a": {1: "int key", 2.5: None, False: [], None: {}}}
+    assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def test_writer_refuses_what_json_refuses():
+    for doc in ({"x": object()}, {"x": np.int64(1)}, {(1, 2): 0}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            written(doc)
+
+
+GEN_K = ["-2.5", "-0.0", "0", "37", "1e-300"]
+GEN_ARGV = {
+    "lemma2": lambda K: ["--kind", "lemma2", "--d", "3", "--m", K, "--M", "37"],
+    "qubit": lambda K: ["--kind", "qubit", "--K", K, "--a", "-0.0", "--b", "1e-300", "--c", "-2"],
+    "eta": lambda K: ["--kind", "eta", "--d", "3", "--K", K, "--eta", "1,-0.0,-2.5,1e-300,37,-1,0.5,-0.125"],
+    "family": lambda K: ["--kind", "family", "--d", "4", "--K", K],
+    "family-signed-s": lambda K: ["--kind", "family", "--d", "3", "--K", K, "--s", "1,-1,-0.5,2.5,-37,1e-300"],
+}
+
+
+@pytest.mark.parametrize("K", GEN_K)
+@pytest.mark.parametrize("kind", GEN_ARGV)
+def test_gen_writes_json_of_its_own_document(tmp_path, kind, K):
+    path = tmp_path / "doc.json"
+    assert run(["gen", *GEN_ARGV[kind](K), "--out", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_entries_arrays_edge_values_match_json():
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, math.nan, math.inf, -math.inf]
+    a = np.array([[x, y] for x in values for y in values[::-1]])
+    for entries in (a, a[::-1], a[:, ::-1], a[::3], np.asfortranarray(a)):  # strided views included
+        doc = {"label": "edge", "members": [{"dim": 2, "entries": entries, "interval": [-0.0, 1e22]}]}
+        listed = {"label": "edge", "members": [{"dim": 2, "entries": entries.tolist(), "interval": [-0.0, 1e22]}]}
+        text = written(doc).decode()
+        assert text == json.dumps(listed, indent=2) + "\n"
+    assert "NaN" in text and "-Infinity" in text and "-0.0" in text and "5e-324" in text and "1e+22" in text
+
+
+def test_writer_keeps_strings_that_spell_the_stub():
+    a = np.array([[0.5, -0.0]])
+    doc = {"array": "array", "entries": a, "params": ["array", a, {"array": a}]}
+    listed = {"array": "array", "entries": a.tolist(), "params": ["array", a.tolist(), {"array": a.tolist()}]}
+    assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
+
+
+class OneChunkEncoder(json.JSONEncoder):
+    """A json encoder that yields its whole text as one chunk."""
+
+    def iterencode(self, o, _one_shot=False):
+        yield "".join(super().iterencode(o, _one_shot))
+
+
+def test_writer_raises_when_stubs_and_arrays_do_not_pair_up(monkeypatch):
+    # An array whose stub is not a chunk of its own is never written elsewhere.
+    monkeypatch.setattr(cli, "json", SimpleNamespace(JSONEncoder=OneChunkEncoder, dumps=json.dumps))
+    with pytest.raises(ValueError, match="stub"):
+        written({"dim": 2, "entries": np.zeros((4, 2))})
 
 
 def test_writer_on_a_witness_family_document(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cohwit import (
     DensityMatrix,
+    DimensionMismatchError,
     IndexOutOfRangeError,
     LengthMismatchError,
     bloch_vector,
@@ -40,6 +42,31 @@ def test_qutrit_second_diagonal_generator():
 def test_generator_index_out_of_range(d, i):
     with pytest.raises(IndexOutOfRangeError):
         generator(d, i)
+
+
+def test_negative_dim_generator_keeps_its_error():
+    with pytest.raises(DimensionMismatchError, match=r"^generator basis needs dim >= 2, got -3$"):
+        generator(-3, 1)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_generator_is_bit_equal_to_its_basis_entry(d):
+    basis = generator_basis(d).matrices
+    for i in range(1, d * d):
+        g = generator(d, i)
+        assert g.dtype == basis[i - 1].dtype and g.tobytes() == basis[i - 1].tobytes()
+        assert not g.flags.writeable
+
+
+def test_generator_builds_one_matrix_not_the_basis():
+    generator_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        generator(30, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the d = 30 basis is about 13 MB
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

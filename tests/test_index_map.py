@@ -205,3 +205,12 @@ def test_generator_family_reports_non_finite_states_as_its_members_do():
             source.evaluate_batch(stack)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+def test_non_finite_states_are_refused_before_the_member_stack_is_built():
+    family = finite_family(30)
+    stack = np.zeros((3, 30, 30), dtype=np.complex128)
+    stack[2, 4, 7] = complex(0.0, np.nan)
+    with pytest.raises(NonFiniteError, match=r"^state 2 contains non-finite entries$"):
+        family.evaluate_batch(stack)
+    assert "_stack" not in vars(family)  # the cached member stack was never built

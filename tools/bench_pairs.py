@@ -4,6 +4,11 @@
         --pairs verify-large-d=10,verify-small-d=5,bloch-csv=5,family-doc=5 \
         --topic "..." --out BENCH_topic.json
 
+``--claim`` names the workload whose ``cmd_p50_s`` the change claims to
+improve; without it no gain is claimed and the summary has no claim line.
+The summary always lists every workload's ``cmd_p50_s`` medians and pair
+wins and each end-to-end metric's change/parent median ratio.
+
 Each checkout is a full tree (for example ``git archive`` of a commit) with
 its own ``benchmarks/run.py``.  Pair i of a workload runs both checkouts at
 seed i + 1, one after the other, alternating which runs first.  Then each
@@ -93,7 +98,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--pairs", required=True, help="comma-separated WORKLOAD=PAIRS")
-    parser.add_argument("--claim", required=True, help="workload whose cmd_p50_s the change claims")
+    parser.add_argument("--claim", help="workload whose cmd_p50_s the change claims (default: no claim)")
     parser.add_argument("--topic", required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", required=True)
@@ -101,6 +106,8 @@ def main(argv=None) -> int:
 
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     plan = [(w, int(n)) for w, n in (item.split("=") for item in args.pairs.split(","))]
+    if args.claim is not None and args.claim not in dict(plan):
+        parser.error(f"--claim {args.claim} is not among the --pairs workloads")
     report = {
         "topic": args.topic,
         "command": f"python3 benchmarks/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
@@ -121,22 +128,27 @@ def main(argv=None) -> int:
         report["per_layer_trace_seed1"][workload] = traced
     report["machine"] = {k: v for k, v in rec["machine"].items() if k != "git_commit"}
 
-    claim = report["workloads"][args.claim]
-    p50 = claim["metrics"]["cmd_p50_s"]
-    held = claim[f"holdout_seed_{HOLDOUT_SEED}"]
-    report["summary"] = {
-        "claim": f"cmd_p50_s on {args.claim} improves",
-        f"{args.claim} cmd_p50_s": (
+    summary = {}
+    if args.claim is not None:
+        held = report["workloads"][args.claim][f"holdout_seed_{HOLDOUT_SEED}"]
+        summary["claim"] = f"cmd_p50_s on {args.claim} improves"
+        summary[f"hold-out seed {HOLDOUT_SEED}, {args.claim} cmd_p50_s"] = (
+            f"parent {held['parent']['cmd_p50_s']:.4f} s, change {held['change']['cmd_p50_s']:.4f} s"
+        )
+    for workload, result in report["workloads"].items():
+        p50 = result["metrics"]["cmd_p50_s"]
+        summary[f"{workload} cmd_p50_s"] = (
             f"parent median {p50['parent']['median']:.4f} s (IQR {p50['parent']['q1']:.4f}-{p50['parent']['q3']:.4f}), "
             f"change {p50['change']['median']:.4f} s (IQR {p50['change']['q1']:.4f}-{p50['change']['q3']:.4f}); "
-            f"change faster in {p50['change_wins']} of {claim['pairs']} pairs"
-        ),
-        f"hold-out seed {HOLDOUT_SEED}, {args.claim} cmd_p50_s": (
-            f"parent {held['parent']['cmd_p50_s']:.4f} s, change {held['change']['cmd_p50_s']:.4f} s"
-        ),
-        "failed": {w: r["failed"] for w, r in report["workloads"].items()},
-        "output_sha256_equal_every_seed": {w: r["output_sha256_equal_every_seed"] for w, r in report["workloads"].items()},
+            f"change faster in {p50['change_wins']} of {result['pairs']} pairs"
+        )
+    summary["change_over_parent_median"] = {
+        w: {name: m["change_over_parent_median"] for name, m in r["metrics"].items()}
+        for w, r in report["workloads"].items()
     }
+    summary["failed"] = {w: r["failed"] for w, r in report["workloads"].items()}
+    summary["output_sha256_equal_every_seed"] = {w: r["output_sha256_equal_every_seed"] for w, r in report["workloads"].items()}
+    report["summary"] = summary
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
