@@ -14,7 +14,9 @@ Byte contract.  A written document is exactly ``json.dumps(doc, indent=2)``
 plus a newline.  ``gen`` builds every document from a (members, d, d) matrix
 stack and its bounds table; json writes the structure, and each member's
 entries, a (d*d, 2) float64 view of its stack row, are rendered in place by
-one renderer that spells floats as json does, one array at a time.  A family
+one renderer that spells floats as json does.  Arrays are rendered in
+4096-row batches, still streamed: a batch is written once its rows are
+rendered, so memory stays bounded by the batch, not the document.  A family
 document is read back into one such stack: every member's entries are
 type-checked in one pass, converted in one array and checked for Hermiticity
 and against their stored intervals at once, with no Witness built.  When any
@@ -43,6 +45,8 @@ from .verify import (
     COHERENCE_THRESHOLD,
     _require_bytes,
     bloch_grid,
+    coverage_bytes,
+    generator_coverage_bytes,
     qubit_states_stack,
     require_coverage_budget,
     verify_coverage,
@@ -60,7 +64,8 @@ from .witness import (
 # most this much before a document is rejected.
 INTERVAL_DOC_TOL = 1e-12
 
-# Rows of the bloch CSV joined into one write.
+# Rows joined into one write: rows of the bloch CSV, and [re, im] rows of a
+# document's arrays rendered as one batch.
 _CSV_CHUNK_ROWS = 4096
 
 _KINDS = ("lemma2", "tailored", "qubit", "eta", "family-member", "custom")
@@ -268,29 +273,46 @@ def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.searchsorted(values, codes)
 
 
-def _render_pairs(pairs: np.ndarray, ind: str) -> str:
-    """The rows of an (n, 2) float64 array as ``json.dumps(pairs.tolist(),
-    indent=2)`` renders the items of that list, each on lines indented by
-    ``ind``.  Each distinct float64 bit pattern is formatted once, then each
-    distinct pair once."""
-    bits, index = _distinct(np.ascontiguousarray(pairs, dtype=np.float64).view(np.int64))
+def _render_pairs(batch: list[tuple[str, np.ndarray, str]]) -> list[str]:
+    """The text of a batch of (prefix, array, ind) triples, as pieces to
+    write in order: each prefix, then its (n, 2) float64 array as
+    ``json.dumps(array.tolist(), indent=2)`` renders it on a line indented by
+    ``ind`` (a newline and spaces).  The whole batch is rendered at once: each
+    distinct float64 bit pattern is spelled once, each distinct pair at each
+    indentation once, and the rows of every array come from one gather.  The
+    pieces are not joined, which would copy the batch's text once more."""
+    arrays = [a for _, a, _ in batch]
+    bits, index = _distinct(np.concatenate(arrays, dtype=np.float64).view(np.int64))
     # json.dumps spells NaN and the infinities as NaN, Infinity and -Infinity.
     texts = [json.dumps(v) for v in bits.view(np.float64).tolist()]
-    codes, which = _distinct(index[:, 0] * len(bits) + index[:, 1])
+    n = len(bits)
+    inds = sorted({ind for _, _, ind in batch})
+    level = np.repeat([inds.index(ind) for _, _, ind in batch], [len(a) for a in arrays])
+    codes, which = _distinct((level * n + index[:, 0]) * n + index[:, 1])
+    level, pair = np.divmod(codes, n * n)
+    re, im = np.divmod(pair, n)
     items = [
-        f"{ind}[{ind}  {texts[re]},{ind}  {texts[im]}{ind}]"
-        for re, im in zip(*(a.tolist() for a in np.divmod(codes, len(bits))))
+        f"{inds[k]}  [{inds[k]}    {texts[r]},{inds[k]}    {texts[i]}{inds[k]}  ]"
+        for k, r, i in zip(level.tolist(), re.tolist(), im.tolist())
     ]
-    return ",".join(np.array(items, dtype=object)[which].tolist())
+    rows = np.array(items, dtype=object)[which].tolist()
+    out, start = [], 0
+    for prefix, a, ind in batch:
+        stop = start + len(a)
+        out += (prefix, "[", ",".join(rows[start:stop]), ind, "]") if stop > start else (prefix, "[]")
+        start = stop
+    return out
 
 
 def _write_json(path: str, doc) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline, where ``doc`` may
     hold (n, 2) float64 arrays that stand for their lists of [re, im] pairs.
     json's encoder writes the structure, its ``default`` hook putting a stub
-    chunk in each array's place; _render_pairs renders the array there, at the
-    indentation of the stub's line, and the file is written one array at a
-    time.  A stub that is not a chunk of its own raises ValueError."""
+    chunk in each array's place.  The text before each stub and the array are
+    held until the held arrays reach _CSV_CHUNK_ROWS rows or the document
+    ends; _render_pairs then renders them together, each at the indentation
+    of its stub's line, and the batch is written.  A stub that is not a chunk
+    of its own raises ValueError."""
     arrays = []
 
     def stub(value):
@@ -300,7 +322,7 @@ def _write_json(path: str, doc) -> None:
         return "array"
 
     with open(path, "w", encoding="utf-8") as fh:
-        text = []
+        text, batch, rows = [], [], 0
         for chunk in json.JSONEncoder(indent=2, default=stub).iterencode(doc):
             if not arrays:
                 text.append(chunk)
@@ -309,8 +331,14 @@ def _write_json(path: str, doc) -> None:
                 raise ValueError("an array's stub did not arrive as a chunk of its own")
             piece, text = "".join(text), []
             line = piece[piece.rfind("\n") + 1 :]
-            ind = "\n" + line[: len(line) - len(line.lstrip(" "))]
-            fh.writelines((piece, "[", _render_pairs(arrays.pop(), ind + "  "), ind, "]"))
+            array = arrays.pop()
+            batch.append((piece, array, "\n" + line[: len(line) - len(line.lstrip(" "))]))
+            rows += len(array)
+            if rows >= _CSV_CHUNK_ROWS:
+                fh.writelines(_render_pairs(batch))
+                batch, rows = [], 0
+        if batch:
+            fh.writelines(_render_pairs(batch))
         fh.write("".join(text) + "\n")
 
 
@@ -442,9 +470,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise DocumentError(f"--samples: must be >= 1, got {args.samples}")
-    # Checked against the built-in family's d(d-1) members before any is built;
-    # verify_coverage checks again with the family actually used.
-    require_coverage_budget(args.d, args.samples, args.d * (args.d - 1))
+    # Checked for d(d-1) members before any family is built; verify_coverage
+    # checks again with the family actually used.
+    estimate = coverage_bytes if args.family is not None else generator_coverage_bytes
+    require_coverage_budget(estimate, args.d, args.samples, args.d * (args.d - 1))
     if args.family is not None:
         family = family_from_document(_load_json(args.family))
         if family.dim != args.d:

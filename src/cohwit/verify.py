@@ -17,13 +17,14 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidParameterError
 from .rng import Seed
 from .states import (
+    _BLOCK_ENTRIES,
     DensityMatrix,
     l1_coherence_batch,
     sample_ensemble,
     sample_hermitian_batch,
     sample_incoherent_batch,
 )
-from .witness import Witness, WitnessFamily, is_effective_qubit, qubit_witness
+from .witness import Witness, WitnessFamily, _GeneratorFamily, _slack, is_effective_qubit, qubit_witness
 
 # States with l1 coherence at or below this are exempt from detection demands:
 # their witness margins sit below numerical resolution.
@@ -105,11 +106,23 @@ def mixed_ensemble(d: int, n_states: int, seed: Seed) -> list[DensityMatrix]:
 
 
 def coverage_bytes(d: int, n_states: int, n_members: int) -> int:
-    """Bytes a coverage sweep holds at once: the complex (n_states, d, d)
-    state stack and the members' d x d matrices, plus, per (member, state)
-    pair, the kernel's float values, margins and two margin temporaries and
-    its bool verdict."""
+    """Bytes a coverage sweep of a family that holds its member matrices (a
+    family built from witnesses or read from a document) holds at once: the
+    complex (n_states, d, d) state stack and the members' d x d matrices,
+    plus, per (member, state) pair, the kernel's float values, margins and two
+    margin temporaries and its bool verdict."""
     return 16 * d * d * (n_states + n_members) + 33 * n_members * n_states
+
+
+def generator_coverage_bytes(d: int, n_states: int, n_members: int) -> int:
+    """Bytes a coverage sweep of the built-in :func:`finite_family` holds at
+    once.  That family keeps no member matrix, so this counts the complex
+    (n_states, d, d) state stack; per (member, state) pair, the 33 bytes of
+    :func:`coverage_bytes` and the kernel's float row buffer; and 128 bytes
+    per entry of one sampling block, which covers the sampler's temporaries
+    and, before the sweep, the family's construction."""
+    block = max(_BLOCK_ENTRIES, d * d)
+    return 16 * d * d * n_states + 41 * n_members * n_states + 128 * block
 
 
 def bloch_bytes(grid_n: int) -> int:
@@ -129,10 +142,12 @@ def _require_bytes(need: int, task: str) -> None:
         )
 
 
-def require_coverage_budget(d: int, n_states: int, n_members: int) -> None:
-    """Reject a sweep whose :func:`coverage_bytes` exceed ``MAX_COVERAGE_BYTES``."""
+def require_coverage_budget(estimate, d: int, n_states: int, n_members: int) -> None:
+    """Reject a sweep whose ``estimate(d, n_states, n_members)``, one of
+    :func:`coverage_bytes` and :func:`generator_coverage_bytes`, exceeds
+    ``MAX_COVERAGE_BYTES``."""
     _require_bytes(
-        coverage_bytes(d, n_states, n_members),
+        estimate(d, n_states, n_members),
         f"a sweep of {n_states} states against {n_members} members at d={d}",
     )
 
@@ -203,7 +218,8 @@ def verify_coverage(
     for s in extra_states:
         if s.dim != d:
             raise DimensionMismatchError(f"extra state dim {s.dim} does not match d={d}")
-    require_coverage_budget(d, n_states + len(extra_states), len(family))
+    estimate = generator_coverage_bytes if isinstance(family, _GeneratorFamily) else coverage_bytes
+    require_coverage_budget(estimate, d, n_states + len(extra_states), len(family))
     stack = sample_ensemble(d, n_states, seed)
     if extra_states:
         stack = np.concatenate([stack, [s.matrix for s in extra_states]])
@@ -262,13 +278,15 @@ def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) ->
     """Compare witness verdicts against |ax + by + cz| > |c| on a ball lattice.
 
     Verdicts come from the actual matrix evaluation; the predicate is computed
-    independently from the coordinates with the same 2 * detect_eps buffer, so
-    boundary-plane lattice points agree on NotDetected from both sides.
+    independently from the coordinates with the same 2 * (detect_eps + slack)
+    buffer, so boundary-plane lattice points agree on NotDetected from both
+    sides.
     """
     x, y, z = bloch_grid(grid_n)
     w = qubit_witness(K, a, b, c)
     _, _, detected = w.evaluate_batch(qubit_states_stack(x, y, z))
-    predicate = np.abs(a * x + b * y + c * z) > abs(c) + 2.0 * w.detect_eps
+    slack = float(_slack(w._bounds, 2)[0])
+    predicate = np.abs(a * x + b * y + c * z) > abs(c) + 2.0 * (w.detect_eps + slack)
     n_mismatch = int(np.count_nonzero(detected != predicate))
     return GeometryReport(
         grid_n=grid_n,

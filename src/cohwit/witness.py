@@ -31,7 +31,7 @@ from .errors import (
     NumericallyMarginalWarning,
 )
 from .generators import OFFDIAG_TOL, _operator, bloch_vector
-from .linalg import DETECT_EPS, _as_stack, _require_finite, _require_hermitian
+from .linalg import DETECT_EPS, PSD_FLOOR, TRACE_DEV, _as_stack, _require_finite, _require_hermitian
 from .states import DensityMatrix
 
 # Off-diagonal moduli below this cannot anchor a tailored witness.
@@ -48,7 +48,9 @@ class DetectionReport:
     """Outcome of evaluating one witness on one state.
 
     ``margin = max(lo - value, value - hi)``; positive means the value fell
-    outside the interval, and detection requires ``margin > detect_eps``.
+    outside the interval, and detection requires ``margin > detect_eps +
+    slack``, where the slack (see ``_slack``) covers how far a diagonal state
+    that validation accepts can leave the interval.
     """
 
     value: float
@@ -66,6 +68,18 @@ def _member_values(W: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ij,nji->n", W, stack))
 
 
+def _slack(bounds: np.ndarray, d: int) -> np.ndarray:
+    """How far the value of a diagonal state that validation accepts can
+    leave [lo, hi], for each member of a (3, members) bounds table at dim d.
+
+    Its diagonal p has a trace within TRACE_DEV of 1 and entries down to
+    -PSD_FLOOR, so sum_k p_k W_kk exceeds hi (or falls below lo) by at most
+    ``max(|lo|, |hi|) * TRACE_DEV + (d - 1) * (hi - lo) * PSD_FLOOR``.
+    """
+    lo, hi = bounds[:2]
+    return np.maximum(np.abs(lo), np.abs(hi)) * TRACE_DEV + (d - 1) * (hi - lo) * PSD_FLOOR
+
+
 def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, margins and verdicts of every member of ``source`` on every
     state matrix.
@@ -74,7 +88,9 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (lo, hi, eps) bounds as a (3, members) table and their values through
     ``_values``.  ``stack`` has shape (n, d, d); each result has shape
     (members, n).  This is the one home of the margin rule
-    ``max(lo - value, value - hi)`` and of the verdict ``margin > detect_eps``.
+    ``max(lo - value, value - hi)`` and of the verdict ``margin > detect_eps +
+    slack``, with the slack of :func:`_slack`, so no diagonal state that
+    validation accepts is ever detected.
     A state with a NaN or infinite entry raises NonFiniteError naming the
     first such state, before any value is computed, and so does a value or
     margin that overflows finite inputs.
@@ -96,7 +112,7 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if bad.any():
         i, t = np.unravel_index(np.argmax(bad), bad.shape)
         raise NonFiniteError(f"witness {i} on state {t}: value {values[i, t]} or its margin overflows")
-    return values, margins, margins > eps
+    return values, margins, margins > eps + _slack(source._bounds, d)[:, None]
 
 
 def _reports(source, state: DensityMatrix) -> tuple[DetectionReport, ...]:
@@ -115,8 +131,9 @@ class Witness:
     The interval endpoints are always recomputed from the matrix diagonal at
     construction (min and max of the real parts); callers cannot inject an
     inconsistent interval.  ``detect_eps`` is the strict-with-tolerance margin:
-    values within ``detect_eps`` of the interval report NotDetected, so the
-    witness never claims coherence on numerical fuzz.
+    values within ``detect_eps`` plus the slack of :func:`_slack` of the
+    interval report NotDetected, so the witness never claims coherence on
+    numerical fuzz or on a diagonal state that validation accepts.
     """
 
     def __init__(self, matrix, detect_eps: float = DETECT_EPS):
@@ -399,7 +416,8 @@ def qubit_witness(K: float, a: float, b: float, c: float) -> Witness:
 
     Interval [(K - |c|)/2, (K + |c|)/2]; on the qubit state with coordinates
     (x, y, z) the expectation is (K + ax + by + cz)/2, so detection is
-    equivalent to |ax + by + cz| > |c| + 2 * DETECT_EPS.
+    equivalent to |ax + by + cz| > |c| + 2 * (DETECT_EPS + slack), with
+    slack = max(|K - |c||, |K + |c||) * TRACE_DEV / 2 + |c| * PSD_FLOOR.
     """
     if a == 0.0 and b == 0.0 and c == 0.0:
         raise ZeroOperatorError("qubit witness needs a, b, c not all zero")

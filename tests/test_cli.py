@@ -356,6 +356,8 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         ["verify", "--d", "4", "--samples", "1000000000", "--seed", "0"],
         ["verify", "--d", "100000", "--samples", "1", "--seed", "0"],
         ["verify", "--d", "300", "--samples", "100000", "--seed", "0", "--family", "{out}"],
+        ["verify", "--d", "700", "--samples", "40", "--seed", "0"],  # 1.18 GB, built-in family
+        ["verify", "--d", "91", "--samples", "40", "--seed", "0", "--family", "{out}"],  # 1.10 GB
     ],
 )
 def test_oversized_sweep_rejected_before_building(monkeypatch, tmp_path, capsys, argv):
@@ -370,6 +372,13 @@ def test_oversized_sweep_rejected_before_building(monkeypatch, tmp_path, capsys,
     assert captured.err.startswith("error:") and "bytes" in captured.err
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
+
+
+def test_builtin_family_sweep_above_d90_runs(capsys):
+    # The built-in family holds no member matrix, so its sweep is charged
+    # without one: about 20 MB here, where 16 B per member entry made 1.10 GB.
+    assert run(["verify", "--d", "91", "--samples", "40", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,14 @@ from hypothesis import strategies as st
 
 from cohwit import DocumentError, sample_ginibre
 from cohwit import cli
-from cohwit.cli import bloch_cloud, matrix_from_document, matrix_to_document, run, write_bloch_cloud
+from cohwit.cli import (
+    bloch_cloud,
+    document_bytes,
+    matrix_from_document,
+    matrix_to_document,
+    run,
+    write_bloch_cloud,
+)
 
 # --- writer ----------------------------------------------------------------
 
@@ -124,6 +132,57 @@ def test_writer_keeps_strings_that_spell_the_stub():
     doc = {"array": "array", "entries": a, "params": ["array", a, {"array": a}]}
     listed = {"array": "array", "entries": a.tolist(), "params": ["array", a.tolist(), {"array": a.tolist()}]}
     assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
+
+
+def test_writer_writes_empty_arrays_as_json_does():
+    empty = np.zeros((0, 2))
+    assert written({"entries": empty}) == b'{\n  "entries": []\n}\n'
+    doc = [empty, np.array([[0.5, -0.0]]), {"a": empty}, empty]  # empties inside a batch
+    listed = [[], [[0.5, -0.0]], {"a": []}, []]
+    assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
+
+
+def pair_rows(n: int, seed: int) -> np.ndarray:
+    """(n, 2) float64 rows drawn from a few values, signed zeros included."""
+    values = np.array([0.0, -0.0, 0.5, -1.5, 1e-300, 1e22, math.inf])
+    return values[np.random.default_rng(seed).integers(0, len(values), size=(n, 2))]
+
+
+def test_writer_batches_straddle_the_row_budget(monkeypatch):
+    # 4093 + 7 rows fill the first batch past the budget, with the arrays at
+    # indentations 2 and 6; 4097 rows make a batch alone; 5 rows end the
+    # document.  Each batch is one _render_pairs call.
+    n = cli._CSV_CHUNK_ROWS
+    a, b, c, e = pair_rows(n - 3, 1), pair_rows(7, 2), pair_rows(n + 1, 3), pair_rows(5, 4)
+    doc = {"top": a, "members": [{"entries": b}, {"deeper": [c]}], "last": e}
+    listed = {"top": a.tolist(), "members": [{"entries": b.tolist()}, {"deeper": [c.tolist()]}], "last": e.tolist()}
+    batches = []
+    render = cli._render_pairs
+    monkeypatch.setattr(cli, "_render_pairs", lambda batch: batches.append(len(batch)) or render(batch))
+    assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
+    assert batches == [2, 1, 1]
+
+
+def test_writer_keeps_a_stub_string_between_batches():
+    a = pair_rows(cli._CSV_CHUNK_ROWS, 5)  # one full batch, written before the string arrives
+    doc = {"first": a, "name": "array", "list": ["array", a[:3], "array"]}
+    listed = {"first": a.tolist(), "name": "array", "list": ["array", a[:3].tolist(), "array"]}
+    assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
+
+
+def test_gen_family_d30_matches_json_within_its_memory_bound(tmp_path):
+    # The row budget bounds what the writer holds: the traced peak is 0.12 of
+    # document_bytes at d = 30 with rows rendered 4096 at a time.
+    path = tmp_path / "fam.json"
+    tracemalloc.start()
+    try:
+        assert run(["gen", "--kind", "family", "--d", "30", "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.13 * document_bytes(30, 30 * 29)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class OneChunkEncoder(json.JSONEncoder):

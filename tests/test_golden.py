@@ -46,6 +46,19 @@ def test_verify_stdout(capsys, d, samples, K, digest):
     assert sha256(capsys.readouterr().out.encode()) == digest
 
 
+def test_verify_stdout_with_the_error_budget(capsys):
+    # With K = 1e6 every member's interval is the point 2.5e5, and a state
+    # whose trace is off by up to 1e-9 moves its value by up to 2.5e-4: the
+    # slack in the verdict rule.  Margins below it no longer count as hits,
+    # so per_witness_hits and min_margin_detected differ from the output
+    # before the slack (digest 4bdddf47...8603); the verdict is still PASS.
+    argv = ["verify", "--d", "4", "--samples", "200", "--seed", "2024", "--K", "1e6"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode()) == "436a49c6b7337d7bc607a0db7346c76e2c71f3eb607bda028fa1ef75f9d03870"
+    assert '"per_witness_hits": [100, 99, 100, 100, 100, 100, 100, 98, 100, 100, 99, 100]' in out
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,13 @@ from cohwit import (
     verify_incoherent_containment,
 )
 from cohwit.cli import document_bytes
-from cohwit.verify import MAX_COVERAGE_BYTES, bloch_bytes, bloch_grid, coverage_bytes
+from cohwit.verify import (
+    MAX_COVERAGE_BYTES,
+    bloch_bytes,
+    bloch_grid,
+    coverage_bytes,
+    generator_coverage_bytes,
+)
 
 
 class TestMixedEnsemble:
@@ -96,6 +104,39 @@ class TestCoverage:
         assert coverage_bytes(4, 1000, 12) < MAX_COVERAGE_BYTES
         assert coverage_bytes(4, 10**9, 12) > MAX_COVERAGE_BYTES
         assert coverage_bytes(10**5, 1, 10**5 * (10**5 - 1)) > MAX_COVERAGE_BYTES
+
+    def test_builtin_family_estimate_holds_no_member_matrix(self):
+        # State stack at 16 B per entry, 41 B per (member, state) pair and
+        # 128 B per entry of one sampling block (4096 entries, or one state).
+        assert generator_coverage_bytes(4, 1000, 12) == 16 * 16 * 1000 + 41 * 12 * 1000 + 128 * 4096
+        assert generator_coverage_bytes(90, 40, 1) == 16 * 8100 * 40 + 41 * 40 + 128 * 8100
+        assert generator_coverage_bytes(91, 40, 91 * 90) < MAX_COVERAGE_BYTES < coverage_bytes(91, 40, 91 * 90)
+        assert generator_coverage_bytes(700, 40, 700 * 699) > MAX_COVERAGE_BYTES
+        assert generator_coverage_bytes(10**5, 1, 10**5 * (10**5 - 1)) > MAX_COVERAGE_BYTES
+
+    @pytest.mark.parametrize("d", [12, 40, 90])
+    def test_estimates_cover_the_traced_peak_of_a_sweep(self, d):
+        # The built-in family is built inside the trace, as the CLI builds it
+        # after its size check.  A family that holds member matrices exists
+        # before its sweep; its estimate also counts those matrices.  At
+        # d = 90 it holds the first 180 members, since all 8010 are over the cap.
+        n, members = 40, 180 if d == 90 else d * (d - 1)
+        tracemalloc.start()
+        try:
+            verify_coverage(finite_family(d), d, n, 1)
+            builtin = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert builtin <= generator_coverage_bytes(d, n, d * (d - 1))
+        coeffs = np.eye(d * d - 1)[d - 1 : d - 1 + members]
+        family = WitnessFamily("stacked", [generator_witness(d, 0.0, eta) for eta in coeffs])
+        tracemalloc.start()
+        try:
+            verify_coverage(family, d, n, 1)
+            stacked = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stacked <= coverage_bytes(d, n, members)
 
     def test_lattice_and_document_estimates(self):
         # 177 B per lattice point; 144 B per member entry plus 64 B per entry.

@@ -5,9 +5,15 @@
         --topic "..." --out BENCH_topic.json
 
 ``--claim`` names the workload whose ``cmd_p50_s`` the change claims to
-improve; without it no gain is claimed and the summary has no claim line.
-The summary always lists every workload's ``cmd_p50_s`` medians and pair
-wins and each end-to-end metric's change/parent median ratio.
+improve; without it no gain is claimed and the summary has no claim lines.
+With it, ``claim_met`` is true when the change is faster in at least nine
+tenths of that workload's pairs and its median is lower than the parent's by
+more than the parent's interquartile range; the hold-out seed's result is
+reported beside it.  The summary always lists every workload's ``cmd_p50_s``
+medians and pair wins, each end-to-end metric's change/parent median ratio,
+and under ``beyond_bound`` every (workload, metric) whose ratio is worse than
+that metric's bound in the change checkout's ``BENCHMARK.json``, which the
+tool only reads.
 
 Each checkout is a full tree (for example ``git archive`` of a commit) with
 its own ``benchmarks/run.py``.  Pair i of a workload runs both checkouts at
@@ -28,14 +34,20 @@ import subprocess
 import sys
 
 HOLDOUT_SEED = 8_675_309
-END_TO_END = {  # metric -> True when higher is better
-    "setup_s": False,
-    "cmd_p50_s": False,
-    "cmd_tail_s": False,
-    "items_per_s": True,
-    "peak_rss_mb": False,
-}
 SIDES = ("parent", "change")
+
+
+def end_to_end_metrics(tree: str) -> dict:
+    """{metric: (higher_is_better, bound)} of the end-to-end metrics that
+    ``tree``'s BENCHMARK.json declares."""
+    with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: (m["better"] == "higher", m["bound"]) for m in spec["end_to_end"]}
+
+
+def beyond_bound(ratio: float, higher: bool, bound: float) -> bool:
+    """Whether a change/parent median ratio is worse than ``bound`` allows."""
+    return ratio < 1.0 - bound if higher else ratio > 1.0 + bound
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -54,7 +66,7 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(trees: dict, workload: str, pairs: int, seconds: float) -> dict:
+def compare(trees: dict, workload: str, pairs: int, seconds: float, end_to_end: dict) -> dict:
     runs = {side: [] for side in SIDES}
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -63,7 +75,7 @@ def compare(trees: dict, workload: str, pairs: int, seconds: float) -> dict:
             print(f"{workload} seed {i + 1} {side}: "
                   f"cmd_p50_s {runs[side][-1][1]['metrics']['cmd_p50_s']['value']:.4g}", file=sys.stderr)
     metrics = {}
-    for name, higher in END_TO_END.items():
+    for name, (higher, _) in end_to_end.items():
         values = {side: [res["metrics"][name]["value"] for _, res in runs[side]] for side in SIDES}
         wins = sum((c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"]))
         metrics[name] = {
@@ -105,6 +117,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    end_to_end = end_to_end_metrics(trees["change"])
     plan = [(w, int(n)) for w, n in (item.split("=") for item in args.pairs.split(","))]
     if args.claim is not None and args.claim not in dict(plan):
         parser.error(f"--claim {args.claim} is not among the --pairs workloads")
@@ -118,7 +131,7 @@ def main(argv=None) -> int:
         "per_layer_trace_seed1": {},
     }
     for workload, pairs in plan:
-        report["workloads"][workload] = compare(trees, workload, pairs, args.seconds)
+        report["workloads"][workload] = compare(trees, workload, pairs, args.seconds, end_to_end)
     for workload, _ in plan:
         traced = {}
         for side in SIDES:
@@ -130,8 +143,17 @@ def main(argv=None) -> int:
 
     summary = {}
     if args.claim is not None:
-        held = report["workloads"][args.claim][f"holdout_seed_{HOLDOUT_SEED}"]
+        claimed = report["workloads"][args.claim]
+        p50 = claimed["metrics"]["cmd_p50_s"]
+        gap = p50["parent"]["median"] - p50["change"]["median"]
+        iqr = p50["parent"]["q3"] - p50["parent"]["q1"]
+        held = claimed[f"holdout_seed_{HOLDOUT_SEED}"]
         summary["claim"] = f"cmd_p50_s on {args.claim} improves"
+        summary["claim_met"] = 10 * p50["change_wins"] >= 9 * claimed["pairs"] and gap > iqr
+        summary["claim_rule"] = (
+            f"change faster in {p50['change_wins']} of {claimed['pairs']} pairs (needs 9/10); "
+            f"median gap {gap:.4f} s against parent IQR {iqr:.4f} s (gap must be larger)"
+        )
         summary[f"hold-out seed {HOLDOUT_SEED}, {args.claim} cmd_p50_s"] = (
             f"parent {held['parent']['cmd_p50_s']:.4f} s, change {held['change']['cmd_p50_s']:.4f} s"
         )
@@ -146,6 +168,13 @@ def main(argv=None) -> int:
         w: {name: m["change_over_parent_median"] for name, m in r["metrics"].items()}
         for w, r in report["workloads"].items()
     }
+    summary["beyond_bound"] = [
+        {"workload": w, "metric": name, "change_over_parent_median": m["change_over_parent_median"],
+         "bound": end_to_end[name][1]}
+        for w, r in report["workloads"].items()
+        for name, m in r["metrics"].items()
+        if beyond_bound(m["change_over_parent_median"], *end_to_end[name])
+    ]
     summary["failed"] = {w: r["failed"] for w, r in report["workloads"].items()}
     summary["output_sha256_equal_every_seed"] = {w: r["output_sha256_equal_every_seed"] for w, r in report["workloads"].items()}
     report["summary"] = summary
