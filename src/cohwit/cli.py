@@ -11,15 +11,16 @@ decimals, so written documents reload bit-for-bit.  Exit codes: 0 success or
 PASS, 2 malformed input, 3 verification FAIL.
 
 Byte contract.  A written document is exactly ``json.dumps(doc, indent=2)``
-plus a newline.  ``gen`` builds every document from a (members, d, d) matrix
-stack and its bounds table; json writes the structure, and each member's
+plus a newline.  ``gen`` builds every document from the member table of a
+witness (one member) or family: a (members, d, d) matrix stack and its
+(lo, hi, eps) table.  json writes the structure, and each member's
 entries, a (d*d, 2) float64 view of its stack row, are rendered in place by
 one renderer that spells floats as json does.  Arrays are rendered in
 4096-row batches, still streamed: a batch is written once its rows are
 rendered, so memory stays bounded by the batch, not the document.  A family
-document is read back into one such stack: every member's entries are
-type-checked in one pass, converted in one array and checked for Hermiticity
-and against their stored intervals at once, with no Witness built.  When any
+document is read back into one such table: every member's entries are
+type-checked in one pass, converted in one array and checked for Hermiticity,
+and the stored intervals against the table's at once, with no Witness built.  When any
 of that fails, the members are read one at a time, and a malformed entry is
 reported at its first index.  A ``bloch`` CSV row is exactly
 ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\n"`` of Python floats, rendered from
@@ -45,7 +46,6 @@ from .verify import (
     COHERENCE_THRESHOLD,
     _require_bytes,
     bloch_grid,
-    coverage_bytes,
     generator_coverage_bytes,
     qubit_states_stack,
     require_coverage_budget,
@@ -69,6 +69,7 @@ INTERVAL_DOC_TOL = 1e-12
 _CSV_CHUNK_ROWS = 4096
 
 _KINDS = ("lemma2", "tailored", "qubit", "eta", "family-member", "custom")
+_NUMBER_TYPES = frozenset({int, float})
 
 
 def _num(value, where: str) -> float:
@@ -115,7 +116,7 @@ def matrix_from_document(doc, *, what: str = "matrix") -> np.ndarray:
     # One type pass and one conversion; a malformed entry is then named by
     # the first index the per-entry checks reject.  The (re, im) float rows
     # are viewed as complex, which keeps every bit, signed zeros included.
-    flat = _number_pairs(entries, {int, float})
+    flat = _number_pairs(entries)
     if flat is None or not np.isfinite(flat).all():
         _raise_first_bad_entry(entries, what)
         flat = np.array(entries, dtype=np.float64)  # numbers of int or float subclasses
@@ -130,13 +131,14 @@ def state_from_document(doc) -> DensityMatrix:
         raise DocumentError(f"state: {exc}") from exc
 
 
-def _member_documents(stack: np.ndarray, bounds: np.ndarray, kind: str, params: list[dict]) -> list[dict]:
-    """The witness document of every member t of a (members, d, d) matrix
-    stack with its (3, members) bounds table, kind ``kind`` and params
-    ``params[t]``; its entries are a (d*d, 2) float64 view of its stack row."""
-    m, d = stack.shape[:2]
-    entries = stack.reshape(m, d * d).view(np.float64).reshape(m, d * d, 2)
-    lo, hi, eps = bounds.tolist()
+def _member_documents(table: Witness | WitnessFamily, kind: str, params: list[dict]) -> list[dict]:
+    """The witness document of every member t of a witness or family, kind
+    ``kind`` and params ``params[t]``; its entries are a (d*d, 2) float64 view
+    of its row of the member stack, its interval and margin its column of the
+    (lo, hi, eps) table."""
+    m, d = table._stack.shape[:2]
+    entries = table._stack.reshape(m, d * d).view(np.float64).reshape(m, d * d, 2)
+    lo, hi, eps = table._bounds.tolist()
     return [
         {"dim": d, "entries": e, "interval": [a, b], "detect_eps": x, "kind": kind, "params": p}
         for e, a, b, x, p in zip(entries, lo, hi, eps, params)
@@ -144,7 +146,7 @@ def _member_documents(stack: np.ndarray, bounds: np.ndarray, kind: str, params: 
 
 
 def witness_to_document(witness: Witness, kind: str = "custom", params: dict | None = None) -> dict:
-    (doc,) = _member_documents(witness.matrix[None], witness._bounds, kind, [params or {}])
+    (doc,) = _member_documents(witness, kind, [params or {}])
     doc["entries"] = doc["entries"].tolist()
     return doc
 
@@ -178,14 +180,14 @@ def family_to_document(family: WitnessFamily, member_docs: list[dict]) -> dict:
     return {"label": family.label, "members": member_docs}
 
 
-def _number_pairs(items: list, types: set) -> np.ndarray | None:
-    """A list of two-element lists whose elements all have a type in
-    ``types`` as an (n, 2) float64 array, from one type pass and one
-    conversion; None for any other list or an integer beyond the float range."""
+def _number_pairs(items: list) -> np.ndarray | None:
+    """A list of two-element lists whose elements are all ints or floats as
+    an (n, 2) float64 array, from one type pass and one conversion; None for
+    any other list or an integer beyond the float range."""
     if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
         return None
     flat = list(chain.from_iterable(items))
-    if not set(map(type, flat)) <= types:
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
         return None
     try:
         return np.array(flat, dtype=np.float64).reshape(-1, 2)
@@ -196,9 +198,9 @@ def _number_pairs(items: list, types: set) -> np.ndarray | None:
 def _stacked_family(label: str, members: list) -> WitnessFamily | None:
     """The family of member witness documents read all at once: one type pass
     over every member's entries, one conversion, one stacked Hermiticity
-    check and one check of the stored intervals against the diagonals.  None
-    when any member is malformed or the dims differ; the per-member reader
-    then raises the first error."""
+    check and one check of the stored intervals against the family's
+    diagonal-derived table.  None when any member is malformed or the dims
+    differ; the per-member reader then raises the first error."""
     if set(map(type, members)) != {dict}:
         return None
     dims = [m.get("dim") for m in members]
@@ -210,27 +212,22 @@ def _stacked_family(label: str, members: list) -> WitnessFamily | None:
         return None
     if not all(m.get("kind", "custom") in _KINDS for m in members):
         return None
-    numbers = {float, int}
     eps = [m.get("detect_eps", DETECT_EPS) for m in members]
-    if not set(map(type, eps)) <= numbers:
+    if not set(map(type, eps)) <= _NUMBER_TYPES:
         return None
-    pairs = _number_pairs(list(chain.from_iterable(entries)), numbers)
-    stored = _number_pairs([m.get("interval") for m in members], numbers)
+    pairs = _number_pairs(list(chain.from_iterable(entries)))
+    stored = _number_pairs([m.get("interval") for m in members])
     if pairs is None or stored is None:
         return None
     try:
-        eps = np.array(eps, dtype=np.float64)
         stack = pairs.view(np.complex128).reshape(len(members), dim, dim)
         _require_hermitian(stack, "member {t}")  # finite entries included
+        family = WitnessFamily._from_stack(label, stack, eps)
     except (OverflowError, CohwitError):  # OverflowError: an integer beyond the float range
         return None
-    diag = stack.diagonal(axis1=1, axis2=2).real
-    bounds = np.array([diag.min(axis=1), diag.max(axis=1), eps])
     # A NaN or infinite stored endpoint fails the distance test too.
-    close = np.abs(stored.T - bounds[:2]) <= INTERVAL_DOC_TOL
-    if not (np.isfinite(eps).all() and (eps >= 0.0).all() and close.all()):
-        return None
-    return WitnessFamily._from_stack(label, stack, bounds)
+    close = np.abs(stored.T - family._bounds[:2]) <= INTERVAL_DOC_TOL
+    return family if close.all() else None
 
 
 def family_from_document(doc) -> WitnessFamily:
@@ -421,7 +418,7 @@ def _cmd_gen(args) -> int:
         w = generator_witness(args.d, args.K, coeffs)
         params = {"d": args.d, "K": args.K, "eta": coeffs}
     if args.kind != "family":
-        (doc,) = _member_documents(w.matrix[None], w._bounds, args.kind, [params])
+        (doc,) = _member_documents(w, args.kind, [params])
     else:
         _require(args, ("d",), "family")
         n = args.d * (args.d - 1)
@@ -432,7 +429,7 @@ def _cmd_gen(args) -> int:
             {"d": args.d, "K": args.K, "index": args.d + t, "coeff": c}
             for t, c in enumerate(coeffs if coeffs is not None else [1.0] * n)
         ]
-        members = _member_documents(family._stack, family._bounds, "family-member", params)
+        members = _member_documents(family, "family-member", params)
         doc = family_to_document(family, members)
     _write_json(args.out, doc)
     print(f"wrote {args.out}", file=sys.stderr)
@@ -470,15 +467,13 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise DocumentError(f"--samples: must be >= 1, got {args.samples}")
-    # Checked for d(d-1) members before any family is built; verify_coverage
-    # checks again with the family actually used.
-    estimate = coverage_bytes if args.family is not None else generator_coverage_bytes
-    require_coverage_budget(estimate, args.d, args.samples, args.d * (args.d - 1))
     if args.family is not None:
         family = family_from_document(_load_json(args.family))
         if family.dim != args.d:
             raise DocumentError(f"family dim {family.dim} does not match --d {args.d}")
     else:
+        # Charged before it is built; verify_coverage charges a document's family.
+        require_coverage_budget(generator_coverage_bytes, args.d, args.samples, args.d * (args.d - 1))
         family = finite_family(args.d, args.K)
     report = verify_coverage(
         family, args.d, args.samples, args.seed, coherence_threshold=args.threshold

@@ -78,15 +78,12 @@ def _operator(d: int, coeffs) -> np.ndarray:
     return M
 
 
-def _build_matrices(d: int) -> list[np.ndarray]:
-    return [_operator(d, e) for e in np.eye(d * d - 1)]
-
-
 class GeneratorBasis:
     """The full generator basis for one dimension, as explicit matrices.
 
     A materialized view for callers who want the matrices themselves; nothing
-    in evaluation uses it.  Immutable after construction;
+    in evaluation uses it.  The matrices are held once, in ``stack``;
+    ``matrices`` are its rows.  Immutable after construction;
     ``generator_basis(d)`` memoizes one instance per dimension, safe to share
     across threads.
     """
@@ -95,13 +92,12 @@ class GeneratorBasis:
         if dim < 2:
             raise DimensionMismatchError(f"generator basis needs dim >= 2, got {dim}")
         self.dim = int(dim)
-        mats = _build_matrices(self.dim)
-        stack = np.stack(mats)
+        stack = np.empty((self.size, self.dim, self.dim), dtype=np.complex128)
+        for i in range(1, self.size + 1):
+            stack[i - 1] = generator(self.dim, i)
         stack.setflags(write=False)
-        for m in mats:
-            m.setflags(write=False)
-        self.matrices: tuple[np.ndarray, ...] = tuple(mats)
         self.stack = stack  # shape (d**2 - 1, d, d), read-only
+        self.matrices: tuple[np.ndarray, ...] = tuple(stack)
 
     @property
     def size(self) -> int:

@@ -108,10 +108,13 @@ def mixed_ensemble(d: int, n_states: int, seed: Seed) -> list[DensityMatrix]:
 def coverage_bytes(d: int, n_states: int, n_members: int) -> int:
     """Bytes a coverage sweep of a family that holds its member matrices (a
     family built from witnesses or read from a document) holds at once: the
-    complex (n_states, d, d) state stack and the members' d x d matrices,
-    plus, per (member, state) pair, the kernel's float values, margins and two
-    margin temporaries and its bool verdict."""
-    return 16 * d * d * (n_states + n_members) + 33 * n_members * n_states
+    complex (n_states, d, d) state stack and its float copy in
+    ``l1_coherence_batch``, the members' d x d matrices, the 41 bytes per
+    (member, state) pair of the kernel's complex values, float margins and two
+    margin temporaries and its bool verdict, and the sampling block of
+    :func:`generator_coverage_bytes`."""
+    block = max(_BLOCK_ENTRIES, d * d)
+    return 24 * d * d * n_states + 16 * d * d * n_members + 41 * n_members * n_states + 128 * block
 
 
 def generator_coverage_bytes(d: int, n_states: int, n_members: int) -> int:

@@ -63,9 +63,16 @@ class DetectionReport:
         return self.verdict is Verdict.DETECTED
 
 
-def _member_values(W: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    # Tr(W rho) of one witness matrix on every state of an (n, d, d) stack.
-    return np.real(np.einsum("ij,nji->n", W, stack))
+def _table(stack: np.ndarray, detect_eps: Sequence[float]) -> np.ndarray:
+    """The (3, members) (lo, hi, eps) table of a (members, d, d) stack: each
+    member's real diagonal minimum and maximum and its margin, which must be
+    finite and nonnegative.  Every witness and family table is built here, so
+    no constructor takes an interval from its caller."""
+    for eps in detect_eps:
+        if not (math.isfinite(eps) and eps >= 0):
+            raise InvalidParameterError(f"detect_eps must be finite and nonnegative, got {eps}")
+    diag = stack.diagonal(axis1=1, axis2=2).real
+    return np.array([diag.min(axis=1), diag.max(axis=1), detect_eps], dtype=np.float64)
 
 
 def _slack(bounds: np.ndarray, d: int) -> np.ndarray:
@@ -84,8 +91,8 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, margins and verdicts of every member of ``source`` on every
     state matrix.
 
-    ``source`` is a Witness or a WitnessFamily; it supplies its members'
-    (lo, hi, eps) bounds as a (3, members) table and their values through
+    ``source`` is a member table (a Witness is its one-member case): its
+    (3, members) ``_bounds`` of :func:`_table` and its members' values from
     ``_values``.  ``stack`` has shape (n, d, d); each result has shape
     (members, n).  This is the one home of the margin rule
     ``max(lo - value, value - hi)`` and of the verdict ``margin > detect_eps +
@@ -125,7 +132,27 @@ def _reports(source, state: DensityMatrix) -> tuple[DetectionReport, ...]:
     )
 
 
-class Witness:
+class _MemberTable:
+    """A read-only (members, d, d) matrix stack ``_stack`` and the
+    (3, members) table ``_bounds`` that :func:`_table` builds from it: all
+    that :func:`_evaluate` reads of a Witness or a WitnessFamily."""
+
+    @property
+    def dim(self) -> int:
+        return self._stack.shape[1]
+
+    def _values(self, stack: np.ndarray) -> np.ndarray:
+        # (members, n) expectation values on an (n, d, d) stack, one
+        # contraction per member: a single three-index einsum over the whole
+        # stack sums in a different order and changes last bits.  Each writes
+        # its row of one complex buffer, whose real part needs no copy.
+        values = np.empty((len(self._stack), len(stack)), dtype=np.complex128)
+        for W, row in zip(self._stack, values):
+            np.einsum("ij,nji->n", W, stack, out=row)
+        return values.real
+
+
+class Witness(_MemberTable):
     """Hermitian operator with its diagonal-derived interval.
 
     The interval endpoints are always recomputed from the matrix diagonal at
@@ -133,55 +160,40 @@ class Witness:
     inconsistent interval.  ``detect_eps`` is the strict-with-tolerance margin:
     values within ``detect_eps`` plus the slack of :func:`_slack` of the
     interval report NotDetected, so the witness never claims coherence on
-    numerical fuzz or on a diagonal state that validation accepts.
+    numerical fuzz or on a diagonal state that validation accepts.  It is
+    held as the one-member case of a family's member table.
     """
 
     def __init__(self, matrix, detect_eps: float = DETECT_EPS):
         S = _as_stack(matrix, "witness matrix")
         _require_hermitian(S, "witness matrix")
-        if not (math.isfinite(detect_eps) and detect_eps >= 0):
-            raise InvalidParameterError(
-                f"detect_eps must be finite and nonnegative, got {detect_eps}"
-            )
-        self._matrix = S[0].copy()
-        self._matrix.setflags(write=False)
-        diag = np.real(np.diagonal(self._matrix))
-        self._lo = float(diag.min())
-        self._hi = float(diag.max())
-        self._eps = float(detect_eps)
-        self._bounds = np.array([[self._lo], [self._hi], [self._eps]])
+        self._bounds = _table(S, [detect_eps])
+        self._stack = S.copy()
+        self._stack.setflags(write=False)
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
+        return self._stack[0]
 
     @property
     def interval_lo(self) -> float:
-        return self._lo
+        return float(self._bounds[0, 0])
 
     @property
     def interval_hi(self) -> float:
-        return self._hi
+        return float(self._bounds[1, 0])
 
     @property
     def interval(self) -> tuple[float, float]:
-        return (self._lo, self._hi)
+        return (self.interval_lo, self.interval_hi)
 
     @property
     def detect_eps(self) -> float:
-        return self._eps
-
-    def _values(self, stack: np.ndarray) -> np.ndarray:
-        # (1, n) expectation values on an (n, d, d) stack.
-        return _member_values(self._matrix, stack)[None]
+        return float(self._bounds[2, 0])
 
     def with_eps(self, detect_eps: float) -> "Witness":
         """Same operator, different detection margin."""
-        return Witness(self._matrix, detect_eps)
+        return Witness(self.matrix, detect_eps)
 
     def evaluate(self, state: DensityMatrix) -> DetectionReport:
         """Expectation value, margin, and verdict on one state."""
@@ -196,10 +208,11 @@ class Witness:
         return tuple(a[0] for a in _evaluate(self, matrices))
 
     def __repr__(self):
-        return f"Witness(dim={self.dim}, interval=[{self._lo}, {self._hi}], eps={self._eps})"
+        lo, hi, eps = self._bounds[:, 0].tolist()
+        return f"Witness(dim={self.dim}, interval=[{lo}, {hi}], eps={eps})"
 
 
-class WitnessFamily:
+class WitnessFamily(_MemberTable):
     """Ordered, nonempty collection of same-dimension witnesses.
 
     The members are held as one read-only (members, d, d) matrix stack and a
@@ -218,23 +231,21 @@ class WitnessFamily:
             raise DimensionMismatchError(f"family members have mixed dims {sorted(dims)}")
         self.label = label
         self._members = members
-        self._dim = members[0].dim
         self._stack = np.stack([w.matrix for w in members])
         self._stack.setflags(write=False)
         self._bounds = np.concatenate([w._bounds for w in members], axis=1)
 
     @classmethod
-    def _from_stack(cls, label: str, stack: np.ndarray, bounds: np.ndarray) -> "WitnessFamily":
+    def _from_stack(cls, label: str, stack: np.ndarray, detect_eps: Sequence[float]) -> "WitnessFamily":
         """The family of a nonempty (members, d, d) stack that has passed
-        ``linalg``'s Hermiticity check, with its (3, members) bounds table:
-        each member's diagonal minimum and maximum and its margin."""
+        ``linalg``'s Hermiticity check, with every member's margin; a margin
+        that is not finite and nonnegative raises InvalidParameterError."""
         family = cls.__new__(cls)
+        family._bounds = _table(stack, detect_eps)
         family.label = label
         family._members = None
-        family._dim = stack.shape[1]
         family._stack = stack
         family._stack.setflags(write=False)
-        family._bounds = bounds
         return family
 
     @property
@@ -244,18 +255,9 @@ class WitnessFamily:
         return self._members
 
     @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
     def detect_eps(self) -> tuple[float, ...]:
         """Every member's margin, in member order."""
         return tuple(self._bounds[2].tolist())
-
-    def _values(self, stack: np.ndarray) -> np.ndarray:
-        # One contraction per member: a single three-index einsum over the
-        # whole family sums in a different order and changes last bits.
-        return np.array([_member_values(W, stack) for W in self._stack])
 
     def evaluate(self, state: DensityMatrix) -> tuple[DetectionReport, ...]:
         """Every member's report on one state, in member order."""
@@ -302,9 +304,11 @@ class _GeneratorFamily(WitnessFamily):
         self._upper = np.concatenate([U[j, k], V[j, k]])
         self._lower = np.concatenate([U[k, j], V[k, j]])
         self._diag = U.diagonal().copy()  # every member's diagonal
-        diag = self._diag.real
-        bounds = np.array([[diag.min()], [diag.max()], [DETECT_EPS]])
-        self._bounds = np.repeat(bounds, len(coeffs), axis=1)
+        self._bounds = np.repeat(_table(U[None], [DETECT_EPS]), len(coeffs), axis=1)
+
+    @property
+    def dim(self) -> int:
+        return self._dim
 
     @functools.cached_property
     def _stack(self) -> np.ndarray:

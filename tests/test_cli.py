@@ -355,9 +355,9 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     [
         ["verify", "--d", "4", "--samples", "1000000000", "--seed", "0"],
         ["verify", "--d", "100000", "--samples", "1", "--seed", "0"],
-        ["verify", "--d", "300", "--samples", "100000", "--seed", "0", "--family", "{out}"],
+        ["verify", "--d", "300", "--samples", "100000", "--seed", "0"],
         ["verify", "--d", "700", "--samples", "40", "--seed", "0"],  # 1.18 GB, built-in family
-        ["verify", "--d", "91", "--samples", "40", "--seed", "0", "--family", "{out}"],  # 1.10 GB
+        ["verify", "--d", "91", "--samples", "1000000", "--seed", "0"],
     ],
 )
 def test_oversized_sweep_rejected_before_building(monkeypatch, tmp_path, capsys, argv):
@@ -370,6 +370,27 @@ def test_oversized_sweep_rejected_before_building(monkeypatch, tmp_path, capsys,
     assert run([a.format(out=out) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "bytes" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_family_document_is_charged_for_its_own_members(monkeypatch, tmp_path, capsys):
+    # Two member matrices at d = 91: charged as 8190 they made 1.10 GB.
+    path = tmp_path / "two.json"
+    members = [witness_to_document(canonical_witness(91, lo, 1.0)) for lo in (0.0, -1.0)]
+    path.write_text(json.dumps({"label": "two", "members": members}))
+    argv = ["verify", "--d", "91", "--samples", "40", "--seed", "0", "--family", str(path)]
+    assert run(argv) == 3  # two members cannot cover d = 91
+    assert json.loads(capsys.readouterr().out)["verdict"] == "FAIL"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("states were sampled before the size check")
+
+    monkeypatch.setattr("cohwit.verify.sample_ensemble", refuse)
+    argv[4] = "1000000"
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "needs about" in captured.err
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
 

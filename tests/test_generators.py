@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cohwit import (
     DensityMatrix,
     DimensionMismatchError,
+    GeneratorBasis,
     IndexOutOfRangeError,
     LengthMismatchError,
     bloch_vector,
@@ -177,6 +178,17 @@ def test_support_empty_iff_l1_small():
 def test_qubit_state_matches_bloch_expansion():
     rho = qubit_state(0.3, -0.4, 0.5)
     assert np.allclose(rho.matrix, state_from_bloch(2, [0.5, 0.3, -0.4]), atol=1e-15)
+
+
+def test_basis_holds_each_generator_once():
+    tracemalloc.start()
+    try:
+        basis = GeneratorBasis(30)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * basis.stack.nbytes
+    assert all(m.base is basis.stack for m in basis.matrices)
 
 
 def test_basis_is_memoized_and_read_only():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cohwit import (
+    DETECT_EPS,
     DensityMatrix,
     DimensionMismatchError,
     InvalidParameterError,
@@ -99,8 +100,11 @@ class TestCoverage:
             mixed_ensemble(2, -4, 0)
 
     def test_working_set_estimate(self):
-        # Stack and member matrices at 16 B per entry, 33 B per (member, state) pair.
-        assert coverage_bytes(4, 1000, 12) == 16 * 16 * 1012 + 33 * 12 * 1000
+        # Stack and member matrices at 16 B per entry, the oracle's float copy
+        # of the stack at 8 B per entry, 41 B per (member, state) pair and
+        # 128 B per entry of one sampling block (4096 entries, or one state).
+        assert coverage_bytes(4, 1000, 12) == 16 * 16 * 1012 + 8 * 16 * 1000 + 41 * 12 * 1000 + 128 * 4096
+        assert coverage_bytes(91, 40, 2) == 16 * 8281 * 42 + 8 * 8281 * 40 + 41 * 2 * 40 + 128 * 8281
         assert coverage_bytes(4, 1000, 12) < MAX_COVERAGE_BYTES
         assert coverage_bytes(4, 10**9, 12) > MAX_COVERAGE_BYTES
         assert coverage_bytes(10**5, 1, 10**5 * (10**5 - 1)) > MAX_COVERAGE_BYTES
@@ -116,9 +120,9 @@ class TestCoverage:
 
     @pytest.mark.parametrize("d", [12, 40, 90])
     def test_estimates_cover_the_traced_peak_of_a_sweep(self, d):
-        # The built-in family is built inside the trace, as the CLI builds it
-        # after its size check.  A family that holds member matrices exists
-        # before its sweep; its estimate also counts those matrices.  At
+        # Each family is built inside the trace: the built-in one as the CLI
+        # builds it after its size check, and one that holds member matrices
+        # from its member stack, as a family document is read into one.  At
         # d = 90 it holds the first 180 members, since all 8010 are over the cap.
         n, members = 40, 180 if d == 90 else d * (d - 1)
         tracemalloc.start()
@@ -128,10 +132,10 @@ class TestCoverage:
         finally:
             tracemalloc.stop()
         assert builtin <= generator_coverage_bytes(d, n, d * (d - 1))
-        coeffs = np.eye(d * d - 1)[d - 1 : d - 1 + members]
-        family = WitnessFamily("stacked", [generator_witness(d, 0.0, eta) for eta in coeffs])
+        matrices = [generator_witness(d, 0.0, eta).matrix for eta in np.eye(members, d * d - 1, d - 1)]
         tracemalloc.start()
         try:
+            family = WitnessFamily._from_stack("stacked", np.stack(matrices), [DETECT_EPS] * members)
             verify_coverage(family, d, n, 1)
             stacked = tracemalloc.get_traced_memory()[1]
         finally:
