@@ -21,14 +21,17 @@ Array stream.  After k steps the state is ``s + k * golden`` (mod 2**64) in
 closed form, so draw k of every stream in a batch of seeds is one ``uint64``
 broadcast with no sequential loop.  ``uniforms(seeds, m)`` is the
 (len(seeds), m) table of each seed's first m ``uniform()`` draws;
-``normals(seeds, n)`` and ``exponentials(seeds, m)`` are the matching
-Box-Muller and ``-ln u`` tables.  Row i equals the scalar draws of
-``SplitMix64(seeds[i])`` bit for bit.  The integer stages and ``sqrt``, ``*``
-and ``/`` (correctly rounded in IEEE 754) run in numpy.  ``log``, ``cos`` and
-``sin`` go through ``math`` one element at a time: numpy's SIMD versions
-differ from libm in the last bit on some inputs, and can differ between CPUs,
-which would change every seeded ensemble.  :class:`SplitMix64` stays the
-scalar recurrence the tables are tested against.
+``normal_pairs(seeds, m)`` is the pair of tables (r cos theta, r sin theta)
+of their first m ``normal_pair()`` draws, ``normals(seeds, n)`` interleaves
+them as ``normals(n)`` does, and ``exponentials(seeds, m)`` is the ``-ln u``
+table.  Row i equals the scalar draws of ``SplitMix64(seeds[i])`` bit for
+bit.  The integer stages and ``sqrt``, ``*`` and ``/`` (correctly rounded in
+IEEE 754) run in numpy.  ``log``, ``cos`` and ``sin`` go through ``math`` one
+element at a time: numpy's SIMD versions differ from libm in the last bit on
+some inputs, and can differ between CPUs, which would change every seeded
+ensemble.  Each angle table becomes a Python list once and feeds both
+``cos`` and ``sin``.  :class:`SplitMix64` stays the scalar recurrence the
+tables are tested against.
 """
 
 from __future__ import annotations
@@ -91,22 +94,30 @@ def uniforms(seeds: Sequence[Seed], m: int) -> np.ndarray:
     return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
 
 
-def _elementwise(f: Callable[[float], float], a: np.ndarray) -> np.ndarray:
-    # f applied to every element through Python floats (libm, not numpy SIMD).
-    return np.fromiter(map(f, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+def _elementwise(a: np.ndarray, *fs: Callable[[float], float]) -> list[np.ndarray]:
+    # Each f applied to every element of a through Python floats (libm, not
+    # numpy SIMD); a becomes a Python list once, whatever the number of fs.
+    values = a.ravel().tolist()
+    return [np.fromiter(map(f, values), np.float64, a.size).reshape(a.shape) for f in fs]
+
+
+def normal_pairs(seeds: Sequence[Seed], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r cos theta, r sin theta): two (len(seeds), m) tables; column k holds
+    the k-th ``normal_pair()`` of every seed's stream."""
+    u = uniforms(seeds, 2 * m)
+    r = np.sqrt(-2.0 * _elementwise(u[:, 0::2], math.log)[0])
+    cos, sin = _elementwise(2.0 * math.pi * u[:, 1::2], math.cos, math.sin)
+    return r * cos, r * sin
 
 
 def normals(seeds: Sequence[Seed], n: int) -> np.ndarray:
     """(len(seeds), n) table; row i is ``SplitMix64(seeds[i]).normals(n)``."""
-    u = uniforms(seeds, 2 * ((n + 1) // 2))
-    r = np.sqrt(-2.0 * _elementwise(math.log, u[:, 0::2]))
-    theta = 2.0 * math.pi * u[:, 1::2]
-    out = np.empty_like(u)
-    out[:, 0::2] = r * _elementwise(math.cos, theta)
-    out[:, 1::2] = r * _elementwise(math.sin, theta)
+    m = (n + 1) // 2
+    out = np.empty((len(seeds), 2 * m))
+    out[:, 0::2], out[:, 1::2] = normal_pairs(seeds, m)
     return out[:, :n]
 
 
 def exponentials(seeds: Sequence[Seed], m: int) -> np.ndarray:
     """(len(seeds), m) table of ``-math.log(u)`` over ``uniforms(seeds, m)``."""
-    return -_elementwise(math.log, uniforms(seeds, m))
+    return -_elementwise(uniforms(seeds, m), math.log)[0]

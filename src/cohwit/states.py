@@ -6,7 +6,10 @@ All sampling is driven by the splitmix64 stream in :mod:`cohwit.rng`; a given
 sampler exists once, in batched form over a sequence of seeds (state i from
 seed i); the one-seed samplers are views of it.  Batches are generated
 ``_BLOCK_ENTRIES`` matrix entries at a time, so temporaries stay bounded
-however many seeds are asked for.
+however many seeds are asked for.  Every sampled state is checked once: a
+matrix by :func:`validate_states`, a probability vector by
+``_check_probabilities``, whose checks imply all of :func:`validate_states`'
+on the diagonal matrix ``diag(p)``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, InvalidStateError, OutOfIntervalError
 from .linalg import PSD_FLOOR, TRACE_DEV, _as_stack, _dagger, _first, _min_eigenvalues, _require_hermitian
-from .rng import Seed, exponentials, normals
+from .rng import Seed, exponentials, normal_pairs
 
 if TYPE_CHECKING:
     from .witness import Witness
@@ -163,10 +166,8 @@ def _fill(out: np.ndarray, block: Callable, d: int, seeds: Sequence[Seed]) -> np
 
 def _complex_normals(d: int, seeds: Sequence[Seed]) -> np.ndarray:
     # Entries filled row-major; each consumes one Box-Muller pair (re, im).
-    z = normals(seeds, 2 * d * d)
-    re = z[:, 0::2].reshape(-1, d, d)
-    im = z[:, 1::2].reshape(-1, d, d)
-    return (re + 1j * im) / math.sqrt(2.0)
+    re, im = normal_pairs(seeds, d * d)
+    return (re + 1j * im).reshape(-1, d, d) / math.sqrt(2.0)
 
 
 def _ginibre_block(d: int, seeds: Sequence[Seed]) -> np.ndarray:
@@ -238,6 +239,13 @@ def sample_ensemble(d: int, n_states: int, seed: Seed) -> np.ndarray:
 
     State t uses sub-seed ``seed + t``; the first ``n_states // 2`` are the
     random full-rank ones.  Rejects a negative ``n_states``.
+
+    Only the full-rank rows go through :func:`validate_states`.  A diagonal
+    row diag(p) passed :func:`sample_incoherent_batch`'s probability check
+    (finite p >= 0 summing to 1 within 1e-12), which implies every matrix
+    check: finite, exactly Hermitian, trace within ``TRACE_DEV`` of 1, and
+    eigenvalues p >= 0.  The full-rank rows come first, so a failing state
+    is named by its index in the whole stack.
     """
     if n_states < 0:
         raise InvalidParameterError(f"n_states must be >= 0, got {n_states}")
@@ -247,7 +255,7 @@ def sample_ensemble(d: int, n_states: int, seed: Seed) -> np.ndarray:
     _fill(stack[:n_g], _ginibre_block, d, range(seed, seed + n_g))
     idx = np.arange(d)
     stack[n_g:, idx, idx] = sample_incoherent_batch(d, range(seed + n_g, seed + n_states))
-    validate_states(stack, "ensemble state {t}")
+    validate_states(stack[:n_g], "ensemble state {t}")
     return stack
 
 

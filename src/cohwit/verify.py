@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
+from .linalg import DETECT_EPS, _require_hermitian
 from .rng import Seed
 from .states import (
     _BLOCK_ENTRIES,
@@ -24,7 +25,7 @@ from .states import (
     sample_hermitian_batch,
     sample_incoherent_batch,
 )
-from .witness import Witness, WitnessFamily, _GeneratorFamily, _slack, is_effective_qubit, qubit_witness
+from .witness import WitnessFamily, _GeneratorFamily, _slack, is_effective_qubit, qubit_witness
 
 # States with l1 coherence at or below this are exempt from detection demands:
 # their witness margins sit below numerical resolution.
@@ -173,10 +174,9 @@ def verify_incoherent_containment(
         raise InvalidParameterError(
             f"counts must be >= 1, got {n_witnesses} witnesses, {n_states} states"
         )
-    family = WitnessFamily(
-        label=f"random-hermitian(d={d})",
-        members=tuple(Witness(m) for m in sample_hermitian_batch(d, range(seed, seed + n_witnesses))),
-    )
+    matrices = sample_hermitian_batch(d, range(seed, seed + n_witnesses))
+    _require_hermitian(matrices, "witness matrix {t}")
+    family = WitnessFamily._from_stack(f"random-hermitian(d={d})", matrices, [DETECT_EPS] * n_witnesses)
     first = seed + n_witnesses
     probs = sample_incoherent_batch(d, range(first, first + n_states))
     stack = np.zeros((n_states, d, d), dtype=np.complex128)

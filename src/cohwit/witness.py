@@ -217,9 +217,9 @@ class WitnessFamily(_MemberTable):
 
     The members are held as one read-only (members, d, d) matrix stack and a
     (3, members) table of their intervals and margins, which the kernel uses,
-    so evaluation touches no member object.  A family read from a document
-    builds its member witnesses from the stack on first access to
-    ``members``.
+    so evaluation touches no member object.  The family keeps no member
+    witness, only this table; ``members`` builds them from the stack on first
+    access.
     """
 
     def __init__(self, label: str, members: Sequence[Witness]):
@@ -230,7 +230,7 @@ class WitnessFamily(_MemberTable):
         if len(dims) != 1:
             raise DimensionMismatchError(f"family members have mixed dims {sorted(dims)}")
         self.label = label
-        self._members = members
+        self._members = None
         self._stack = np.stack([w.matrix for w in members])
         self._stack.setflags(write=False)
         self._bounds = np.concatenate([w._bounds for w in members], axis=1)

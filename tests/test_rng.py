@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cohwit.rng import SplitMix64, exponentials, normals, uniforms
+from cohwit.rng import SplitMix64, exponentials, normal_pairs, normals, uniforms
 
 
 def reference_stream(seed, n):
@@ -65,13 +65,18 @@ def test_normals_odd_count_prefix_of_even():
 ARRAY_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -5]
 
 
+def bits(values) -> list[int]:
+    """The float64 bit patterns of values: unlike ==, tells -0.0 from 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 8, 33])
 def test_uniform_table_matches_scalar_stream(m):
     table = uniforms(ARRAY_SEEDS, m)
     assert table.shape == (len(ARRAY_SEEDS), m)
     for row, seed in zip(table, ARRAY_SEEDS):
         r = SplitMix64(seed)
-        assert row.tolist() == [r.uniform() for _ in range(m)]
+        assert bits(row) == bits([r.uniform() for _ in range(m)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
@@ -79,16 +84,29 @@ def test_normal_table_matches_scalar_stream(n):
     table = normals(ARRAY_SEEDS, n)
     assert table.shape == (len(ARRAY_SEEDS), n)
     for row, seed in zip(table, ARRAY_SEEDS):
-        assert row.tolist() == SplitMix64(seed).normals(n)
+        assert bits(row) == bits(SplitMix64(seed).normals(n))
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 33])
+def test_normal_pair_tables_match_scalar_stream(m):
+    cos, sin = normal_pairs(ARRAY_SEEDS, m)
+    assert cos.shape == sin.shape == (len(ARRAY_SEEDS), m)
+    for c, s, seed in zip(cos, sin, ARRAY_SEEDS):
+        r = SplitMix64(seed)
+        pairs = [r.normal_pair() for _ in range(m)]
+        assert bits(c) == bits([p[0] for p in pairs])
+        assert bits(s) == bits([p[1] for p in pairs])
 
 
 @pytest.mark.parametrize("m", [1, 6, 9])
 def test_exponential_table_matches_scalar_stream(m):
     for row, seed in zip(exponentials(ARRAY_SEEDS, m), ARRAY_SEEDS):
         r = SplitMix64(seed)
-        assert row.tolist() == [-math.log(r.uniform()) for _ in range(m)]
+        assert bits(row) == bits([-math.log(r.uniform()) for _ in range(m)])
 
 
 def test_empty_tables():
     assert uniforms([], 4).shape == (0, 4)
     assert normals([3], 0).shape == (1, 0)
+    assert normals([], 5).shape == (0, 5)
+    assert [t.shape for t in normal_pairs([], 3)] == [(0, 3), (0, 3)]

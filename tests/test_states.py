@@ -32,6 +32,7 @@ from cohwit import (
     trace_product,
     validate_states,
 )
+from cohwit import states
 from cohwit.states import _BLOCK_ENTRIES
 
 
@@ -263,6 +264,37 @@ def test_ensemble_spanning_several_blocks_matches_reference():
     for t in (0, 11, 12, 201, 249, 250, 262, 499):
         want = reference_ginibre(18, 9 + t) if t < 250 else np.diag(reference_incoherent(18, 9 + t))
         assert same_bits(stack[t], want.astype(np.complex128))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 8), n=st.integers(0, 64), seed=st.integers(-(2**64), 2**64), data=st.data())
+def test_ensemble_validates_each_state_once(d, n, seed, data):
+    # Only the full-rank rows go through validate_states: each diagonal row is
+    # diag(p) of a probability vector already checked, which passes every
+    # matrix check.  A bad full-rank row is still named in the whole stack.
+    n_g = n // 2
+    stack = sample_ensemble(d, n, seed)
+    validate_states(stack)
+    want = np.zeros((n - n_g, d, d), dtype=np.complex128)
+    want[:, np.arange(d), np.arange(d)] = sample_incoherent_batch(d, range(seed + n_g, seed + n))
+    assert same_bits(stack[n_g:], want)
+    if n_g == 0:
+        return
+    t = data.draw(st.integers(0, n_g - 1), label="t")
+    bad = np.diag([1.5, -0.5] + [0.0] * (d - 2)).astype(np.complex128)  # Hermitian, trace 1
+    real_block = states._ginibre_block
+
+    def block_with_bad_row(d, seeds):
+        block = real_block(d, seeds)
+        for i, s in enumerate(seeds):
+            if s == seed + t:
+                block[i] = bad
+        return block
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "_ginibre_block", block_with_bad_row)
+        with pytest.raises(InvalidStateError, match=f"^ensemble state {t} is not PSD: min eigenvalue -0.5$"):
+            sample_ensemble(d, n, seed)
 
 
 def test_ensemble_rejects_negative_count():

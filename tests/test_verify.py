@@ -20,6 +20,7 @@ from cohwit import (
     sample_ginibre,
     verify_coverage,
     verify_incoherent_containment,
+    witness,
 )
 from cohwit.cli import document_bytes
 from cohwit.verify import (
@@ -63,6 +64,16 @@ class TestIncoherentContainment:
         assert verify_incoherent_containment(2, 5, 50, 9) == verify_incoherent_containment(
             2, 5, 50, 9
         )
+
+    def test_builds_no_witness(self, monkeypatch):
+        # The family is the sampled Hermitian stack itself, one row per member.
+        expected = verify_incoherent_containment(4, 20, 200, 11)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Witness was built")
+
+        monkeypatch.setattr(witness.Witness, "__init__", refuse)
+        assert verify_incoherent_containment(4, 20, 200, 11) == expected
 
 
 class TestCoverage:
@@ -141,6 +152,25 @@ class TestCoverage:
         finally:
             tracemalloc.stop()
         assert stacked <= coverage_bytes(d, n, members)
+
+    def test_witness_built_family_holds_one_member_table(self):
+        # A family built from Witness objects keeps their stacked matrices, not
+        # the witnesses, so coverage_bytes bounds its sweep like any other.
+        d, n = 20, 40
+        members = d * (d - 1)
+        tracemalloc.start()
+        try:
+            witnesses = [generator_witness(d, 0.0, eta) for eta in np.eye(members, d * d - 1, d - 1)]
+            family = WitnessFamily("witnesses", witnesses)
+            del witnesses
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            verify_coverage(family, d, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * family._stack.nbytes
+        assert peak <= coverage_bytes(d, n, members)
 
     def test_lattice_and_document_estimates(self):
         # 177 B per lattice point; 144 B per member entry plus 64 B per entry.

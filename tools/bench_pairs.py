@@ -13,7 +13,13 @@ reported beside it.  The summary always lists every workload's ``cmd_p50_s``
 medians and pair wins, each end-to-end metric's change/parent median ratio,
 and under ``beyond_bound`` every (workload, metric) whose ratio is worse than
 that metric's bound in the change checkout's ``BENCHMARK.json``, which the
-tool only reads.
+tool only reads.  Under ``unresolved`` it lists every (workload, metric)
+whose parent runs spread wider than the bound (interquartile range over
+median), unless every change run reads better than every parent run: there
+the ratio cannot tell a change within the bound from one beyond it.  Under
+``per_layer_busy_s_change_minus_parent`` it gives each workload's change -
+parent ``busy_s`` of every layer, from the traced runs.  Every workload needs
+at least two pairs, so that its runs have quartiles.
 
 Each checkout is a full tree (for example ``git archive`` of a commit) with
 its own ``benchmarks/run.py``.  Pair i of a workload runs both checkouts at
@@ -59,6 +65,24 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int) ->
         raise SystemExit(f"{tree}: {workload} seed {seed} failed:\n{proc.stderr[-2000:]}")
     lines = proc.stdout.splitlines()
     return json.loads(lines[-2])["record"], json.loads(lines[-1])
+
+
+def unresolved(parent: list[float], change: list[float], higher: bool, bound: float) -> bool:
+    """Whether the parent runs spread wider than ``bound`` allows (IQR over
+    median) while the change runs do not all read better than every parent run."""
+    p = spread(parent)
+    if (p["q3"] - p["q1"]) / p["median"] <= bound:
+        return False
+    return not (min(change) > max(parent) if higher else max(change) < min(parent))
+
+
+def layer_busy_deltas(traced: dict) -> dict:
+    """{layer: change - parent busy_s} of one workload's traced runs."""
+    return {
+        key[: -len(".busy_s")]: traced["change"][key] - traced["parent"][key]
+        for key in traced["parent"]
+        if key.endswith(".busy_s")
+    }
 
 
 def spread(values: list[float]) -> dict:
@@ -116,11 +140,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
-    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    end_to_end = end_to_end_metrics(trees["change"])
     plan = [(w, int(n)) for w, n in (item.split("=") for item in args.pairs.split(","))]
+    too_few = [f"{w}={n}" for w, n in plan if n < 2]
+    if too_few:
+        parser.error(f"every workload needs at least 2 pairs, got {', '.join(too_few)}")
     if args.claim is not None and args.claim not in dict(plan):
         parser.error(f"--claim {args.claim} is not among the --pairs workloads")
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    end_to_end = end_to_end_metrics(trees["change"])
     report = {
         "topic": args.topic,
         "command": f"python3 benchmarks/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
@@ -175,6 +202,17 @@ def main(argv=None) -> int:
         for name, m in r["metrics"].items()
         if beyond_bound(m["change_over_parent_median"], *end_to_end[name])
     ]
+    summary["unresolved"] = [
+        {"workload": w, "metric": name,
+         "parent_iqr_over_median": (m["parent"]["q3"] - m["parent"]["q1"]) / m["parent"]["median"],
+         "bound": end_to_end[name][1]}
+        for w, r in report["workloads"].items()
+        for name, m in r["metrics"].items()
+        if unresolved(m["parent_runs"], m["change_runs"], *end_to_end[name])
+    ]
+    summary["per_layer_busy_s_change_minus_parent"] = {
+        w: layer_busy_deltas(traced) for w, traced in report["per_layer_trace_seed1"].items()
+    }
     summary["failed"] = {w: r["failed"] for w, r in report["workloads"].items()}
     summary["output_sha256_equal_every_seed"] = {w: r["output_sha256_equal_every_seed"] for w, r in report["workloads"].items()}
     report["summary"] = summary
