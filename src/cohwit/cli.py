@@ -17,12 +17,14 @@ witness (one member) or family: a (members, d, d) matrix stack and its
 entries, a (d*d, 2) float64 view of its stack row, are rendered in place by
 one renderer that spells floats as json does.  Arrays are rendered in
 4096-row batches, still streamed: a batch is written once its rows are
-rendered, so memory stays bounded by the batch, not the document.  A family
-document is read back into one such table: every member's entries are
-type-checked in one pass, converted in one array and checked for Hermiticity,
-and the stored intervals against the table's at once, with no Witness built.  When any
-of that fails, the members are read one at a time, and a malformed entry is
-reported at its first index.  A ``bloch`` CSV row is exactly
+rendered, so memory stays bounded by the batch, not the document.
+
+One reader reads a list of documents with one set of checks: a state or
+witness document is its one-item case, and a family's members are read at
+once into a member table, with one entry conversion, one stacked Hermiticity
+check and no Witness built.  A malformed entry is reported at its first
+index; members that fail together are read again one at a time, so the
+error is the first failing member's own.  A ``bloch`` CSV row is exactly
 ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\n"`` of Python floats, rendered from
 the arrays with one ``repr`` per distinct float64 bit pattern.
 """
@@ -32,19 +34,19 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CohwitError, DocumentError, NotHermitianError
-from .linalg import DETECT_EPS, _require_hermitian
+from .errors import CohwitError, DimensionMismatchError, DocumentError, NotHermitianError
+from .linalg import DETECT_EPS, _require_bytes
 from .rng import Seed
 from .states import DensityMatrix, l1_coherence
 from .verify import (
     COHERENCE_THRESHOLD,
-    _require_bytes,
     bloch_grid,
     generator_coverage_bytes,
     qubit_states_stack,
@@ -79,7 +81,7 @@ def _num(value, where: str) -> float:
         out = float(value)
     except OverflowError:  # an integer beyond the float range
         raise DocumentError(f"{where}: number out of float range") from None
-    if out != out or out in (float("inf"), float("-inf")):
+    if not math.isfinite(out):
         raise DocumentError(f"{where}: non-finite value")
     return out
 
@@ -92,39 +94,90 @@ def matrix_to_document(matrix) -> dict:
     }
 
 
-def _raise_first_bad_entry(entries: list, what: str) -> None:
-    # The DocumentError of the first entry that is not a pair of finite numbers.
-    for i, pair in enumerate(entries):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(f"{what}.entries[{i}]: expected a [re, im] pair, got {pair!r}")
-        _num(pair[0], f"{what}.entries[{i}][0]")
-        _num(pair[1], f"{what}.entries[{i}][1]")
+def _number_pairs(items: list) -> np.ndarray | None:
+    """A list of two-element lists whose elements are all ints or floats as
+    an (n, 2) float64 array, from one type pass and one conversion; None for
+    any other list or an integer beyond the float range."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    flat = list(chain.from_iterable(items))
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        return None
+    try:
+        return np.array(flat, dtype=np.float64).reshape(-1, 2)
+    except OverflowError:
+        return None
+
+
+def _read_stack(docs: list, what: str) -> np.ndarray:
+    """The (n, d, d) stack of n matrix documents: each document's fields
+    checked in turn, their dims compared, then every entry converted in one
+    pass, the (re, im) float rows viewed as complex to keep every bit."""
+    for doc in docs:
+        if not isinstance(doc, dict):
+            raise DocumentError(f"{what}: expected a JSON object, got {type(doc).__name__}")
+        dim = doc.get("dim")
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
+            raise DocumentError(f"{what}.dim: expected an integer >= 2, got {dim!r}")
+        if dim * dim > sys.maxsize:  # no list is that long, and the count may not print
+            raise DocumentError(f"{what}.dim: a {dim.bit_length()}-bit dim is too large")
+        entries = doc.get("entries")
+        if not isinstance(entries, list) or len(entries) != dim * dim:
+            got = len(entries) if isinstance(entries, list) else entries
+            raise DocumentError(f"{what}.entries: expected {dim * dim} complex pairs, got {got!r}")
+    dims = sorted({doc["dim"] for doc in docs})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"family members have mixed dims {dims}")
+    entries = list(chain.from_iterable(doc["entries"] for doc in docs))
+    flat = _number_pairs(entries)
+    if flat is None or not np.isfinite(flat).all():
+        # Name the first entry that is not a pair of finite numbers.
+        for doc in docs:
+            for i, pair in enumerate(doc["entries"]):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise DocumentError(f"{what}.entries[{i}]: expected a [re, im] pair, got {pair!r}")
+                _num(pair[0], f"{what}.entries[{i}][0]")
+                _num(pair[1], f"{what}.entries[{i}][1]")
+        flat = np.array(entries, dtype=np.float64)  # numbers of int or float subclasses
+    return flat.view(np.complex128).reshape(len(docs), dims[0], dims[0])
+
+
+def _read_members(label: str, members: list) -> WitnessFamily:
+    """The family of witness documents ``members``: :func:`_read_stack`, then
+    each margin and kind, one stacked Hermiticity check, and the stored
+    intervals against the diagonal-derived table."""
+    stack = _read_stack(members, "witness")
+    eps = [_num(doc.get("detect_eps", DETECT_EPS), "witness.detect_eps") for doc in members]
+    for doc, margin in zip(members, eps):
+        if margin < 0:
+            raise DocumentError(f"witness.detect_eps: must be nonnegative, got {margin}")
+        kind = doc.get("kind", "custom")
+        if kind not in _KINDS:
+            raise DocumentError(f"witness.kind: unknown kind {kind!r}")
+    try:
+        family = WitnessFamily._from_stack(label, stack, eps, "witness matrix")
+    except NotHermitianError as exc:
+        raise DocumentError(f"witness.entries: {exc}") from exc
+    for doc, derived in zip(members, family._bounds[:2].T.tolist()):
+        interval = doc.get("interval")
+        if not isinstance(interval, list) or len(interval) != 2:
+            raise DocumentError(f"witness.interval: expected [lo, hi], got {interval!r}")
+        for idx, (stored, bound) in enumerate(zip(interval, derived)):
+            stored = _num(stored, f"witness.interval[{idx}]")
+            if abs(stored - bound) > INTERVAL_DOC_TOL:
+                raise DocumentError(
+                    f"witness.interval[{idx}]: stored {stored} inconsistent with "
+                    f"diagonal-derived {bound}"
+                )
+    return family
 
 
 def matrix_from_document(doc, *, what: str = "matrix") -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{what}: expected a JSON object, got {type(doc).__name__}")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-        raise DocumentError(f"{what}.dim: expected an integer >= 2, got {dim!r}")
-    if dim * dim > sys.maxsize:  # no list is that long, and the count may not print
-        raise DocumentError(f"{what}.dim: a {dim.bit_length()}-bit dim is too large")
-    entries = doc.get("entries")
-    if not isinstance(entries, list) or len(entries) != dim * dim:
-        got = len(entries) if isinstance(entries, list) else entries
-        raise DocumentError(f"{what}.entries: expected {dim * dim} complex pairs, got {got!r}")
-    # One type pass and one conversion; a malformed entry is then named by
-    # the first index the per-entry checks reject.  The (re, im) float rows
-    # are viewed as complex, which keeps every bit, signed zeros included.
-    flat = _number_pairs(entries)
-    if flat is None or not np.isfinite(flat).all():
-        _raise_first_bad_entry(entries, what)
-        flat = np.array(entries, dtype=np.float64)  # numbers of int or float subclasses
-    return flat.view(np.complex128).reshape(dim, dim)
+    return _read_stack([doc], what)[0]
 
 
 def state_from_document(doc) -> DensityMatrix:
-    M = matrix_from_document(doc, what="state")
+    M = _read_stack([doc], "state")[0]
     try:
         return DensityMatrix(M)
     except CohwitError as exc:
@@ -152,82 +205,11 @@ def witness_to_document(witness: Witness, kind: str = "custom", params: dict | N
 
 
 def witness_from_document(doc) -> Witness:
-    M = matrix_from_document(doc, what="witness")
-    eps = _num(doc.get("detect_eps", DETECT_EPS), "witness.detect_eps")
-    if eps < 0:
-        raise DocumentError(f"witness.detect_eps: must be nonnegative, got {eps}")
-    kind = doc.get("kind", "custom")
-    if kind not in _KINDS:
-        raise DocumentError(f"witness.kind: unknown kind {kind!r}")
-    try:
-        w = Witness(M, eps)
-    except NotHermitianError as exc:
-        raise DocumentError(f"witness.entries: {exc}") from exc
-    interval = doc.get("interval")
-    if not isinstance(interval, list) or len(interval) != 2:
-        raise DocumentError(f"witness.interval: expected [lo, hi], got {interval!r}")
-    for idx, (stored, derived) in enumerate(zip(interval, w.interval)):
-        stored = _num(stored, f"witness.interval[{idx}]")
-        if abs(stored - derived) > INTERVAL_DOC_TOL:
-            raise DocumentError(
-                f"witness.interval[{idx}]: stored {stored} inconsistent with "
-                f"diagonal-derived {derived}"
-            )
-    return w
+    return _read_members("witness", [doc]).members[0]
 
 
 def family_to_document(family: WitnessFamily, member_docs: list[dict]) -> dict:
     return {"label": family.label, "members": member_docs}
-
-
-def _number_pairs(items: list) -> np.ndarray | None:
-    """A list of two-element lists whose elements are all ints or floats as
-    an (n, 2) float64 array, from one type pass and one conversion; None for
-    any other list or an integer beyond the float range."""
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    flat = list(chain.from_iterable(items))
-    if not set(map(type, flat)) <= _NUMBER_TYPES:
-        return None
-    try:
-        return np.array(flat, dtype=np.float64).reshape(-1, 2)
-    except OverflowError:
-        return None
-
-
-def _stacked_family(label: str, members: list) -> WitnessFamily | None:
-    """The family of member witness documents read all at once: one type pass
-    over every member's entries, one conversion, one stacked Hermiticity
-    check and one check of the stored intervals against the family's
-    diagonal-derived table.  None when any member is malformed or the dims
-    differ; the per-member reader then raises the first error."""
-    if set(map(type, members)) != {dict}:
-        return None
-    dims = [m.get("dim") for m in members]
-    dim = dims[0]
-    if set(map(type, dims)) != {int} or set(dims) != {dim} or dim < 2:
-        return None
-    entries = [m.get("entries") for m in members]
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {dim * dim}:
-        return None
-    if not all(m.get("kind", "custom") in _KINDS for m in members):
-        return None
-    eps = [m.get("detect_eps", DETECT_EPS) for m in members]
-    if not set(map(type, eps)) <= _NUMBER_TYPES:
-        return None
-    pairs = _number_pairs(list(chain.from_iterable(entries)))
-    stored = _number_pairs([m.get("interval") for m in members])
-    if pairs is None or stored is None:
-        return None
-    try:
-        stack = pairs.view(np.complex128).reshape(len(members), dim, dim)
-        _require_hermitian(stack, "member {t}")  # finite entries included
-        family = WitnessFamily._from_stack(label, stack, eps)
-    except (OverflowError, CohwitError):  # OverflowError: an integer beyond the float range
-        return None
-    # A NaN or infinite stored endpoint fails the distance test too.
-    close = np.abs(stored.T - family._bounds[:2]) <= INTERVAL_DOC_TOL
-    return family if close.all() else None
 
 
 def family_from_document(doc) -> WitnessFamily:
@@ -243,10 +225,12 @@ def family_from_document(doc) -> WitnessFamily:
         label = doc.get("label")
         if not isinstance(label, str):
             raise DocumentError(f"family.label: expected a string, got {label!r}")
-    family = _stacked_family(label, members)
-    if family is None:
-        family = WitnessFamily(label=label, members=tuple(witness_from_document(m) for m in members))
-    return family
+    try:
+        return _read_members(label, members)
+    except CohwitError:  # name the first member that fails alone, else the dims
+        for member in members:
+            _read_members(label, [member])
+        raise
 
 
 def _load_json(path: str):

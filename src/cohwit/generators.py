@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, LengthMismatchError
-from .linalg import ComplexMatrix
+from .linalg import ComplexMatrix, _require_bytes
 
 if TYPE_CHECKING:
     from .states import DensityMatrix
@@ -78,6 +78,16 @@ def _operator(d: int, coeffs) -> np.ndarray:
     return M
 
 
+def generator_bytes(d: int) -> int:
+    """Bytes :func:`generator` holds at once: 96 per matrix entry, and 8 KB."""
+    return 96 * d * d + 8192
+
+
+def basis_bytes(d: int) -> int:
+    """Bytes ``GeneratorBasis(d)`` holds: per generator a stack row and a view, and one generator."""
+    return (d * d - 1) * (16 * d * d + 256) + generator_bytes(d)
+
+
 class GeneratorBasis:
     """The full generator basis for one dimension, as explicit matrices.
 
@@ -85,12 +95,13 @@ class GeneratorBasis:
     in evaluation uses it.  The matrices are held once, in ``stack``;
     ``matrices`` are its rows.  Immutable after construction;
     ``generator_basis(d)`` memoizes one instance per dimension, safe to share
-    across threads.
+    across threads.  A basis over ``MAX_COVERAGE_BYTES`` (d > 90) is refused.
     """
 
     def __init__(self, dim: int):
         if dim < 2:
             raise DimensionMismatchError(f"generator basis needs dim >= 2, got {dim}")
+        _require_bytes(basis_bytes(dim), f"the generator basis at d={dim}")
         self.dim = int(dim)
         stack = np.empty((self.size, self.dim, self.dim), dtype=np.complex128)
         for i in range(1, self.size + 1):
@@ -124,11 +135,12 @@ def generator_basis(d: int) -> GeneratorBasis:
 
 def generator(d: int, i: int) -> ComplexMatrix:
     """The i-th basis generator (1-based, ordering per module docstring),
-    read-only; built alone, bit-identical to ``generator_basis(d)``'s."""
+    read-only; built alone, bit-identical to ``generator_basis(d)``'s; d > 3344 is refused."""
     if not 1 <= i <= d * d - 1:
         raise IndexOutOfRangeError(f"generator index {i} outside 1..{d * d - 1} for dim {d}")
     if d < 2:
         raise DimensionMismatchError(f"generator basis needs dim >= 2, got {d}")
+    _require_bytes(generator_bytes(d), f"generator {i} at d={d}")
     g = _operator(d, np.eye(1, d * d - 1, i - 1)[0])
     g.setflags(write=False)
     return g

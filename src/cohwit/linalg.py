@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, NotHermitianError
+from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteError, NotHermitianError
 
 # Alias for readability in signatures; any square complex128 array qualifies.
 ComplexMatrix = np.ndarray
@@ -27,6 +27,18 @@ HERMITICITY_TOL = 1e-10
 PSD_FLOOR = 1e-9
 TRACE_DEV = 1e-9
 DETECT_EPS = 1e-9
+
+# Largest memory estimate (coverage_bytes, bloch_bytes, the CLI's
+# document_bytes, basis_bytes, generator_bytes) a task may have; a larger one
+# is refused before anything is allocated.
+MAX_COVERAGE_BYTES = 1 << 30
+
+
+def _require_bytes(need: int, task: str) -> None:
+    if need > MAX_COVERAGE_BYTES:
+        raise InvalidParameterError(
+            f"{task} needs about {need} bytes, more than the {MAX_COVERAGE_BYTES} allowed"
+        )
 
 
 def _dagger(A: np.ndarray) -> np.ndarray:

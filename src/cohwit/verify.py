@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
-from .linalg import DETECT_EPS, _require_hermitian
+from .linalg import DETECT_EPS, MAX_COVERAGE_BYTES, _require_bytes  # the cap, re-exported
 from .rng import Seed
 from .states import (
     _BLOCK_ENTRIES,
@@ -33,11 +33,6 @@ COHERENCE_THRESHOLD = 1e-7
 
 # Interval containment slack for diagonal states (pure roundoff budget).
 CONTAINMENT_SLACK = 1e-12
-
-# Largest memory estimate (coverage_bytes, bloch_bytes, the CLI's
-# document_bytes) a task may have; a larger one is refused before anything is
-# allocated.
-MAX_COVERAGE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -139,13 +134,6 @@ def bloch_bytes(grid_n: int) -> int:
     return 177 * grid_n**3
 
 
-def _require_bytes(need: int, task: str) -> None:
-    if need > MAX_COVERAGE_BYTES:
-        raise InvalidParameterError(
-            f"{task} needs about {need} bytes, more than the {MAX_COVERAGE_BYTES} allowed"
-        )
-
-
 def require_coverage_budget(estimate, d: int, n_states: int, n_members: int) -> None:
     """Reject a sweep whose ``estimate(d, n_states, n_members)``, one of
     :func:`coverage_bytes` and :func:`generator_coverage_bytes`, exceeds
@@ -175,7 +163,6 @@ def verify_incoherent_containment(
             f"counts must be >= 1, got {n_witnesses} witnesses, {n_states} states"
         )
     matrices = sample_hermitian_batch(d, range(seed, seed + n_witnesses))
-    _require_hermitian(matrices, "witness matrix {t}")
     family = WitnessFamily._from_stack(f"random-hermitian(d={d})", matrices, [DETECT_EPS] * n_witnesses)
     first = seed + n_witnesses
     probs = sample_incoherent_batch(d, range(first, first + n_states))

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .generators import OFFDIAG_TOL, _operator, bloch_vector
 from .linalg import DETECT_EPS, PSD_FLOOR, TRACE_DEV, _as_stack, _require_finite, _require_hermitian
-from .states import DensityMatrix
+from .states import DensityMatrix, _blocks
 
 # Off-diagonal moduli below this cannot anchor a tailored witness.
 COHERENT_ENTRY_TOL = 1e-9
@@ -137,6 +137,16 @@ class _MemberTable:
     (3, members) table ``_bounds`` that :func:`_table` builds from it: all
     that :func:`_evaluate` reads of a Witness or a WitnessFamily."""
 
+    def _hold(self, stack: np.ndarray, detect_eps: Sequence[float], what: str) -> None:
+        """Hold ``stack`` read-only with its table once it passes the
+        Hermiticity check (member t named as ``what.format(t=t)``), run one
+        sampling block at a time so it fits the block ``coverage_bytes`` charges."""
+        for b in _blocks(len(stack), stack.shape[1]):
+            _require_hermitian(stack[b], what, b.start)
+        self._bounds = _table(stack, detect_eps)
+        self._stack = stack
+        self._stack.setflags(write=False)
+
     @property
     def dim(self) -> int:
         return self._stack.shape[1]
@@ -165,11 +175,7 @@ class Witness(_MemberTable):
     """
 
     def __init__(self, matrix, detect_eps: float = DETECT_EPS):
-        S = _as_stack(matrix, "witness matrix")
-        _require_hermitian(S, "witness matrix")
-        self._bounds = _table(S, [detect_eps])
-        self._stack = S.copy()
-        self._stack.setflags(write=False)
+        self._hold(_as_stack(matrix, "witness matrix").copy(), [detect_eps], "witness matrix")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -231,21 +237,19 @@ class WitnessFamily(_MemberTable):
             raise DimensionMismatchError(f"family members have mixed dims {sorted(dims)}")
         self.label = label
         self._members = None
-        self._stack = np.stack([w.matrix for w in members])
-        self._stack.setflags(write=False)
-        self._bounds = np.concatenate([w._bounds for w in members], axis=1)
+        self._hold(np.stack([w.matrix for w in members]), [w.detect_eps for w in members], "member {t}")
 
     @classmethod
-    def _from_stack(cls, label: str, stack: np.ndarray, detect_eps: Sequence[float]) -> "WitnessFamily":
-        """The family of a nonempty (members, d, d) stack that has passed
-        ``linalg``'s Hermiticity check, with every member's margin; a margin
-        that is not finite and nonnegative raises InvalidParameterError."""
+    def _from_stack(
+        cls, label: str, stack: np.ndarray, detect_eps: Sequence[float], what: str = "witness matrix {t}"
+    ) -> "WitnessFamily":
+        """The family of a nonempty (members, d, d) stack, with every member's
+        margin, checked and held by ``_hold``; a margin that is not finite and
+        nonnegative raises InvalidParameterError."""
         family = cls.__new__(cls)
-        family._bounds = _table(stack, detect_eps)
         family.label = label
         family._members = None
-        family._stack = stack
-        family._stack.setflags(write=False)
+        family._hold(stack, detect_eps, what)
         return family
 
     @property

@@ -11,6 +11,7 @@ from cohwit import (
     DimensionMismatchError,
     GeneratorBasis,
     IndexOutOfRangeError,
+    InvalidParameterError,
     LengthMismatchError,
     bloch_vector,
     generator,
@@ -23,6 +24,8 @@ from cohwit import (
     state_from_bloch,
     trace_product,
 )
+from cohwit import linalg, verify
+from cohwit.generators import basis_bytes, generator_bytes
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -199,3 +202,45 @@ def test_basis_is_memoized_and_read_only():
         b1.matrices[0][0, 0] = 9.0
     with pytest.raises(ValueError):
         b1.stack[0, 0, 0] = 9.0
+
+
+def traced_peak(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 12, 30])
+def test_memory_estimates_cover_the_traced_peak(d):
+    assert traced_peak(lambda: GeneratorBasis(d)) <= basis_bytes(d)
+    for i in (1, d - 1, d, d * d - 1):
+        assert traced_peak(lambda: generator(d, i)) <= generator_bytes(d)
+
+
+def test_generator_estimate_covers_the_traced_peak_at_large_d():
+    assert traced_peak(lambda: generator(300, 400)) <= generator_bytes(300)
+
+
+def test_estimates_place_the_cap():
+    assert verify.MAX_COVERAGE_BYTES is linalg.MAX_COVERAGE_BYTES
+    assert basis_bytes(90) <= linalg.MAX_COVERAGE_BYTES < basis_bytes(91)  # 1.10 GB at d = 91
+    assert generator_bytes(3344) <= linalg.MAX_COVERAGE_BYTES < generator_bytes(3345)
+    assert generator_bytes(10**5) > linalg.MAX_COVERAGE_BYTES  # the coefficient row alone is 80 GB
+
+
+def test_oversized_basis_and_generator_are_refused(monkeypatch):
+    # A lowered cap refuses small requests, so no refused request is large.
+    generator_basis.cache_clear()
+    monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", basis_bytes(4))
+    assert GeneratorBasis(4).size == 15
+    for build in (lambda: GeneratorBasis(5), lambda: generator_basis(5)):
+        with pytest.raises(InvalidParameterError, match="the generator basis at d=5 needs about"):
+            build()
+    monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", generator_bytes(4))
+    assert generator(4, 1).shape == (4, 4)
+    with pytest.raises(InvalidParameterError, match="generator 1 at d=5 needs about"):
+        generator(5, 1)
+    generator_basis.cache_clear()

@@ -17,17 +17,21 @@ tool only reads.  Under ``unresolved`` it lists every (workload, metric)
 whose parent runs spread wider than the bound (interquartile range over
 median), unless every change run reads better than every parent run: there
 the ratio cannot tell a change within the bound from one beyond it.  Under
-``per_layer_busy_s_change_minus_parent`` it gives each workload's change -
-parent ``busy_s`` of every layer, from the traced runs.  Every workload needs
-at least two pairs, so that its runs have quartiles.
+``per_layer_median_busy_s`` it gives, for each workload and layer, each
+side's median ``busy_s`` over its traced runs, the spread (max - min) of
+those runs, and the change - parent median delta; ``unresolved_layers``
+lists every (workload, layer) whose delta is smaller than either side's
+spread, where the traced runs cannot tell the sign of the change.  Every
+workload needs at least two pairs, so that its runs have quartiles.
 
 Each checkout is a full tree (for example ``git archive`` of a commit) with
 its own ``benchmarks/run.py``.  Pair i of a workload runs both checkouts at
 seed i + 1, one after the other, alternating which runs first.  Then each
-checkout runs once at the hold-out seed and once traced (``--trace 1``) at
-seed 1.  Every run is a fresh ``run.py`` process; nothing runs concurrently.
-The file records the machine, every run's end-to-end metrics, their medians
-and quartiles, how many pairs the change won, and the traced per-layer split.
+checkout runs once at the hold-out seed, and TRACED_RUNS times traced
+(``--trace 1``) at seed 1, again alternating which runs first.  Every run is
+a fresh ``run.py`` process; nothing runs concurrently.  The file records the
+machine, every run's end-to-end metrics, their medians and quartiles, how
+many pairs the change won, and every traced run's per-layer split.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ import subprocess
 import sys
 
 HOLDOUT_SEED = 8_675_309
+# Traced runs per side: a traced run's timings spread more than an untraced
+# run's, so one traced run can give a layer's delta the wrong sign.
+TRACED_RUNS = 3
 SIDES = ("parent", "change")
 
 
@@ -76,13 +83,19 @@ def unresolved(parent: list[float], change: list[float], higher: bool, bound: fl
     return not (min(change) > max(parent) if higher else max(change) < min(parent))
 
 
-def layer_busy_deltas(traced: dict) -> dict:
-    """{layer: change - parent busy_s} of one workload's traced runs."""
-    return {
-        key[: -len(".busy_s")]: traced["change"][key] - traced["parent"][key]
-        for key in traced["parent"]
-        if key.endswith(".busy_s")
-    }
+def layer_busy(traced: dict) -> dict:
+    """{layer: each side's median busy_s and spread (max - min) over its
+    traced runs, and the change - parent median delta} of one workload."""
+    out = {}
+    for key in traced["parent"][0]:
+        if key.endswith(".busy_s"):
+            row = {}
+            for side in SIDES:
+                values = [run[key] for run in traced[side]]
+                row[side], row[f"{side}_spread"] = statistics.median(values), max(values) - min(values)
+            row["change_minus_parent"] = row["change"] - row["parent"]
+            out[key[: -len(".busy_s")]] = row
+    return out
 
 
 def spread(values: list[float]) -> dict:
@@ -160,11 +173,12 @@ def main(argv=None) -> int:
     for workload, pairs in plan:
         report["workloads"][workload] = compare(trees, workload, pairs, args.seconds, end_to_end)
     for workload, _ in plan:
-        traced = {}
-        for side in SIDES:
-            rec, res = run_once(trees[side], workload, 1, args.seconds, 1)
-            traced[side] = {k: v["value"] for k, v in res["metrics"].items()}
-            traced[side]["dominant_layer"] = rec["dominant_layer"]
+        traced = {side: [] for side in SIDES}
+        for i in range(TRACED_RUNS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                rec, res = run_once(trees[side], workload, 1, args.seconds, 1)
+                traced[side].append({k: v["value"] for k, v in res["metrics"].items()})
+                traced[side][-1]["dominant_layer"] = rec["dominant_layer"]
         report["per_layer_trace_seed1"][workload] = traced
     report["machine"] = {k: v for k, v in rec["machine"].items() if k != "git_commit"}
 
@@ -210,9 +224,15 @@ def main(argv=None) -> int:
         for name, m in r["metrics"].items()
         if unresolved(m["parent_runs"], m["change_runs"], *end_to_end[name])
     ]
-    summary["per_layer_busy_s_change_minus_parent"] = {
-        w: layer_busy_deltas(traced) for w, traced in report["per_layer_trace_seed1"].items()
+    summary["per_layer_median_busy_s"] = {
+        w: layer_busy(traced) for w, traced in report["per_layer_trace_seed1"].items()
     }
+    summary["unresolved_layers"] = [
+        {"workload": w, "layer": layer, **row}
+        for w, layers in summary["per_layer_median_busy_s"].items()
+        for layer, row in layers.items()
+        if abs(row["change_minus_parent"]) < max(row["parent_spread"], row["change_spread"])
+    ]
     summary["failed"] = {w: r["failed"] for w, r in report["workloads"].items()}
     summary["output_sha256_equal_every_seed"] = {w: r["output_sha256_equal_every_seed"] for w, r in report["workloads"].items()}
     report["summary"] = summary
