@@ -47,9 +47,8 @@ from .rng import Seed
 from .states import DensityMatrix, l1_coherence
 from .verify import (
     COHERENCE_THRESHOLD,
-    bloch_grid,
+    _qubit_lattice,
     generator_coverage_bytes,
-    qubit_states_stack,
     require_coverage_budget,
     verify_coverage,
 )
@@ -172,8 +171,8 @@ def _read_members(label: str, members: list) -> WitnessFamily:
     return family
 
 
-def matrix_from_document(doc, *, what: str = "matrix") -> np.ndarray:
-    return _read_stack([doc], what)[0]
+def matrix_from_document(doc) -> np.ndarray:
+    return _read_stack([doc], "matrix")[0]
 
 
 def state_from_document(doc) -> DensityMatrix:
@@ -206,10 +205,6 @@ def witness_to_document(witness: Witness, kind: str = "custom", params: dict | N
 
 def witness_from_document(doc) -> Witness:
     return _read_members("witness", [doc]).members[0]
-
-
-def family_to_document(family: WitnessFamily, member_docs: list[dict]) -> dict:
-    return {"label": family.label, "members": member_docs}
 
 
 def family_from_document(doc) -> WitnessFamily:
@@ -345,13 +340,6 @@ def _require(args: argparse.Namespace, names: Sequence[str], kind: str) -> None:
         raise DocumentError(f"gen --kind {kind} requires {', '.join(missing)}")
 
 
-def _bloch_arrays(K: float, a: float, b: float, c: float, grid_n: int) -> tuple[np.ndarray, ...]:
-    # Validated lattice coordinates, witness values and verdict mask.
-    x, y, z = bloch_grid(grid_n)
-    values, _, detected = qubit_witness(K, a, b, c).evaluate_batch(qubit_states_stack(x, y, z))
-    return x, y, z, values, detected
-
-
 def bloch_cloud(
     K: float, a: float, b: float, c: float, grid_n: int
 ) -> Iterator[tuple[float, float, float, float, str]]:
@@ -361,7 +349,7 @@ def bloch_cloud(
     ascending.  Inputs are validated and every verdict computed before the
     iterator is returned.
     """
-    x, y, z, values, detected = _bloch_arrays(K, a, b, c, grid_n)
+    _, (x, y, z, values, detected) = _qubit_lattice(K, a, b, c, grid_n)
     verdicts = ["Detected" if hit else "NotDetected" for hit in detected.tolist()]
     return zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)
 
@@ -413,8 +401,7 @@ def _cmd_gen(args) -> int:
             {"d": args.d, "K": args.K, "index": args.d + t, "coeff": c}
             for t, c in enumerate(coeffs if coeffs is not None else [1.0] * n)
         ]
-        members = _member_documents(family, "family-member", params)
-        doc = family_to_document(family, members)
+        doc = {"label": family.label, "members": _member_documents(family, "family-member", params)}
     _write_json(args.out, doc)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -456,7 +443,7 @@ def _cmd_verify(args) -> int:
         if family.dim != args.d:
             raise DocumentError(f"family dim {family.dim} does not match --d {args.d}")
     else:
-        # Charged before it is built; verify_coverage charges a document's family.
+        # Charged before it is built; verify_coverage charges every family again.
         require_coverage_budget(generator_coverage_bytes, args.d, args.samples, args.d * (args.d - 1))
         family = finite_family(args.d, args.K)
     report = verify_coverage(
@@ -485,7 +472,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bloch(args) -> int:
     # Validated before --out is opened, so exit 2 leaves no file behind.
-    cloud = _bloch_arrays(args.K, args.a, args.b, args.c, args.grid)
+    _, cloud = _qubit_lattice(args.K, args.a, args.b, args.c, args.grid)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_bloch_cloud(fh, *cloud)

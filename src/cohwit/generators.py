@@ -93,9 +93,9 @@ class GeneratorBasis:
 
     A materialized view for callers who want the matrices themselves; nothing
     in evaluation uses it.  The matrices are held once, in ``stack``;
-    ``matrices`` are its rows.  Immutable after construction;
-    ``generator_basis(d)`` memoizes one instance per dimension, safe to share
-    across threads.  A basis over ``MAX_COVERAGE_BYTES`` (d > 90) is refused.
+    ``matrices`` are its rows.  Immutable after construction, so safe to share
+    across threads; ``generator_basis(d)`` keeps only the last one it built.
+    A basis over ``MAX_COVERAGE_BYTES`` (d > 90, about 1 GB) is refused.
     """
 
     def __init__(self, dim: int):
@@ -127,9 +127,9 @@ class GeneratorBasis:
         return f"GeneratorBasis(dim={self.dim})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def generator_basis(d: int) -> GeneratorBasis:
-    """Memoized basis for dimension d."""
+    """The basis for dimension d; repeated calls at one d share the last one built."""
     return GeneratorBasis(d)
 
 

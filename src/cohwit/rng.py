@@ -22,9 +22,9 @@ closed form, so draw k of every stream in a batch of seeds is one ``uint64``
 broadcast with no sequential loop.  ``uniforms(seeds, m)`` is the
 (len(seeds), m) table of each seed's first m ``uniform()`` draws;
 ``normal_pairs(seeds, m)`` is the pair of tables (r cos theta, r sin theta)
-of their first m ``normal_pair()`` draws, ``normals(seeds, n)`` interleaves
-them as ``normals(n)`` does, and ``exponentials(seeds, m)`` is the ``-ln u``
-table.  Row i equals the scalar draws of ``SplitMix64(seeds[i])`` bit for
+of their first m ``normal_pair()`` draws, and ``exponentials(seeds, m)`` is
+the ``-ln u`` table of their first m ``uniform()`` draws.  Row i of each
+table equals the scalar draws of ``SplitMix64(seeds[i])`` bit for
 bit.  The integer stages and ``sqrt``, ``*`` and ``/`` (correctly rounded in
 IEEE 754) run in numpy.  ``log``, ``cos`` and ``sin`` go through ``math`` one
 element at a time: numpy's SIMD versions differ from libm in the last bit on
@@ -108,14 +108,6 @@ def normal_pairs(seeds: Sequence[Seed], m: int) -> tuple[np.ndarray, np.ndarray]
     r = np.sqrt(-2.0 * _elementwise(u[:, 0::2], math.log)[0])
     cos, sin = _elementwise(2.0 * math.pi * u[:, 1::2], math.cos, math.sin)
     return r * cos, r * sin
-
-
-def normals(seeds: Sequence[Seed], n: int) -> np.ndarray:
-    """(len(seeds), n) table; row i is ``SplitMix64(seeds[i]).normals(n)``."""
-    m = (n + 1) // 2
-    out = np.empty((len(seeds), 2 * m))
-    out[:, 0::2], out[:, 1::2] = normal_pairs(seeds, m)
-    return out[:, :n]
 
 
 def exponentials(seeds: Sequence[Seed], m: int) -> np.ndarray:

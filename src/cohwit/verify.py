@@ -20,6 +20,7 @@ from .rng import Seed
 from .states import (
     _BLOCK_ENTRIES,
     DensityMatrix,
+    _require_dim,
     l1_coherence_batch,
     sample_ensemble,
     sample_hermitian_batch,
@@ -156,12 +157,15 @@ def verify_incoherent_containment(
 
     Witness j uses sub-seed ``seed + j``; state t uses ``seed + n_witnesses + t``.
     ``interval_shrink`` narrows each interval symmetrically and exists only to
-    fault-inject the harness (a positive shrink must produce a FAIL).
+    fault-inject the harness (a positive shrink must produce a FAIL).  A sweep
+    whose :func:`coverage_bytes` exceed ``MAX_COVERAGE_BYTES`` is rejected before sampling.
     """
     if n_witnesses < 1 or n_states < 1:
         raise InvalidParameterError(
             f"counts must be >= 1, got {n_witnesses} witnesses, {n_states} states"
         )
+    _require_dim(d)
+    require_coverage_budget(coverage_bytes, d, n_states, n_witnesses)
     matrices = sample_hermitian_batch(d, range(seed, seed + n_witnesses))
     family = WitnessFamily._from_stack(f"random-hermitian(d={d})", matrices, [DETECT_EPS] * n_witnesses)
     first = seed + n_witnesses
@@ -264,6 +268,15 @@ def qubit_states_stack(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarra
     return stack
 
 
+def _qubit_lattice(K: float, a: float, b: float, c: float, grid_n: int):
+    """The qubit witness (K, a, b, c) and the :func:`bloch_grid` coordinates
+    with its values and verdict mask on them; the grid is validated first."""
+    x, y, z = bloch_grid(grid_n)
+    w = qubit_witness(K, a, b, c)
+    values, _, detected = w.evaluate_batch(qubit_states_stack(x, y, z))
+    return w, (x, y, z, values, detected)
+
+
 def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) -> GeometryReport:
     """Compare witness verdicts against |ax + by + cz| > |c| on a ball lattice.
 
@@ -272,9 +285,7 @@ def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) ->
     buffer, so boundary-plane lattice points agree on NotDetected from both
     sides.
     """
-    x, y, z = bloch_grid(grid_n)
-    w = qubit_witness(K, a, b, c)
-    _, _, detected = w.evaluate_batch(qubit_states_stack(x, y, z))
+    w, (x, y, z, _, detected) = _qubit_lattice(K, a, b, c, grid_n)
     slack = float(_slack(w._bounds, 2)[0])
     predicate = np.abs(a * x + b * y + c * z) > abs(c) + 2.0 * (w.detect_eps + slack)
     n_mismatch = int(np.count_nonzero(detected != predicate))

@@ -236,7 +236,6 @@ class WitnessFamily(_MemberTable):
         if len(dims) != 1:
             raise DimensionMismatchError(f"family members have mixed dims {sorted(dims)}")
         self.label = label
-        self._members = None
         self._hold(np.stack([w.matrix for w in members]), [w.detect_eps for w in members], "member {t}")
 
     @classmethod
@@ -248,15 +247,12 @@ class WitnessFamily(_MemberTable):
         nonnegative raises InvalidParameterError."""
         family = cls.__new__(cls)
         family.label = label
-        family._members = None
         family._hold(stack, detect_eps, what)
         return family
 
-    @property
+    @functools.cached_property
     def members(self) -> tuple[Witness, ...]:
-        if self._members is None:
-            self._members = tuple(Witness(W, eps) for W, eps in zip(self._stack, self._bounds[2].tolist()))
-        return self._members
+        return tuple(Witness(W, eps) for W, eps in zip(self._stack, self._bounds[2].tolist()))
 
     @property
     def detect_eps(self) -> tuple[float, ...]:
@@ -295,7 +291,6 @@ class _GeneratorFamily(WitnessFamily):
     def __init__(self, label: str, d: int, K: float, coeffs: np.ndarray):
         self.label = label
         self._dim, self._K = d, K
-        self._members = None
         n_pairs = len(coeffs) // 2
         # Every U member's pair entries sit in one matrix, every V member's in
         # another, each where a lone member has it.

@@ -22,7 +22,6 @@ from cohwit import (
 from cohwit.cli import (
     bloch_cloud,
     family_from_document,
-    family_to_document,
     matrix_from_document,
     matrix_to_document,
     run,
@@ -62,7 +61,7 @@ class TestDocuments:
 
     def test_family_roundtrip(self):
         fam = finite_family(2, 0.5)
-        doc = family_to_document(fam, [witness_to_document(w, "family-member") for w in fam.members])
+        doc = {"label": fam.label, "members": [witness_to_document(w, "family-member") for w in fam.members]}
         back = family_from_document(json.loads(json.dumps(doc)))
         assert back.label == fam.label
         for a, b in zip(back.members, fam.members):

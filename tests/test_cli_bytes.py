@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_family_stack import reference_matrix
 
 from cohwit import DocumentError, sample_ginibre
 from cohwit import cli
@@ -231,19 +232,6 @@ def test_writer_array_edge_values():
 # --- reader ----------------------------------------------------------------
 
 
-def reference_matrix(doc, what="matrix"):
-    """The per-entry loop the reader replaced, entry checks included."""
-    dim = doc["dim"]
-    flat = np.empty(dim * dim, dtype=np.complex128)
-    for i, pair in enumerate(doc["entries"]):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(f"{what}.entries[{i}]: expected a [re, im] pair, got {pair!r}")
-        flat[i] = complex(
-            cli._num(pair[0], f"{what}.entries[{i}][0]"), cli._num(pair[1], f"{what}.entries[{i}][1]")
-        )
-    return flat.reshape(dim, dim)
-
-
 def outcome(read, doc):
     try:
         return ("ok", read(doc).view(np.float64).view(np.int64).tolist())  # bits, signed zeros kept
@@ -276,7 +264,7 @@ def entry_lists(draw, dim):
 def test_reader_matches_per_entry_loop(data):
     dim = data.draw(st.integers(2, 4))
     doc = {"dim": dim, "entries": data.draw(entry_lists(dim))}
-    assert outcome(matrix_from_document, doc) == outcome(reference_matrix, doc)
+    assert outcome(matrix_from_document, doc) == outcome(lambda doc: reference_matrix(doc, "matrix"), doc)
 
 
 def test_reader_keeps_signed_zeros_and_every_bit():

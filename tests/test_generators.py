@@ -204,6 +204,20 @@ def test_basis_is_memoized_and_read_only():
         b1.stack[0, 0, 0] = 9.0
 
 
+def test_basis_cache_holds_one_basis():
+    generator_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        for d in (20, 25, 30):
+            generator_basis(d)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        generator_basis.cache_clear()
+    # The d = 30 stack is 12.9 MB; the three bases together are 21.7 MB.
+    assert held <= 1.1 * basis_bytes(30)
+
+
 def traced_peak(build) -> int:
     tracemalloc.start()
     try:

@@ -22,7 +22,6 @@ from cohwit import (
 )
 from cohwit import witness
 from cohwit.cli import run
-from cohwit.rng import normals
 
 # 35 generator coefficients for d = 6, with zeros and both signs.
 ETA_6 = ",".join(str(((i + 3) % 7 - 3) / 4) for i in range(35))
@@ -109,7 +108,6 @@ def test_bloch_maps_d9():
 )
 def test_normals(seed, n, digest):
     assert sha256(np.array(SplitMix64(seed).normals(n)).tobytes()) == digest
-    assert sha256(normals([seed], n)[0].tobytes()) == digest
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cohwit.rng import SplitMix64, exponentials, normal_pairs, normals, uniforms
+from cohwit.rng import SplitMix64, exponentials, normal_pairs, uniforms
 
 
 def reference_stream(seed, n):
@@ -79,14 +79,6 @@ def test_uniform_table_matches_scalar_stream(m):
         assert bits(row) == bits([r.uniform() for _ in range(m)])
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
-def test_normal_table_matches_scalar_stream(n):
-    table = normals(ARRAY_SEEDS, n)
-    assert table.shape == (len(ARRAY_SEEDS), n)
-    for row, seed in zip(table, ARRAY_SEEDS):
-        assert bits(row) == bits(SplitMix64(seed).normals(n))
-
-
 @pytest.mark.parametrize("m", [0, 1, 7, 33])
 def test_normal_pair_tables_match_scalar_stream(m):
     cos, sin = normal_pairs(ARRAY_SEEDS, m)
@@ -107,6 +99,4 @@ def test_exponential_table_matches_scalar_stream(m):
 
 def test_empty_tables():
     assert uniforms([], 4).shape == (0, 4)
-    assert normals([3], 0).shape == (1, 0)
-    assert normals([], 5).shape == (0, 5)
     assert [t.shape for t in normal_pairs([], 3)] == [(0, 3), (0, 3)]

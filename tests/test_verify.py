@@ -22,6 +22,7 @@ from cohwit import (
     verify_incoherent_containment,
     witness,
 )
+from cohwit import linalg, verify
 from cohwit.cli import document_bytes
 from cohwit.verify import (
     MAX_COVERAGE_BYTES,
@@ -74,6 +75,33 @@ class TestIncoherentContainment:
 
         monkeypatch.setattr(witness.Witness, "__init__", refuse)
         assert verify_incoherent_containment(4, 20, 200, 11) == expected
+
+    def test_oversized_sweep_rejected_before_sampling(self, monkeypatch):
+        # A lowered cap refuses a small sweep, so no refused sweep is large.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep sampled before its size check")
+
+        need = coverage_bytes(4, 200, 20)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "MAX_COVERAGE_BYTES", need - 1)
+            patch.setattr(verify, "sample_hermitian_batch", refuse)
+            patch.setattr(verify, "sample_incoherent_batch", refuse)
+            with pytest.raises(InvalidParameterError, match=f"20 members at d=4 needs about {need} bytes"):
+                verify_incoherent_containment(4, 20, 200, 11)
+        monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", need)
+        assert verify_incoherent_containment(4, 20, 200, 11).passed
+
+    @pytest.mark.parametrize(
+        "d,n_witnesses,n_states", [(4, 50, 2000), (12, 300, 200), (30, 40, 500), (60, 10, 300), (2, 2000, 2000)]
+    )
+    def test_estimate_covers_the_traced_peak(self, d, n_witnesses, n_states):
+        tracemalloc.start()
+        try:
+            verify_incoherent_containment(d, n_witnesses, n_states, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= coverage_bytes(d, n_states, n_witnesses)
 
 
 class TestCoverage:
