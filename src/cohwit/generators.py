@@ -5,9 +5,10 @@ This module is the single place the index convention is defined, and the
 index map exists in code once: ``_diagonal_weights`` for the diagonal
 generators and ``np.triu_indices(d, 1)``, which lists the pairs in the order
 above, for U and V.  ``_operator`` builds ``sum_i v_i g_i`` through them and
-``bloch_vector`` reads a state's entries through them, so evaluation never
-touches a materialized basis.  Reports and coefficient vectors elsewhere refer
-back to this convention.
+``bloch_vector`` reads a state's entries through them.  There is no
+materialized basis: ``generator(d, i)`` builds one generator matrix through
+``_operator``.  Reports and coefficient vectors elsewhere refer back to this
+convention.
 
 For dimension d the basis has d**2 - 1 members, indexed 1-based:
 
@@ -30,7 +31,6 @@ only the indices >= d, which is what ``offdiag_support`` reads off.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -83,59 +83,11 @@ def generator_bytes(d: int) -> int:
     return 96 * d * d + 8192
 
 
-def basis_bytes(d: int) -> int:
-    """Bytes ``GeneratorBasis(d)`` holds: per generator a stack row and a view, and one generator."""
-    return (d * d - 1) * (16 * d * d + 256) + generator_bytes(d)
-
-
-class GeneratorBasis:
-    """The full generator basis for one dimension, as explicit matrices.
-
-    A materialized view for callers who want the matrices themselves; nothing
-    in evaluation uses it.  The matrices are held once, in ``stack``;
-    ``matrices`` are its rows.  Immutable after construction, so safe to share
-    across threads; ``generator_basis(d)`` keeps only the last one it built.
-    A basis over ``MAX_COVERAGE_BYTES`` (d > 90, about 1 GB) is refused.
-    """
-
-    def __init__(self, dim: int):
-        if dim < 2:
-            raise DimensionMismatchError(f"generator basis needs dim >= 2, got {dim}")
-        _require_bytes(basis_bytes(dim), f"the generator basis at d={dim}")
-        self.dim = int(dim)
-        stack = np.empty((self.size, self.dim, self.dim), dtype=np.complex128)
-        for i in range(1, self.size + 1):
-            stack[i - 1] = generator(self.dim, i)
-        stack.setflags(write=False)
-        self.stack = stack  # shape (d**2 - 1, d, d), read-only
-        self.matrices: tuple[np.ndarray, ...] = tuple(stack)
-
-    @property
-    def size(self) -> int:
-        return self.dim * self.dim - 1
-
-    @property
-    def n_diagonal(self) -> int:
-        return self.dim - 1
-
-    @property
-    def offdiag_indices(self) -> range:
-        """1-based indices of the off-diagonal (U and V) generators."""
-        return range(self.dim, self.dim * self.dim)
-
-    def __repr__(self):
-        return f"GeneratorBasis(dim={self.dim})"
-
-
-@lru_cache(maxsize=1)
-def generator_basis(d: int) -> GeneratorBasis:
-    """The basis for dimension d; repeated calls at one d share the last one built."""
-    return GeneratorBasis(d)
-
-
 def generator(d: int, i: int) -> ComplexMatrix:
     """The i-th basis generator (1-based, ordering per module docstring),
-    read-only; built alone, bit-identical to ``generator_basis(d)``'s; d > 3344 is refused."""
+    read-only and bit-identical to the matrix written out entry by entry;
+    d > 3344 is refused.  The whole stack is
+    ``np.stack([generator(d, i) for i in range(1, d * d)])``."""
     if not 1 <= i <= d * d - 1:
         raise IndexOutOfRangeError(f"generator index {i} outside 1..{d * d - 1} for dim {d}")
     if d < 2:

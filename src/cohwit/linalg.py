@@ -29,8 +29,8 @@ TRACE_DEV = 1e-9
 DETECT_EPS = 1e-9
 
 # Largest memory estimate (coverage_bytes, bloch_bytes, the CLI's
-# document_bytes, basis_bytes, generator_bytes) a task may have; a larger one
-# is refused before anything is allocated.
+# document_bytes, generator_bytes) a task may have; a larger one is refused
+# before anything is allocated.
 MAX_COVERAGE_BYTES = 1 << 30
 
 

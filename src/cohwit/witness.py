@@ -82,9 +82,16 @@ def _slack(bounds: np.ndarray, d: int) -> np.ndarray:
     Its diagonal p has a trace within TRACE_DEV of 1 and entries down to
     -PSD_FLOOR, so sum_k p_k W_kk exceeds hi (or falls below lo) by at most
     ``max(|lo|, |hi|) * TRACE_DEV + (d - 1) * (hi - lo) * PSD_FLOOR``.
+    Where that product overflows (an interval wider than about 1.8e308 /
+    (d - 1)), the same bound is taken in the order
+    ``(d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR)``, which stays finite, so
+    the slack is finite for every finite interval.  The overflow still warns
+    unless the caller silences it, as :func:`_evaluate` does.
     """
     lo, hi = bounds[:2]
-    return np.maximum(np.abs(lo), np.abs(hi)) * TRACE_DEV + (d - 1) * (hi - lo) * PSD_FLOOR
+    spread = (d - 1) * (hi - lo) * PSD_FLOOR
+    spread = np.where(np.isfinite(spread), spread, (d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR))
+    return np.maximum(np.abs(lo), np.abs(hi)) * TRACE_DEV + spread
 
 
 def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,14 +119,19 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _require_finite(stack, "state {t}")
     values = source._values(stack)
     lo, hi, eps = source._bounds[..., None]
-    # max(lo - value, value - hi), with operands swapped because np.maximum
-    # keeps its second operand on a tie of signed zeros, as max keeps its first.
-    margins = np.maximum(values - hi, lo - values)
+    # Overflow is checked, not warned about: a side of the margin that
+    # overflows loses to the other side in np.maximum, a margin that overflows
+    # raises NonFiniteError below, and _slack replaces an overflowing product.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # max(lo - value, value - hi), with operands swapped because np.maximum
+        # keeps its second operand on a tie of signed zeros, as max keeps its first.
+        margins = np.maximum(values - hi, lo - values)
+        slack = _slack(source._bounds, d)
     bad = ~np.isfinite(margins)  # NaN or inf values make NaN or inf margins
     if bad.any():
         i, t = np.unravel_index(np.argmax(bad), bad.shape)
         raise NonFiniteError(f"witness {i} on state {t}: value {values[i, t]} or its margin overflows")
-    return values, margins, margins > eps + _slack(source._bounds, d)[:, None]
+    return values, margins, margins > eps + slack[:, None]
 
 
 def _reports(source, state: DensityMatrix) -> tuple[DetectionReport, ...]:

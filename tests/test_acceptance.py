@@ -17,7 +17,7 @@ from cohwit import (
     canonical_coherent,
     canonical_witness,
     finite_family,
-    generator_basis,
+    generator,
     incoherent_with_value,
     l1_coherence,
     mixed_ensemble,
@@ -60,26 +60,24 @@ def _chosen_component(mat):
     return best.real if abs(best.real) >= abs(best.imag) else best.imag
 
 
-def test_c1_generator_basis():
+def test_c1_generators():
     failures = []
     start = time.perf_counter()
     for d in (2, 3, 4, 5, 6):
-        b = generator_basis(d)
+        basis = [generator(d, i) for i in range(1, d * d)]
         n_pairs = d * (d - 1) // 2
-        if len(b.matrices) != d * d - 1:
-            failures.append(f"d={d}: wrong count {len(b.matrices)}")
-        for i, gi in enumerate(b.matrices):
+        for i, gi in enumerate(basis):
             if np.max(np.abs(gi - gi.conj().T)) > 1e-12:
                 failures.append(f"d={d} i={i + 1}: not Hermitian")
             if abs(np.trace(gi)) > 1e-12:
                 failures.append(f"d={d} i={i + 1}: not traceless")
-            for j, gj in enumerate(b.matrices):
+            for j, gj in enumerate(basis):
                 want = 2.0 if i == j else 0.0
                 if abs(trace_product(gi, gj) - want) > 1e-12:
                     failures.append(f"d={d}: Tr(g_{i + 1} g_{j + 1}) != {want}")
-        diag = [g for g in b.matrices if np.count_nonzero(g - np.diag(np.diagonal(g))) == 0]
-        sym = [g for g in b.matrices[d - 1 :] if np.max(np.abs(g.imag)) == 0]
-        anti = [g for g in b.matrices[d - 1 :] if np.max(np.abs(g.real)) == 0]
+        diag = [g for g in basis if np.count_nonzero(g - np.diag(np.diagonal(g))) == 0]
+        sym = [g for g in basis[d - 1 :] if np.max(np.abs(g.imag)) == 0]
+        anti = [g for g in basis[d - 1 :] if np.max(np.abs(g.real)) == 0]
         if (len(diag), len(sym), len(anti)) != (d - 1, n_pairs, n_pairs):
             failures.append(f"d={d}: block counts {(len(diag), len(sym), len(anti))}")
     elapsed = time.perf_counter() - start

@@ -7,6 +7,8 @@ witness's interval by up to the slack ``max(|lo|, |hi|) * TRACE_DEV +
 ``detect_eps`` plus that slack.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +30,7 @@ from cohwit import (
     witness_for_state,
 )
 from cohwit.linalg import DETECT_EPS, PSD_FLOOR, TRACE_DEV
+from cohwit.witness import _slack
 
 
 @pytest.mark.parametrize(
@@ -56,6 +59,23 @@ def test_detection_beyond_the_slack_is_kept():
     # out, with a slack of 7e-3 on the interval [-1e6, 1e6].
     report = canonical_witness(4, -1e6, 1e6).evaluate(canonical_coherent(4))
     assert report.margin == 1.0 and report.detected
+
+
+def test_wide_interval_keeps_a_finite_slack_and_detects():
+    # (d - 1) * (hi - lo) overflows here although the slack is about 5e299;
+    # lo - value overflows too, and the other side of the margin wins.
+    matrix = np.diag([1e308, -1e308, 1e308]).astype(complex)
+    matrix[0, 2] = matrix[2, 0] = 5e307
+    plus = np.zeros((3, 3), dtype=complex)
+    plus[np.ix_([0, 2], [0, 2])] = 0.5
+    w = Witness(matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = w.evaluate(DensityMatrix(plus))
+    assert report.margin == 5e307 and report.detected
+    with np.errstate(over="ignore"):
+        for bounds in (w._bounds, canonical_witness(3, 5e-324, 1.7976931348623157e308)._bounds):
+            assert np.isfinite(_slack(bounds, 3)).all()
 
 
 EDGE_TRACES = st.one_of(

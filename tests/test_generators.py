@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from cohwit import (
     DensityMatrix,
     DimensionMismatchError,
-    GeneratorBasis,
     IndexOutOfRangeError,
     InvalidParameterError,
     LengthMismatchError,
     bloch_vector,
     generator,
-    generator_basis,
     l1_coherence,
     offdiag_support,
     qubit_state,
@@ -25,7 +23,7 @@ from cohwit import (
     trace_product,
 )
 from cohwit import linalg, verify
-from cohwit.generators import basis_bytes, generator_bytes
+from cohwit.generators import generator_bytes
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -53,45 +51,38 @@ def test_negative_dim_generator_keeps_its_error():
         generator(-3, 1)
 
 
-@pytest.mark.parametrize("d", range(2, 9))
-def test_generator_is_bit_equal_to_its_basis_entry(d):
-    basis = generator_basis(d).matrices
-    for i in range(1, d * d):
-        g = generator(d, i)
-        assert g.dtype == basis[i - 1].dtype and g.tobytes() == basis[i - 1].tobytes()
-        assert not g.flags.writeable
-
-
 def test_generator_builds_one_matrix_not_the_basis():
-    generator_basis.cache_clear()
     tracemalloc.start()
     try:
         generator(30, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000  # the d = 30 basis is about 13 MB
+    assert peak < 1_000_000  # all d = 30 generators stacked are about 13 MB
+
+
+def generators(d):
+    return [generator(d, i) for i in range(1, d * d)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_basis_orthonormality_hermiticity_tracelessness(d):
-    b = generator_basis(d)
-    assert len(b.matrices) == d * d - 1
-    for i, gi in enumerate(b.matrices):
+    basis = generators(d)
+    for i, gi in enumerate(basis):
         assert np.max(np.abs(gi - gi.conj().T)) <= 1e-12
         assert abs(np.trace(gi)) <= 1e-12
-        for j, gj in enumerate(b.matrices):
+        for j, gj in enumerate(basis):
             want = 2.0 if i == j else 0.0
             assert abs(trace_product(gi, gj) - want) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_basis_block_partition(d):
-    b = generator_basis(d)
+    basis = generators(d)
     n_pairs = d * (d - 1) // 2
-    diag_block = b.matrices[: d - 1]
-    u_block = b.matrices[d - 1 : d - 1 + n_pairs]
-    v_block = b.matrices[d - 1 + n_pairs :]
+    diag_block = basis[: d - 1]
+    u_block = basis[d - 1 : d - 1 + n_pairs]
+    v_block = basis[d - 1 + n_pairs :]
     assert len(diag_block) == d - 1
     assert len(u_block) == n_pairs
     assert len(v_block) == n_pairs
@@ -183,41 +174,6 @@ def test_qubit_state_matches_bloch_expansion():
     assert np.allclose(rho.matrix, state_from_bloch(2, [0.5, 0.3, -0.4]), atol=1e-15)
 
 
-def test_basis_holds_each_generator_once():
-    tracemalloc.start()
-    try:
-        basis = GeneratorBasis(30)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held <= 1.1 * basis.stack.nbytes
-    assert all(m.base is basis.stack for m in basis.matrices)
-
-
-def test_basis_is_memoized_and_read_only():
-    b1 = generator_basis(4)
-    b2 = generator_basis(4)
-    assert b1 is b2
-    with pytest.raises(ValueError):
-        b1.matrices[0][0, 0] = 9.0
-    with pytest.raises(ValueError):
-        b1.stack[0, 0, 0] = 9.0
-
-
-def test_basis_cache_holds_one_basis():
-    generator_basis.cache_clear()
-    tracemalloc.start()
-    try:
-        for d in (20, 25, 30):
-            generator_basis(d)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-        generator_basis.cache_clear()
-    # The d = 30 stack is 12.9 MB; the three bases together are 21.7 MB.
-    assert held <= 1.1 * basis_bytes(30)
-
-
 def traced_peak(build) -> int:
     tracemalloc.start()
     try:
@@ -229,7 +185,6 @@ def traced_peak(build) -> int:
 
 @pytest.mark.parametrize("d", [2, 3, 5, 12, 30])
 def test_memory_estimates_cover_the_traced_peak(d):
-    assert traced_peak(lambda: GeneratorBasis(d)) <= basis_bytes(d)
     for i in (1, d - 1, d, d * d - 1):
         assert traced_peak(lambda: generator(d, i)) <= generator_bytes(d)
 
@@ -240,21 +195,13 @@ def test_generator_estimate_covers_the_traced_peak_at_large_d():
 
 def test_estimates_place_the_cap():
     assert verify.MAX_COVERAGE_BYTES is linalg.MAX_COVERAGE_BYTES
-    assert basis_bytes(90) <= linalg.MAX_COVERAGE_BYTES < basis_bytes(91)  # 1.10 GB at d = 91
     assert generator_bytes(3344) <= linalg.MAX_COVERAGE_BYTES < generator_bytes(3345)
     assert generator_bytes(10**5) > linalg.MAX_COVERAGE_BYTES  # the coefficient row alone is 80 GB
 
 
-def test_oversized_basis_and_generator_are_refused(monkeypatch):
+def test_oversized_generator_is_refused(monkeypatch):
     # A lowered cap refuses small requests, so no refused request is large.
-    generator_basis.cache_clear()
-    monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", basis_bytes(4))
-    assert GeneratorBasis(4).size == 15
-    for build in (lambda: GeneratorBasis(5), lambda: generator_basis(5)):
-        with pytest.raises(InvalidParameterError, match="the generator basis at d=5 needs about"):
-            build()
     monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", generator_bytes(4))
     assert generator(4, 1).shape == (4, 4)
     with pytest.raises(InvalidParameterError, match="generator 1 at d=5 needs about"):
         generator(5, 1)
-    generator_basis.cache_clear()

@@ -20,7 +20,7 @@ from cohwit import (
     bloch_vector,
     canonical_witness,
     finite_family,
-    generator_basis,
+    generator,
     generator_witness,
     sample_ensemble,
     sample_ginibre,
@@ -52,7 +52,7 @@ def dense_basis(d):
         mats.append(m)
     for j, k in pairs:
         m = np.zeros((d, d), dtype=np.complex128)
-        m[j, k] = -1.0j
+        m[j, k] = complex(0.0, -1.0)  # the literal -1.0j has a real part of -0.0
         m[k, j] = 1.0j
         mats.append(m)
     return np.stack(mats)
@@ -81,7 +81,9 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("d", DIMS)
 def test_materialized_basis_matches_written_out_generators(d):
-    assert np.array_equal(generator_basis(d).stack, dense_basis(d))
+    basis = [generator(d, i) for i in range(1, d * d)]
+    assert not any(g.flags.writeable for g in basis)
+    assert same_bits(np.stack(basis), dense_basis(d))
 
 
 @pytest.mark.parametrize("d", DIMS)
