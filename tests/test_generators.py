@@ -51,6 +51,33 @@ def test_negative_dim_generator_keeps_its_error():
         generator(-3, 1)
 
 
+def basis_entry(d, i):
+    """The i-th generalized Gell-Mann matrix (1-based) written out on its own."""
+    m = np.zeros((d, d), dtype=np.complex128)
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    if i < d:
+        coeff = math.sqrt(2.0 / (i * (i + 1)))
+        for a in range(i):
+            m[a, a] = coeff
+        m[i, i] = -i * coeff
+    elif i < d + len(pairs):
+        j, k = pairs[i - d]
+        m[j, k] = m[k, j] = 1.0
+    else:
+        j, k = pairs[i - d - len(pairs)]
+        m[j, k] = complex(0.0, -1.0)  # the literal -1.0j has a real part of -0.0
+        m[k, j] = 1.0j
+    return m
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_generator_is_bit_equal_to_its_basis_entry(d):
+    for i in range(1, d * d):
+        g, want = generator(d, i), basis_entry(d, i)
+        assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+        assert not g.flags.writeable
+
+
 def test_generator_builds_one_matrix_not_the_basis():
     tracemalloc.start()
     try:
