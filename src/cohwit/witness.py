@@ -302,20 +302,32 @@ class _GeneratorFamily(WitnessFamily):
 
     def __init__(self, label: str, d: int, K: float, coeffs: np.ndarray):
         self.label = label
-        self._dim, self._K = d, K
-        n_pairs = len(coeffs) // 2
-        # Every U member's pair entries sit in one matrix, every V member's in
-        # another, each where a lone member has it.
-        eta = np.zeros((2, d * d - 1))
-        eta[0, d - 1 : d - 1 + n_pairs] = coeffs[:n_pairs]
-        eta[1, d - 1 + n_pairs :] = coeffs[n_pairs:]
-        U, V = (_generator_matrix(d, K, e) for e in eta)
+        self._dim, self._K, self._coeffs = d, K, coeffs
+        U, V = self._pair_matrices()
         j, k = np.triu_indices(d, 1)
         self._j, self._k = np.tile(j, 2), np.tile(k, 2)
         self._upper = np.concatenate([U[j, k], V[j, k]])
         self._lower = np.concatenate([U[k, j], V[k, j]])
         self._diag = U.diagonal().copy()  # every member's diagonal
+        self._w = U[0, 0]  # every diagonal entry of every member, K/d
+        # Row j of member (j, k) reads rho_kj and row k reads rho_jk: their
+        # real parts for a U member, whose pair entries are real, and their
+        # imaginary parts for a V member, whose pair entries are imaginary.
+        half = np.repeat([0, 1], len(j))
+        flat = np.array([np.tile(k * d + j, 2), np.tile(j * d + k, 2)])
+        self._cols = 2 * flat + half
+        entries = np.stack([U, V]).reshape(2, d * d)[half, flat[::-1]]  # W_jk, then W_kj
+        self._coef = np.where(half, -entries.imag, entries.real)
         self._bounds = np.repeat(_table(U[None], [DETECT_EPS]), len(coeffs), axis=1)
+
+    def _pair_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        # Every U member's pair entries sit in one matrix, every V member's in
+        # another, each where a lone member has it.
+        d, n_pairs = self._dim, len(self._coeffs) // 2
+        eta = np.zeros((2, d * d - 1))
+        eta[0, d - 1 : d - 1 + n_pairs] = self._coeffs[:n_pairs]
+        eta[1, d - 1 + n_pairs :] = self._coeffs[n_pairs:]
+        return tuple(_generator_matrix(d, self._K, e) for e in eta)
 
     @property
     def dim(self) -> int:
@@ -332,6 +344,21 @@ class _GeneratorFamily(WitnessFamily):
         stack.setflags(write=False)
         return stack
 
+    def _closed_form(self, stack: np.ndarray) -> np.ndarray:
+        n, d = len(stack), self._dim
+        x = np.ascontiguousarray(stack).view(np.float64).reshape(n, 2 * d * d)
+        w = self._w
+        diag = np.zeros(n)
+        for i in range(0, 2 * d * d, 2 * d + 2):
+            diag += w.real * x[:, i] - w.imag * x[:, i + 1]
+        values = np.take(x, self._cols[0], axis=1)
+        values *= self._coef[0]
+        values += diag[:, None]
+        term = np.take(x, self._cols[1], axis=1)
+        term *= self._coef[1]
+        values += term
+        return values.T
+
     def _values(self, stack: np.ndarray) -> np.ndarray:
         """The einsum's values on a finite stack from d row steps over one
         (members, n) accumulator.
@@ -344,6 +371,8 @@ class _GeneratorFamily(WitnessFamily):
         zero entries add nothing to a finite sum.  Row step i reads column i of
         every state.
         """
+        if self._K == 0:
+            return self._closed_form(stack)
         acc = np.zeros((len(self), len(stack)))
         row = np.empty_like(acc)
         for i in range(self._dim):
