@@ -290,14 +290,20 @@ class WitnessFamily(_MemberTable):
 
 class _GeneratorFamily(WitnessFamily):
     """The members (K I + c_t g_{d+t}) / d of :func:`finite_family`, held as
-    (d, K, c) and their few distinct matrix entries.
+    (d, K, c) and the table of their closed form.
 
     Member t (pair (j, k) of ``np.triu_indices(d, 1)``, U for t < d(d-1)/2,
-    V after) is K/d on the diagonal plus the entries ``_upper[t]`` at (j, k)
-    and ``_lower[t]`` at (k, j); every other entry is zero.  The entries come
-    from the matrix expression :func:`generator_witness` evaluates, so they
-    carry its bits.  The member stack is built on first use, and the member
-    objects from it on first access to ``members``; evaluation needs neither.
+    V after) is K/d on the diagonal plus an entry at (j, k) and one at
+    (k, j); every other entry is zero.  Its value on a state therefore reads
+    two entries, rho_kj for row j and rho_jk for row k: their real parts for
+    a U member, whose pair entries are real, and their imaginary parts for a
+    V member, whose pair entries are imaginary.  ``_cols`` holds the two
+    columns of the stack's float view that member reads, and ``_coef`` the
+    pair entries' real parts or negated imaginary parts that multiply them.
+    Every number comes from the matrix expression :func:`generator_witness`
+    evaluates, so it carries its bits.  The member stack is built on first
+    use, and the member objects from it on first access to ``members``;
+    evaluation needs neither.
     """
 
     def __init__(self, label: str, d: int, K: float, coeffs: np.ndarray):
@@ -305,19 +311,12 @@ class _GeneratorFamily(WitnessFamily):
         self._dim, self._K, self._coeffs = d, K, coeffs
         U, V = self._pair_matrices()
         j, k = np.triu_indices(d, 1)
-        self._j, self._k = np.tile(j, 2), np.tile(k, 2)
-        self._upper = np.concatenate([U[j, k], V[j, k]])
-        self._lower = np.concatenate([U[k, j], V[k, j]])
-        self._diag = U.diagonal().copy()  # every member's diagonal
-        self._w = U[0, 0]  # every diagonal entry of every member, K/d
-        # Row j of member (j, k) reads rho_kj and row k reads rho_jk: their
-        # real parts for a U member, whose pair entries are real, and their
-        # imaginary parts for a V member, whose pair entries are imaginary.
-        half = np.repeat([0, 1], len(j))
-        flat = np.array([np.tile(k * d + j, 2), np.tile(j * d + k, 2)])
+        half = np.repeat([0, 1], len(j))  # U members, then V members
+        flat = np.array([np.tile(k * d + j, 2), np.tile(j * d + k, 2)])  # (k, j), then (j, k)
         self._cols = 2 * flat + half
         entries = np.stack([U, V]).reshape(2, d * d)[half, flat[::-1]]  # W_jk, then W_kj
         self._coef = np.where(half, -entries.imag, entries.real)
+        self._w = U[0, 0]  # every diagonal entry of every member, K/d
         self._bounds = np.repeat(_table(U[None], [DETECT_EPS]), len(coeffs), axis=1)
 
     def _pair_matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -336,21 +335,42 @@ class _GeneratorFamily(WitnessFamily):
     @functools.cached_property
     def _stack(self) -> np.ndarray:
         # One scatter: the (K I)/d of a member with no pair coefficient, then
-        # each member's two pair entries.
-        d, t = self._dim, np.arange(len(self))
-        stack = np.repeat(_generator_matrix(d, self._K, np.zeros(d * d - 1))[None], len(self), axis=0)
-        stack[t, self._j, self._k] = self._upper
-        stack[t, self._k, self._j] = self._lower
+        # each member's two pair entries, where its columns point.
+        d, m = self._dim, len(self)
+        stack = np.repeat(_generator_matrix(d, self._K, np.zeros(d * d - 1))[None], m, axis=0)
+        pairs = np.stack(self._pair_matrices()).reshape(2, d * d)
+        t, half = np.arange(m), self._cols[0] % 2
+        for flat in self._cols // 2:
+            stack.reshape(m, d * d)[t, flat] = pairs[half, flat]
         stack.setflags(write=False)
         return stack
 
-    def _closed_form(self, stack: np.ndarray) -> np.ndarray:
+    def _values(self, stack: np.ndarray) -> np.ndarray:
+        """The members' values on a finite (n, d, d) stack in closed form,
+        two entries per member.
+
+        Member (j, k)'s einsum sums each row of W rho^T on its own and adds
+        the row sums in order onto +0: row j sums to D_j + O_jk, row k to
+        O_kj + D_k and every other row i to D_i, with D_i = Re(w) Re(rho_ii)
+        - Im(w) Im(rho_ii) for the diagonal entry w and O_jk = Re(W_jk)
+        Re(rho_kj) - Im(W_jk) Im(rho_kj).  This kernel instead sums D = sum_i
+        D_i onto +0 once for all members, in row order, and returns
+        (D + O_jk) + O_kj.  One of the two products in each O is a zero
+        entry times a finite number, and the other is the member's ``_coef``
+        times the column ``_cols`` names.  A zero's sign never reaches a
+        value, since D is never -0.  At K = 0 every D_i is a zero, so these
+        are the einsum's values bit for bit; at K != 0 the diagonal terms
+        are summed in another order, and a value can differ from the
+        einsum's in its last bits.
+        """
         n, d = len(stack), self._dim
         x = np.ascontiguousarray(stack).view(np.float64).reshape(n, 2 * d * d)
         w = self._w
         diag = np.zeros(n)
-        for i in range(0, 2 * d * d, 2 * d + 2):
+        for i in range(0, 2 * d * d, 2 * d + 2):  # Re(rho_ii) at i, Im(rho_ii) at i + 1
             diag += w.real * x[:, i] - w.imag * x[:, i + 1]
+        # Each column is gathered into the (n, members) buffer it is scaled
+        # in, so the kernel holds two floats per (member, state) pair.
         values = np.take(x, self._cols[0], axis=1)
         values *= self._coef[0]
         values += diag[:, None]
@@ -358,37 +378,6 @@ class _GeneratorFamily(WitnessFamily):
         term *= self._coef[1]
         values += term
         return values.T
-
-    def _values(self, stack: np.ndarray) -> np.ndarray:
-        """The einsum's values on a finite stack from d row steps over one
-        (members, n) accumulator.
-
-        The einsum of a member with a state sums each row of W rho^T on its
-        own and adds the row sums in order onto +0.  For member (j, k) row j
-        sums to D_j + O_jk, row k to O_kj + D_k and every other row i to D_i,
-        with D_i = Re(w) Re(rho_ii) - Im(w) Im(rho_ii) for the diagonal entry w
-        and O_jk = Re(W_jk) Re(rho_kj) - Im(W_jk) Im(rho_kj); products with the
-        zero entries add nothing to a finite sum.  Row step i reads column i of
-        every state.
-        """
-        if self._K == 0:
-            return self._closed_form(stack)
-        acc = np.zeros((len(self), len(stack)))
-        row = np.empty_like(acc)
-        for i in range(self._dim):
-            col = stack[:, :, i].T  # rho_li for every l, shape (d, n)
-            re, im = col.real, col.imag
-            w = self._diag[i]
-            D = w.real * re[i] - w.imag * im[i]
-            row[:] = D
-            a = np.flatnonzero(self._j == i)  # members (i, k): row i is D_i + O_ik
-            W = self._upper[a, None]
-            row[a] = D + (W.real * re[self._k[a]] - W.imag * im[self._k[a]])
-            b = np.flatnonzero(self._k == i)  # members (j, i): row i is O_ij + D_i
-            W = self._lower[b, None]
-            row[b] = (W.real * re[self._j[b]] - W.imag * im[self._j[b]]) + D
-            acc += row
-        return acc
 
 
 def canonical_witness(d: int, lo: float, hi: float) -> Witness:
@@ -547,10 +536,12 @@ def finite_family(d: int, K: float = 0.0, coeffs=None) -> WitnessFamily:
     [K/d, K/d].  Jointly the family detects every state with off-diagonal
     support while leaving every diagonal state undetected.
 
-    The family is held as (d, K, coefficients): evaluation reads each state
-    in d row steps, in the summation order of the per-member einsum, so its
-    values match the member matrices bit for bit.  The member witnesses are
-    built on first access to ``members``.  A non-finite K or coefficient
+    The family is held as (d, K, coefficients): evaluation reads two entries
+    of each state per member, in closed form, so a sweep costs O(d^2) per
+    state.  At K = 0 its values match the member matrices' bit for bit; at
+    K != 0 the diagonal terms are summed in another order, so on a state a
+    value can differ from theirs by about 2 (d + 1) 2^-53 |K|/d.  The member
+    witnesses are built on first access to ``members``.  A non-finite K or coefficient
     raises NonFiniteError, as a member Witness would.
     """
     if d < 2:

@@ -34,13 +34,16 @@ def sha256(data: bytes) -> str:
 @pytest.mark.parametrize(
     "d,samples,K,digest",
     [
-        (4, 200, "1", "d17da951b0bf7cee848513db2f6eb785e3a6c57727c05ee431de2bbf6c71d44e"),
-        (4, 200, "37", "413de39d13b9bc0104d6646a8b127563bdcc3afb6efe01da680fef58f03e780b"),
+        (4, 200, "1", "817e43a21d0f2d9d44585d65456800659f9d68f2f73bb5ff5e19c3c72f16a5e8"),
+        (4, 200, "37", "fb673191b00295081fb6e795fd93a3a6bc17e2d6fcd19feb2a7c8b2847f576ba"),
         (12, 40, "1", "b77d28defab6fcf97a58ccbb48f79dda96de3d05d554a91e539766213da024a5"),
         (12, 40, "37", "5a91c4b52dea93a42785d01f2fbb08b76453c435405e9c3bc50c328f5c499896"),
     ],
 )
 def test_verify_stdout(capsys, d, samples, K, digest):
+    # The d = 4 cases at K != 0 were re-pinned when the built-in family moved
+    # to its closed form, which sums the diagonal terms in another order: only
+    # min_margin_detected moved, in its last bits.
     argv = ["verify", "--d", str(d), "--samples", str(samples), "--seed", "2024", "--K", K]
     assert run(argv) == 0
     assert sha256(capsys.readouterr().out.encode()) == digest
@@ -52,10 +55,12 @@ def test_verify_stdout_with_the_error_budget(capsys):
     # slack in the verdict rule.  Margins below it no longer count as hits,
     # so per_witness_hits and min_margin_detected differ from the output
     # before the slack (digest 4bdddf47...8603); the verdict is still PASS.
+    # The closed-form kernel moved min_margin_detected in its last bits
+    # (digest 436a49c6...3870 before it); the hits did not move.
     argv = ["verify", "--d", "4", "--samples", "200", "--seed", "2024", "--K", "1e6"]
     assert run(argv) == 0
     out = capsys.readouterr().out
-    assert sha256(out.encode()) == "436a49c6b7337d7bc607a0db7346c76e2c71f3eb607bda028fa1ef75f9d03870"
+    assert sha256(out.encode()) == "31696f62f1c60bf68d47e4191d79d1faf5e7db6d3140972b40e6bfb9d6367890"
     assert '"per_witness_hits": [100, 99, 100, 100, 100, 100, 100, 98, 100, 100, 99, 100]' in out
 
 

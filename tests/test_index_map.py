@@ -6,6 +6,7 @@ library no longer evaluates anything that way; it lives on here only, and
 every comparison is bit for bit (array bytes, so signs of zeros count too).
 """
 
+import dataclasses
 import math
 from itertools import combinations
 
@@ -30,7 +31,7 @@ from cohwit import (
     tailored_witness,
 )
 from cohwit.generators import _operator
-from cohwit.verify import mixed_ensemble, verify_coverage
+from cohwit.verify import verify_coverage
 
 DIMS = range(2, 13)
 
@@ -123,7 +124,7 @@ def test_family_kernel_matches_per_member_evaluate(d):
         Witness(sample_hermitian(d, 90 + d)),
     )
     family = WitnessFamily(label="mixed", members=members)
-    ensemble = mixed_ensemble(d, 12, 100 + d) + [rho, DensityMatrix(np.eye(d) / d)]
+    ensemble = [DensityMatrix(m) for m in sample_ensemble(d, 12, 100 + d)] + [rho, DensityMatrix(np.eye(d) / d)]
     values, margins, detected = family.evaluate_batch(np.stack([s.matrix for s in ensemble]))
     assert values.shape == margins.shape == detected.shape == (len(members), len(ensemble))
     for m, w in enumerate(members):
@@ -176,24 +177,75 @@ def test_generator_family_entries_match_its_members():
                 assert same_bits(w.matrix, (K * eye + np.einsum("k,kij->ij", eta, basis)) / d)
 
 
+def kernel_stack(d):
+    """Valid states, among them I/d and I/d with -0.0 off-diagonal entries,
+    then finite non-Hermitian matrices, one with -0.0 entries."""
+    mixed = np.eye(d, dtype=np.complex128) / d
+    signed = mixed.copy()
+    signed[np.triu_indices(d, 1)] = complex(-0.0, -0.0)
+    signed[np.tril_indices(d, -1)] = complex(-0.0, 0.0)
+    rng = np.random.default_rng(d)
+    raw = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    raw[0][rng.random((d, d)) < 0.3] = complex(-0.0, -0.0)
+    return np.concatenate([sample_ensemble(d, 16, 900 + d), mixed[None], signed[None], raw]), [
+        DensityMatrix(mixed),
+        DensityMatrix(signed),
+    ]
+
+
+def kernel_coefficients(d):
+    """Default, signed, tiny and near-overflow member coefficients."""
+    n = d * (d - 1)
+    signs = np.where(np.arange(n) % 3, 1.0, -1.0)
+    random = np.random.default_rng(d).uniform(0.5, 2.0, n) * signs
+    return [None, random, 1e-300 * signs, 0.9e308 / d * random / 2.0]
+
+
+def summation_bound(family, stack):
+    """2 gamma_{d+1} times the sum of the summands' moduli, per (member,
+    state): how far two recursive sums of the same d + 2 products, each with
+    at most d + 1 roundings, can differ.  The (d + 2) u in place of
+    gamma_{d+1} = (d + 1) u / (1 - (d + 1) u) absorbs that quotient and the
+    rounding of the moduli's own sum."""
+    d = family.dim
+    W = np.stack([w.matrix for w in family.members])
+    moduli = np.einsum("mil,nli->mn", np.abs(W.real), np.abs(stack.real))
+    moduli += np.einsum("mil,nli->mn", np.abs(W.imag), np.abs(stack.imag))
+    return 2.0 * (d + 2) * 2.0**-53 * moduli
+
+
 @pytest.mark.parametrize("K", [0.0, 1.0, 37.0, -2.5, 1e6])
 @pytest.mark.parametrize("d", [*DIMS, 18])
 def test_generator_family_kernel_matches_member_kernel(d, K):
-    """finite_family evaluates in d row steps without member objects; the
-    oracle is the one-einsum-per-member path over its materialized members."""
-    mixed = DensityMatrix(np.eye(d) / d)
-    stack = np.concatenate([sample_ensemble(d, 16, 900 + d), mixed.matrix[None]])
-    random = np.random.default_rng(d).uniform(0.5, 2.0, d * (d - 1))
-    random *= np.where(np.arange(random.size) % 3, 1.0, -1.0)
-    for coeffs in (None, random):
+    """finite_family evaluates in closed form, two entries per member, with
+    no member object; the oracle is the one-einsum-per-member path over its
+    materialized members.  At K = 0 they agree bit for bit.  At K != 0 the
+    closed form sums the diagonal terms in another order, so each value is
+    held to the recursive-summation bound, every verdict must agree and the
+    sweep reports may differ only in min_margin_detected."""
+    stack, extra = kernel_stack(d)
+    for coeffs in kernel_coefficients(d):
         family = finite_family(d, K, coeffs)
         got = family.evaluate_batch(stack)
-        report = verify_coverage(family, d, 16, 900 + d, extra_states=[mixed])
+        report = verify_coverage(family, d, 16, 900 + d, extra_states=extra)
         assert "members" not in vars(family)  # evaluation built no member
         oracle = WitnessFamily(label=family.label, members=family.members)
-        for a, b in zip(got, oracle.evaluate_batch(stack)):
-            assert same_bits(a, b)
-        assert report == verify_coverage(oracle, d, 16, 900 + d, extra_states=[mixed])
+        want = oracle.evaluate_batch(stack)
+        expected = verify_coverage(oracle, d, 16, 900 + d, extra_states=extra)
+        if K == 0.0:
+            for a, b in zip(got, want):
+                assert same_bits(a, b)
+            assert report == expected
+            continue
+        bound = summation_bound(family, stack)
+        assert np.all(np.abs(got[0] - want[0]) <= bound)
+        assert same_bits(got[2], want[2])
+        unpinned = dict(min_margin_detected=None)
+        assert dataclasses.replace(report, **unpinned) == dataclasses.replace(expected, **unpinned)
+        a, b = report.min_margin_detected, expected.min_margin_detected
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert abs(a - b) <= bound.max() + 2 * math.ulp(b)
 
 
 def test_generator_family_reports_non_finite_states_as_its_members_do():
