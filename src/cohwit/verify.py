@@ -92,16 +92,6 @@ class GeometryReport:
         return self.n_detected > 0
 
 
-def mixed_ensemble(d: int, n_states: int, seed: Seed) -> list[DensityMatrix]:
-    """The states of :func:`cohwit.states.sample_ensemble`: half full-rank
-    random states (coherent a.s.), half diagonal states.
-
-    State t uses sub-seed ``seed + t``; the first ``n_states // 2`` are the
-    random full-rank ones.
-    """
-    return [DensityMatrix(m) for m in sample_ensemble(d, n_states, seed)]
-
-
 def coverage_bytes(d: int, n_states: int, n_members: int) -> int:
     """Bytes a coverage sweep of a family that holds its member matrices (a
     family built from witnesses or read from a document) holds at once: the
@@ -118,7 +108,7 @@ def generator_coverage_bytes(d: int, n_states: int, n_members: int) -> int:
     """Bytes a coverage sweep of the built-in :func:`finite_family` holds at
     once.  That family keeps no member matrix, so this counts the complex
     (n_states, d, d) state stack; per (member, state) pair, the 33 bytes of
-    :func:`coverage_bytes` and the kernel's float row buffer; and 128 bytes
+    :func:`coverage_bytes` and the kernel's gather temporary; and 128 bytes
     per entry of one sampling block, which covers the sampler's temporaries
     and, before the sweep, the family's construction."""
     block = max(_BLOCK_ENTRIES, d * d)
@@ -287,7 +277,16 @@ def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) ->
     """
     w, (x, y, z, _, detected) = _qubit_lattice(K, a, b, c, grid_n)
     slack = float(_slack(w._bounds, 2)[0])
-    predicate = np.abs(a * x + b * y + c * z) > abs(c) + 2.0 * (w.detect_eps + slack)
+    with np.errstate(over="ignore"):
+        plane = a * x + b * y + c * z
+        bound = abs(c) + 2.0 * (w.detect_eps + slack)
+    predicate = np.abs(plane) > bound
+    over = ~np.isfinite(plane)
+    if over.any():
+        # A quarter of the sum cannot overflow, and scaling both sides by a
+        # power of two keeps the comparison.
+        plane = 0.25 * a * x[over] + 0.25 * b * y[over] + 0.25 * c * z[over]
+        predicate[over] = np.abs(plane) > 0.25 * abs(c) + 0.5 * (w.detect_eps + slack)
     n_mismatch = int(np.count_nonzero(detected != predicate))
     return GeometryReport(
         grid_n=grid_n,

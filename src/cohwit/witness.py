@@ -441,7 +441,10 @@ def tailored_witness(state: DensityMatrix, lo: float, hi: float) -> Witness:
     if gap == 0.0:
         return base
     component = entry.real if use_re else entry.imag
-    return Witness((gap / component) * comp_op + base.matrix)
+    # An overflowing scale leaves non-finite entries, which Witness refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = (gap / component) * comp_op + base.matrix
+    return Witness(M)
 
 
 def qubit_witness(K: float, a: float, b: float, c: float) -> Witness:
@@ -454,9 +457,9 @@ def qubit_witness(K: float, a: float, b: float, c: float) -> Witness:
     """
     if a == 0.0 and b == 0.0 and c == 0.0:
         raise ZeroOperatorError("qubit witness needs a, b, c not all zero")
-    M = 0.5 * np.array(
-        [[K + c, a - 1j * b], [a + 1j * b, K - c]], dtype=np.complex128
-    )
+    # K + c or K - c overflowing leaves non-finite entries, which Witness refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = 0.5 * np.array([[K + c, a - 1j * b], [a + 1j * b, K - c]], dtype=np.complex128)
     return Witness(M)
 
 
@@ -495,9 +498,11 @@ def qubit_pair_family(K: float, a1: float, b1: float, a2: float, b2: float) -> W
 
 
 def _generator_matrix(d: int, K: float, coeffs) -> np.ndarray:
-    # (K I + sum_i s_i g_i) / d.
-    op = _operator(d, coeffs)  # validates d before np.eye sees it
-    return (K * np.eye(d, dtype=np.complex128) + op) / d
+    # (K I + sum_i s_i g_i) / d.  An entry that overflows is left non-finite
+    # for Witness to refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = _operator(d, coeffs)  # validates d before np.eye sees it
+        return (K * np.eye(d, dtype=np.complex128) + op) / d
 
 
 def generator_witness(d: int, K: float, coeffs) -> Witness:

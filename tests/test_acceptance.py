@@ -19,10 +19,10 @@ from cohwit import (
     finite_family,
     generator,
     incoherent_with_value,
-    l1_coherence,
-    mixed_ensemble,
+    l1_coherence_batch,
     qubit_geometry_check,
     qubit_pair_family,
+    sample_ensemble,
     sample_ginibre,
     sample_hermitian,
     tailored_witness,
@@ -151,16 +151,15 @@ def coverage_runs():
     runs = {}
     for d in (2, 3, 4, 5):
         start = time.perf_counter()
-        states = mixed_ensemble(d, 1000, SEED_C5 + d)
-        stack = np.stack([s.matrix for s in states])
-        l1s = np.array([l1_coherence(s) for s in states])
+        stack = sample_ensemble(d, 1000, SEED_C5 + d)
+        l1s = l1_coherence_batch(stack)
         per_k = {}
         for K in (0.0, 1.0, 37.0):
             family = finite_family(d, K)
             n = len(family.members)
-            values = np.empty((n, len(states)))
-            margins = np.empty((n, len(states)))
-            detected = np.zeros((n, len(states)), dtype=bool)
+            values = np.empty((n, len(stack)))
+            margins = np.empty((n, len(stack)))
+            detected = np.zeros((n, len(stack)), dtype=bool)
             for idx, w in enumerate(family.members):
                 values[idx], margins[idx], detected[idx] = w.evaluate_batch(stack)
             report = verify_coverage(family, d, 1000, SEED_C5 + d)
@@ -274,8 +273,7 @@ def test_c8_closing_interval_bound(coverage_runs):
 def test_c9_detector_set_equivalence():
     failures = []
     rng = SplitMix64(SEED_C9)
-    states = mixed_ensemble(2, 10_000, SEED_C9)
-    stack = np.stack([s.matrix for s in states])
+    stack = sample_ensemble(2, 10_000, SEED_C9)
     for trial in range(5):
         K = -2.0 + 4.0 * rng.uniform()
         s2 = -1.0 + 2.0 * rng.uniform()

@@ -14,7 +14,7 @@ import pytest
 from cohwit import (
     SplitMix64,
     bloch_vector,
-    mixed_ensemble,
+    sample_ensemble,
     sample_ginibre,
     sample_hermitian,
     state_from_bloch,
@@ -126,8 +126,7 @@ def test_normals(seed, n, digest):
     ],
 )
 def test_mixed_ensemble(d, n, seed, digest):
-    states = np.array([s.matrix for s in mixed_ensemble(d, n, seed)])
-    assert sha256(states.tobytes()) == digest
+    assert sha256(sample_ensemble(d, n, seed).tobytes()) == digest
 
 
 def test_hermitian_samples():

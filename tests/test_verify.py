@@ -12,11 +12,11 @@ from cohwit import (
     ZeroOperatorError,
     finite_family,
     generator_witness,
-    l1_coherence,
-    mixed_ensemble,
+    l1_coherence_batch,
     qubit_geometry_check,
     qubit_state,
     qubit_witness,
+    sample_ensemble,
     sample_ginibre,
     verify_coverage,
     verify_incoherent_containment,
@@ -35,16 +35,12 @@ from cohwit.verify import (
 
 class TestMixedEnsemble:
     def test_half_and_half(self):
-        states = mixed_ensemble(3, 40, 1)
-        l1s = [l1_coherence(s) for s in states]
+        l1s = l1_coherence_batch(sample_ensemble(3, 40, 1))
         assert all(v > 1e-6 for v in l1s[:20])
         assert all(v == 0.0 for v in l1s[20:])
 
     def test_deterministic(self):
-        a = mixed_ensemble(2, 10, 5)
-        b = mixed_ensemble(2, 10, 5)
-        for s, t in zip(a, b):
-            assert np.array_equal(s.matrix, t.matrix)
+        assert np.array_equal(sample_ensemble(2, 10, 5), sample_ensemble(2, 10, 5))
 
 
 class TestIncoherentContainment:
@@ -136,7 +132,7 @@ class TestCoverage:
         with pytest.raises(InvalidParameterError):
             verify_coverage(finite_family(2), 2, -4, 0)
         with pytest.raises(InvalidParameterError):
-            mixed_ensemble(2, -4, 0)
+            sample_ensemble(2, -4, 0)
 
     def test_working_set_estimate(self):
         # Stack and member matrices at 16 B per entry, the oracle's float copy
@@ -180,6 +176,19 @@ class TestCoverage:
         finally:
             tracemalloc.stop()
         assert stacked <= coverage_bytes(d, n, members)
+
+    def test_builtin_estimate_covers_the_traced_peak_where_pairs_dominate(self):
+        # At d = 12 and 4000 states the 41 B per (member, state) pair are about
+        # 70% of the estimate, so the kernel's own buffers are what it bounds.
+        d, n = 12, 4000
+        tracemalloc.start()
+        try:
+            verify_coverage(finite_family(d), d, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 41 * d * (d - 1) * n > 0.6 * generator_coverage_bytes(d, n, d * (d - 1))
+        assert peak <= generator_coverage_bytes(d, n, d * (d - 1))
 
     def test_witness_built_family_holds_one_member_table(self):
         # A family built from Witness objects keeps their stacked matrices, not
@@ -264,6 +273,14 @@ class TestQubitGeometry:
     def test_zero_operator_rejected(self):
         with pytest.raises(ZeroOperatorError):
             qubit_geometry_check(1.0, 0.0, 0.0, 0.0, 10)
+
+    def test_overflowing_plane_sum_keeps_the_verdicts(self):
+        # a x + b y overflows at lattice points where |a x + b y + c z| stays
+        # below |c|, so no witness detects them; the predicate agrees there.
+        big = np.finfo(np.float64).max
+        report = qubit_geometry_check(0.0, big, big, -big, 11)
+        assert report.passed
+        assert report.n_mismatch == 0 and report.n_detected == 80
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):
