@@ -281,12 +281,10 @@ def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) ->
         plane = a * x + b * y + c * z
         bound = abs(c) + 2.0 * (w.detect_eps + slack)
     predicate = np.abs(plane) > bound
+    # Where the sum overflows, a quarter of it is compared with a quarter of the bound.
     over = ~np.isfinite(plane)
-    if over.any():
-        # A quarter of the sum cannot overflow, and scaling both sides by a
-        # power of two keeps the comparison.
-        plane = 0.25 * a * x[over] + 0.25 * b * y[over] + 0.25 * c * z[over]
-        predicate[over] = np.abs(plane) > 0.25 * abs(c) + 0.5 * (w.detect_eps + slack)
+    plane = 0.25 * a * x[over] + 0.25 * b * y[over] + 0.25 * c * z[over]
+    predicate[over] = np.abs(plane) > 0.25 * abs(c) + 0.5 * (w.detect_eps + slack)
     n_mismatch = int(np.count_nonzero(detected != predicate))
     return GeometryReport(
         grid_n=grid_n,

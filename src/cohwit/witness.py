@@ -290,43 +290,32 @@ class WitnessFamily(_MemberTable):
 
 class _GeneratorFamily(WitnessFamily):
     """The members (K I + c_t g_{d+t}) / d of :func:`finite_family`, held as
-    (d, K, c) and the table of their closed form.
+    (d, K, c) and the table their closed form reads.
 
     Member t (pair (j, k) of ``np.triu_indices(d, 1)``, U for t < d(d-1)/2,
-    V after) is K/d on the diagonal plus an entry at (j, k) and one at
-    (k, j); every other entry is zero.  Its value on a state therefore reads
-    two entries, rho_kj for row j and rho_jk for row k: their real parts for
-    a U member, whose pair entries are real, and their imaginary parts for a
-    V member, whose pair entries are imaginary.  ``_cols`` holds the two
-    columns of the stack's float view that member reads, and ``_coef`` the
-    pair entries' real parts or negated imaginary parts that multiply them.
-    Every number comes from the matrix expression :func:`generator_witness`
-    evaluates, so it carries its bits.  The member stack is built on first
-    use, and the member objects from it on first access to ``members``;
-    evaluation needs neither.
+    V after) is K/d on the diagonal plus ``_entries[:, t]`` at (j, k) and
+    (k, j), real for U and imaginary for V; ``_cols[:, t]`` are the columns
+    of a state's float view they multiply, Re or Im rho_kj and rho_jk.  The
+    entries come from the matrix expression :func:`generator_witness`
+    evaluates, so they carry its bits.  The member stack is built on first
+    use, and the member objects from it on first access to ``members``.
     """
 
     def __init__(self, label: str, d: int, K: float, coeffs: np.ndarray):
         self.label = label
-        self._dim, self._K, self._coeffs = d, K, coeffs
-        U, V = self._pair_matrices()
-        j, k = np.triu_indices(d, 1)
-        half = np.repeat([0, 1], len(j))  # U members, then V members
-        flat = np.array([np.tile(k * d + j, 2), np.tile(j * d + k, 2)])  # (k, j), then (j, k)
-        self._cols = 2 * flat + half
-        entries = np.stack([U, V]).reshape(2, d * d)[half, flat[::-1]]  # W_jk, then W_kj
-        self._coef = np.where(half, -entries.imag, entries.real)
-        self._w = U[0, 0]  # every diagonal entry of every member, K/d
-        self._bounds = np.repeat(_table(U[None], [DETECT_EPS]), len(coeffs), axis=1)
-
-    def _pair_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        self._dim, self._K = d, K
+        half = np.repeat([0, 1], len(coeffs) // 2)  # U members, then V members
         # Every U member's pair entries sit in one matrix, every V member's in
         # another, each where a lone member has it.
-        d, n_pairs = self._dim, len(self._coeffs) // 2
         eta = np.zeros((2, d * d - 1))
-        eta[0, d - 1 : d - 1 + n_pairs] = self._coeffs[:n_pairs]
-        eta[1, d - 1 + n_pairs :] = self._coeffs[n_pairs:]
-        return tuple(_generator_matrix(d, self._K, e) for e in eta)
+        eta[half, np.arange(d - 1, d * d - 1)] = coeffs
+        U, V = (_generator_matrix(d, K, e) for e in eta)
+        j, k = np.triu_indices(d, 1)
+        flat = np.array([np.tile(j * d + k, 2), np.tile(k * d + j, 2)])  # (j, k), then (k, j)
+        self._entries = np.stack([U, V]).reshape(2, d * d)[half, flat]
+        self._cols = 2 * flat[::-1] + half
+        self._w = U[0, 0]  # every diagonal entry of every member, K/d
+        self._bounds = np.repeat(_table(U[None], [DETECT_EPS]), len(coeffs), axis=1)
 
     @property
     def dim(self) -> int:
@@ -335,47 +324,38 @@ class _GeneratorFamily(WitnessFamily):
     @functools.cached_property
     def _stack(self) -> np.ndarray:
         # One scatter: the (K I)/d of a member with no pair coefficient, then
-        # each member's two pair entries, where its columns point.
+        # each member's two pair entries.
         d, m = self._dim, len(self)
         stack = np.repeat(_generator_matrix(d, self._K, np.zeros(d * d - 1))[None], m, axis=0)
-        pairs = np.stack(self._pair_matrices()).reshape(2, d * d)
-        t, half = np.arange(m), self._cols[0] % 2
-        for flat in self._cols // 2:
-            stack.reshape(m, d * d)[t, flat] = pairs[half, flat]
+        stack.reshape(m, d * d)[np.arange(m), self._cols[::-1] // 2] = self._entries
         stack.setflags(write=False)
         return stack
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
-        """The members' values on a finite (n, d, d) stack in closed form,
-        two entries per member.
+        """The members' values on a finite (n, d, d) stack, two entries each.
 
-        Member (j, k)'s einsum sums each row of W rho^T on its own and adds
-        the row sums in order onto +0: row j sums to D_j + O_jk, row k to
-        O_kj + D_k and every other row i to D_i, with D_i = Re(w) Re(rho_ii)
-        - Im(w) Im(rho_ii) for the diagonal entry w and O_jk = Re(W_jk)
-        Re(rho_kj) - Im(W_jk) Im(rho_kj).  This kernel instead sums D = sum_i
-        D_i onto +0 once for all members, in row order, and returns
-        (D + O_jk) + O_kj.  One of the two products in each O is a zero
-        entry times a finite number, and the other is the member's ``_coef``
-        times the column ``_cols`` names.  A zero's sign never reaches a
-        value, since D is never -0.  At K = 0 every D_i is a zero, so these
-        are the einsum's values bit for bit; at K != 0 the diagonal terms
-        are summed in another order, and a value can differ from the
-        einsum's in its last bits.
+        Member (j, k)'s einsum adds its row sums of W rho^T onto +0 in order:
+        D_j + O_jk, O_kj + D_k and D_i at every other row i, with D_i =
+        Re(w) Re(rho_ii) - Im(w) Im(rho_ii) for the diagonal entry w and O_jk
+        = Re(W_jk) Re(rho_kj) - Im(W_jk) Im(rho_kj).  Here D = sum_i D_i is
+        summed onto +0 once, in row order, and the value is (D + O_jk) + O_kj,
+        with one product per O: the other is a zero times a finite number,
+        and D is never -0, so no zero's sign reaches a value.  At K = 0 every
+        D_i is a zero, so the values are the einsum's bit for bit; at K != 0
+        they can differ from them in the last bits.
         """
         n, d = len(stack), self._dim
         x = np.ascontiguousarray(stack).view(np.float64).reshape(n, 2 * d * d)
-        w = self._w
         diag = np.zeros(n)
         for i in range(0, 2 * d * d, 2 * d + 2):  # Re(rho_ii) at i, Im(rho_ii) at i + 1
-            diag += w.real * x[:, i] - w.imag * x[:, i + 1]
-        # Each column is gathered into the (n, members) buffer it is scaled
-        # in, so the kernel holds two floats per (member, state) pair.
+            diag += self._w.real * x[:, i] - self._w.imag * x[:, i + 1]
+        coef = np.where(self._cols % 2, -self._entries.imag, self._entries.real)
+        # Each column is scaled in its gather buffer: two floats per pair.
         values = np.take(x, self._cols[0], axis=1)
-        values *= self._coef[0]
+        values *= coef[0]
         values += diag[:, None]
         term = np.take(x, self._cols[1], axis=1)
-        term *= self._coef[1]
+        term *= coef[1]
         values += term
         return values.T
 
@@ -498,8 +478,7 @@ def qubit_pair_family(K: float, a1: float, b1: float, a2: float, b2: float) -> W
 
 
 def _generator_matrix(d: int, K: float, coeffs) -> np.ndarray:
-    # (K I + sum_i s_i g_i) / d.  An entry that overflows is left non-finite
-    # for Witness to refuse.
+    # (K I + sum_i s_i g_i) / d; an overflowing entry is left for Witness to refuse.
     with np.errstate(over="ignore", invalid="ignore"):
         op = _operator(d, coeffs)  # validates d before np.eye sees it
         return (K * np.eye(d, dtype=np.complex128) + op) / d
@@ -542,12 +521,11 @@ def finite_family(d: int, K: float = 0.0, coeffs=None) -> WitnessFamily:
     support while leaving every diagonal state undetected.
 
     The family is held as (d, K, coefficients): evaluation reads two entries
-    of each state per member, in closed form, so a sweep costs O(d^2) per
-    state.  At K = 0 its values match the member matrices' bit for bit; at
-    K != 0 the diagonal terms are summed in another order, so on a state a
-    value can differ from theirs by about 2 (d + 1) 2^-53 |K|/d.  The member
-    witnesses are built on first access to ``members``.  A non-finite K or coefficient
-    raises NonFiniteError, as a member Witness would.
+    of a state per member, in closed form.  At K = 0 its values match the
+    member matrices' bit for bit; at K != 0 they can differ by about 2 (d +
+    1) 2^-53 |K|/d.  The member witnesses are built on first access to
+    ``members``.  A non-finite K or coefficient raises NonFiniteError, as a
+    member Witness would.
     """
     if d < 2:
         raise DimensionMismatchError(f"family needs dim >= 2, got {d}")
