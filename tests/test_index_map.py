@@ -3,7 +3,9 @@
 The reference is the dense path: the generators written out entry by entry
 and stacked into a (d**2 - 1, d, d) tensor, then contracted with einsum.  The
 library no longer evaluates anything that way; it lives on here only, and
-every comparison is bit for bit (array bytes, so signs of zeros count too).
+every comparison is bit for bit (array bytes, so signs of zeros count too),
+except the built-in family's closed-form values at K != 0, which are held to
+a stated rounding bound.
 """
 
 import dataclasses

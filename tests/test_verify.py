@@ -275,8 +275,9 @@ class TestQubitGeometry:
             qubit_geometry_check(1.0, 0.0, 0.0, 0.0, 10)
 
     def test_overflowing_plane_sum_keeps_the_verdicts(self):
-        # a x + b y overflows at lattice points where |a x + b y + c z| stays
-        # below |c|, so no witness detects them; the predicate agrees there.
+        # The bound |c| + 2 (eps + slack) and the sum a x + b y + c z both
+        # overflow; the witness detects 80 points, all where the sum does, and
+        # the predicate, compared at a quarter of the scale there, agrees.
         big = np.finfo(np.float64).max
         report = qubit_geometry_check(0.0, big, big, -big, 11)
         assert report.passed
