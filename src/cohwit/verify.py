@@ -277,14 +277,10 @@ def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) ->
     """
     w, (x, y, z, _, detected) = _qubit_lattice(K, a, b, c, grid_n)
     slack = float(_slack(w._bounds, 2)[0])
-    with np.errstate(over="ignore"):
-        plane = a * x + b * y + c * z
-        bound = abs(c) + 2.0 * (w.detect_eps + slack)
-    predicate = np.abs(plane) > bound
-    # Where the sum overflows, a quarter of it is compared with a quarter of the bound.
-    over = ~np.isfinite(plane)
-    plane = 0.25 * a * x[over] + 0.25 * b * y[over] + 0.25 * c * z[over]
-    predicate[over] = np.abs(plane) > 0.25 * abs(c) + 0.5 * (w.detect_eps + slack)
+    # A quarter of each side: scaling by a power of two is exact, so this is
+    # |ax + by + cz| > |c| + 2 (eps + slack), and the sum of three quarters stays finite.
+    plane = 0.25 * a * x + 0.25 * b * y + 0.25 * c * z
+    predicate = np.abs(plane) > 0.25 * abs(c) + 0.5 * (w.detect_eps + slack)
     n_mismatch = int(np.count_nonzero(detected != predicate))
     return GeometryReport(
         grid_n=grid_n,

@@ -295,7 +295,8 @@ class _GeneratorFamily(WitnessFamily):
     Member t (pair (j, k) of ``np.triu_indices(d, 1)``, U for t < d(d-1)/2,
     V after) is K/d on the diagonal plus ``_entries[:, t]`` at (j, k) and
     (k, j), real for U and imaginary for V; ``_cols[:, t]`` are the columns
-    of a state's float view they multiply, Re or Im rho_kj and rho_jk.  The
+    of a state's float view they multiply, Re or Im rho_kj and rho_jk, and
+    ``_coef[:, t]`` the factors, Re of the entries for U and -Im for V.  The
     entries come from the matrix expression :func:`generator_witness`
     evaluates, so they carry its bits.  The member stack is built on first
     use, and the member objects from it on first access to ``members``.
@@ -314,6 +315,7 @@ class _GeneratorFamily(WitnessFamily):
         flat = np.array([np.tile(j * d + k, 2), np.tile(k * d + j, 2)])  # (j, k), then (k, j)
         self._entries = np.stack([U, V]).reshape(2, d * d)[half, flat]
         self._cols = 2 * flat[::-1] + half
+        self._coef = np.where(half, -self._entries.imag, self._entries.real)
         self._w = U[0, 0]  # every diagonal entry of every member, K/d
         self._bounds = np.repeat(_table(U[None], [DETECT_EPS]), len(coeffs), axis=1)
 
@@ -349,13 +351,12 @@ class _GeneratorFamily(WitnessFamily):
         diag = np.zeros(n)
         for i in range(0, 2 * d * d, 2 * d + 2):  # Re(rho_ii) at i, Im(rho_ii) at i + 1
             diag += self._w.real * x[:, i] - self._w.imag * x[:, i + 1]
-        coef = np.where(self._cols % 2, -self._entries.imag, self._entries.real)
         # Each column is scaled in its gather buffer: two floats per pair.
         values = np.take(x, self._cols[0], axis=1)
-        values *= coef[0]
+        values *= self._coef[0]
         values += diag[:, None]
         term = np.take(x, self._cols[1], axis=1)
-        term *= coef[1]
+        term *= self._coef[1]
         values += term
         return values.T
 
