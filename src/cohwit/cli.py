@@ -24,20 +24,27 @@ witness document is its one-item case, and a family's members are read at
 once into a member table, with one entry conversion, one stacked Hermiticity
 check and no Witness built.  A malformed entry is reported at its first
 index; members that fail together are read again one at a time, so the
-error is the first failing member's own.  A ``bloch`` CSV row is exactly
-``f"{x!r},{y!r},{z!r},{value!r},{verdict}\n"`` of Python floats, rendered from
-the arrays with one ``repr`` per distinct float64 bit pattern.
+error is the first failing member's own.  Every document is read with the
+cyclic garbage collector paused until its parse tree is freed: a JSON tree
+holds no reference cycle, yet its lists would count toward the collector's
+thresholds and trigger passes that find nothing; cyclic garbage made
+elsewhere meanwhile waits for a later pass.
+
+A ``bloch`` CSV row is exactly ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\n"``
+of Python floats, rendered from the arrays with one ``repr`` per distinct
+float64 bit pattern.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -71,6 +78,8 @@ _CSV_CHUNK_ROWS = 4096
 
 _KINDS = ("lemma2", "tailored", "qubit", "eta", "family-member", "custom")
 _NUMBER_TYPES = frozenset({int, float})
+
+T = TypeVar("T")
 
 
 def _num(value, where: str) -> float:
@@ -238,6 +247,31 @@ def _load_json(path: str):
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _read_document(path: str, convert: Callable[[object], T]) -> T:
+    """``convert`` of the JSON document at ``path``, with the cyclic garbage
+    collector paused from the parse until ``convert`` has returned and the
+    parse tree is freed; it is enabled again only if it was on at entry.
+
+    A parsed document is a tree of dicts, lists and numbers: it holds no
+    reference cycle, so the collector has nothing to find in it, yet each of
+    its containers counts toward the collector's thresholds (a d = 12 family
+    document holds about 19,000 [re, im] lists).  Paused, the parse and the
+    conversion trigger no pass, and once the tree is freed its containers no
+    longer count.  Cyclic garbage made elsewhere meanwhile is only collected
+    later, by the next pass.  The enabled flag is process-wide, so two threads
+    reading at once can change when a pass runs, never what is read.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # The tree is only ever a temporary argument, so it is freed as
+        # convert returns, before the collector is enabled again.
+        return convert(_load_json(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of an integer array, ascending, and the index of
     each element's value among them.  On float64 bit patterns this keeps 0.0
@@ -340,25 +374,11 @@ def _require(args: argparse.Namespace, names: Sequence[str], kind: str) -> None:
         raise DocumentError(f"gen --kind {kind} requires {', '.join(missing)}")
 
 
-def bloch_cloud(
-    K: float, a: float, b: float, c: float, grid_n: int
-) -> Iterator[tuple[float, float, float, float, str]]:
-    """Iterate (x, y, z, value, verdict) over the in-ball lattice.
-
-    Point order matches :func:`cohwit.verify.bloch_grid`: x, then y, then z
-    ascending.  Inputs are validated and every verdict computed before the
-    iterator is returned.
-    """
-    _, (x, y, z, values, detected) = _qubit_lattice(K, a, b, c, grid_n)
-    verdicts = ["Detected" if hit else "NotDetected" for hit in detected.tolist()]
-    return zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)
-
-
 def write_bloch_cloud(stream, x, y, z, values, detected) -> None:
     """Write a point cloud as CSV: a header line, then for point i the row
     ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\\n"`` of its coordinates and
     value as Python floats and its verdict, "Detected" where ``detected[i]``
-    is true, else "NotDetected".  These are the rows of :func:`bloch_cloud`.
+    is true, else "NotDetected".
 
     Each distinct float64 bit pattern is formatted once, so 0.0 and -0.0 stay
     apart, and rows are joined and written _CSV_CHUNK_ROWS at a time.
@@ -408,12 +428,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    w = witness_from_document(_load_json(args.witness))
+    w = _read_document(args.witness, witness_from_document)
     if args.eps is not None:
         if args.eps < 0:
             raise DocumentError(f"--eps: must be nonnegative, got {args.eps}")
         w = w.with_eps(args.eps)
-    state = state_from_document(_load_json(args.state))
+    state = _read_document(args.state, state_from_document)
     report = w.evaluate(state)
     print(
         json.dumps(
@@ -430,7 +450,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    state = state_from_document(_load_json(args.state))
+    state = _read_document(args.state, state_from_document)
     print(json.dumps({"dim": state.dim, "l1_coherence": l1_coherence(state)}))
     return 0
 
@@ -439,7 +459,7 @@ def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise DocumentError(f"--samples: must be >= 1, got {args.samples}")
     if args.family is not None:
-        family = family_from_document(_load_json(args.family))
+        family = _read_document(args.family, family_from_document)
         if family.dim != args.d:
             raise DocumentError(f"family dim {family.dim} does not match --d {args.d}")
     else:

@@ -116,13 +116,13 @@ def generator_coverage_bytes(d: int, n_states: int, n_members: int) -> int:
 
 
 def bloch_bytes(grid_n: int) -> int:
-    """Bytes ``cohwit.cli.bloch_cloud`` holds at once, counting every point
-    of the grid_n**3 lattice as in the ball; the ``bloch`` command, which
-    writes its CSV from the arrays, holds less.  The largest stage holds, per
-    point, the three float64 coordinates, the kernel's value, margin and
-    verdict, and the rows' lists: four of Python floats (32 bytes an item)
-    and one of verdicts (8 bytes an item)."""
-    return 177 * grid_n**3
+    """Bytes the ``bloch`` command holds at once for a grid_n**3 lattice.
+    Per point in the ball it holds the coordinates and values, their sorted
+    bit patterns and indices, and a formatted string per distinct value; at
+    worst, when every value is distinct and 24 characters long, that is about
+    112 bytes per point of the cube.  Counting 128 bytes per point of the cube
+    and 2 MiB covers that and the command's fixed costs."""
+    return 128 * grid_n**3 + 2**21
 
 
 def require_coverage_budget(estimate, d: int, n_states: int, n_members: int) -> None:

@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import math
 import os
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from cohwit import (
     sample_ginibre,
     sample_hermitian,
 )
+from cohwit import cli
 from cohwit.cli import (
-    bloch_cloud,
     family_from_document,
     matrix_from_document,
     matrix_to_document,
@@ -294,16 +296,118 @@ class TestBloch:
         assert data.startswith(b"x,y,z,value,verdict\n")
         assert b"\r" not in data  # LF only
 
-    def test_cloud_order_matches_grid_helper(self):
-        rows = list(bloch_cloud(0.0, 1.0, 0.0, 0.0, 5))
-        from cohwit.verify import bloch_grid
+    def test_cloud_order_matches_grid_helper(self, capsys):
+        assert run(["bloch", "--K", "0", "--a", "1", "--b", "0", "--c", "0", "--grid", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        from cohwit.verify import _qubit_lattice, bloch_grid
 
         x, y, z = bloch_grid(5)
-        assert len(rows) == x.size
-        assert [r[0] for r in rows] == [float(v) for v in x]
+        _, (lx, ly, lz, values, detected) = _qubit_lattice(0.0, 1.0, 0.0, 0.0, 5)
+        assert all(np.array_equal(p, q) for p, q in [(x, lx), (y, ly), (z, lz)])
+        verdicts = ["Detected" if hit else "NotDetected" for hit in detected.tolist()]
+        rows = zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)
+        assert lines == [f"{p!r},{q!r},{r!r},{v!r},{verdict}" for p, q, r, v, verdict in rows]
 
     def test_zero_operator_exit_2(self):
         assert run(["bloch", "--K", "1", "--a", "0", "--b", "0", "--c", "0", "--grid", "5"]) == 2
+
+
+class TestReaderPausesTheCollector:
+    """Every document is read with the cyclic collector paused until its
+    parse tree is freed, and the collector is left as the caller had it."""
+
+    @staticmethod
+    def documents(tmp_path):
+        wfile, sfile, ffile = tmp_path / "w.json", tmp_path / "rho.json", tmp_path / "fam.json"
+        run(["gen", "--kind", "lemma2", "--d", "2", "--m", "0", "--M", "1", "--out", str(wfile)])
+        run(["gen", "--kind", "family", "--d", "2", "--out", str(ffile)])
+        write_state(sfile, canonical_coherent(2))
+        return str(wfile), str(sfile), str(ffile)
+
+    @staticmethod
+    def argvs(wfile, sfile, ffile):
+        return [
+            ["detect", "--witness", wfile, "--state", sfile],
+            ["oracle", "--state", sfile],
+            ["verify", "--d", "2", "--samples", "5", "--seed", "1", "--family", ffile],
+        ]
+
+    def test_conversion_runs_with_the_collector_off(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        for name in ("witness_from_document", "state_from_document", "family_from_document"):
+            def spy(doc, convert=getattr(cli, name)):
+                seen.append((convert.__name__, gc.isenabled()))
+                return convert(doc)
+
+            monkeypatch.setattr(cli, name, spy)
+        for argv in self.argvs(*self.documents(tmp_path)):
+            assert run(argv) == 0
+            assert gc.isenabled()
+        assert seen == [
+            ("witness_from_document", False),
+            ("state_from_document", False),
+            ("state_from_document", False),
+            ("family_from_document", False),
+        ]
+
+    def test_parse_tree_is_freed_before_the_collector_is_enabled(self, tmp_path, monkeypatch, capsys):
+        class Tree(dict):  # a parsed document that a weak reference can watch
+            pass
+
+        trees, enabled_with_live_trees = [], []
+        load = json.load
+        monkeypatch.setattr(cli.json, "load", lambda fh: trees.append(weakref.ref(t := Tree(load(fh)))) or t)
+
+        def enable():
+            enabled_with_live_trees.append(sum(ref() is not None for ref in trees))
+            gc.enable()
+
+        monkeypatch.setattr(cli, "gc", type("Collector", (), {
+            "isenabled": staticmethod(gc.isenabled),
+            "disable": staticmethod(gc.disable),
+            "enable": staticmethod(enable),
+        }))
+        for argv in self.argvs(*self.documents(tmp_path)):
+            assert run(argv) == 0
+        assert len(trees) == 4 and enabled_with_live_trees == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "case", ["success", "malformed-json", "bad-entry", "dim-mismatch", "mixed-dims", "unreadable"]
+    )
+    def test_collector_is_left_as_the_caller_had_it(self, tmp_path, capsys, case, enabled):
+        wfile, sfile, ffile = self.documents(tmp_path)
+        bad = tmp_path / "bad.json"
+        verify = ["verify", "--d", "2", "--samples", "5", "--seed", "1", "--family"]
+        if case == "malformed-json":
+            bad.write_text("{not json")
+        elif case == "bad-entry":
+            bad.write_text(json.dumps({"dim": 2, "entries": [[1.0, 0.0], "x", [0.0, 0.0], [0.0, 0.0]]}))
+        elif case == "mixed-dims":
+            members = [witness_to_document(canonical_witness(d, 0.0, 1.0)) for d in (2, 3)]
+            bad.write_text(json.dumps({"label": "mixed", "members": members}))
+        elif case == "unreadable":
+            bad.write_bytes(b"\xff\xfe{}")
+        argvs = {
+            "success": self.argvs(wfile, sfile, ffile),
+            "dim-mismatch": [["verify", "--d", "3", "--samples", "5", "--seed", "1", "--family", ffile]],
+            "mixed-dims": [verify + [str(bad)]],
+        }.get(case, [
+            ["detect", "--witness", str(bad), "--state", sfile],
+            ["detect", "--witness", wfile, "--state", str(bad)],
+            ["oracle", "--state", str(bad)],
+            verify + [str(bad)],
+        ])
+        if case == "unreadable":
+            argvs.append(["oracle", "--state", str(tmp_path / "missing.json")])
+        if not enabled:
+            gc.disable()
+        try:
+            for argv in argvs:
+                assert run(argv) == (0 if case == "success" else 2)
+                assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
 
 class TestArgparse:
@@ -409,7 +513,7 @@ def test_builtin_family_sweep_above_d90_runs(capsys):
         ["gen", "--kind", "family", "--d", "2000", "--out", "{out}"],
         ["gen", "--kind", "family", "--d", "53", "--out", "{out}"],
         ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "2000"],
-        ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "183"],
+        ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "204"],
     ],
 )
 def test_oversized_document_or_lattice_rejected_before_building(monkeypatch, tmp_path, capsys, argv):

@@ -23,13 +23,13 @@ from test_family_stack import reference_matrix
 from cohwit import DocumentError, sample_ginibre
 from cohwit import cli
 from cohwit.cli import (
-    bloch_cloud,
     document_bytes,
     matrix_from_document,
     matrix_to_document,
     run,
     write_bloch_cloud,
 )
+from cohwit.verify import _qubit_lattice
 
 # --- writer ----------------------------------------------------------------
 
@@ -321,7 +321,9 @@ def test_unreadable_document_exits_2(tmp_path, data):
 
 
 def reference_csv(K, a, b, c, grid):
-    rows = bloch_cloud(K, a, b, c, grid)
+    _, (x, y, z, values, detected) = _qubit_lattice(K, a, b, c, grid)
+    verdicts = ["Detected" if hit else "NotDetected" for hit in detected.tolist()]
+    rows = zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)
     return "x,y,z,value,verdict\n" + "".join(f"{x!r},{y!r},{z!r},{v!r},{verdict}\n" for x, y, z, v, verdict in rows)
 
 

@@ -23,7 +23,7 @@ from cohwit import (
     witness,
 )
 from cohwit import linalg, verify
-from cohwit.cli import document_bytes
+from cohwit.cli import document_bytes, run
 from cohwit.verify import (
     MAX_COVERAGE_BYTES,
     bloch_bytes,
@@ -210,15 +210,36 @@ class TestCoverage:
         assert peak <= coverage_bytes(d, n, members)
 
     def test_lattice_and_document_estimates(self):
-        # 177 B per lattice point; 144 B per member entry plus 64 B per entry.
-        assert bloch_bytes(41) == 177 * 41**3 < MAX_COVERAGE_BYTES
-        assert bloch_bytes(182) <= MAX_COVERAGE_BYTES < bloch_bytes(183)
+        # 128 B per lattice point plus 2 MiB; 144 B per member entry plus 64 B per entry.
+        assert bloch_bytes(41) == 128 * 41**3 + 2**21 < MAX_COVERAGE_BYTES
+        assert bloch_bytes(203) <= MAX_COVERAGE_BYTES < bloch_bytes(204)
         assert bloch_bytes(2000) > MAX_COVERAGE_BYTES  # 64 GB for each coordinate array alone
         assert document_bytes(12, 132) == (144 * 132 + 64) * 144 < MAX_COVERAGE_BYTES
         assert document_bytes(10**5, 1) > MAX_COVERAGE_BYTES  # 160 GB for the zero matrix alone
         assert document_bytes(2000, 2000 * 1999) > MAX_COVERAGE_BYTES
         assert document_bytes(52, 52 * 51) <= MAX_COVERAGE_BYTES < document_bytes(53, 53 * 52)
         assert document_bytes(-2000, 2000 * 2001) == 0  # left to the dimension check
+
+    @pytest.mark.parametrize("grid", [21, 41, 91])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            ("0", "1", "1", "1"),  # few distinct values
+            # Every value distinct and 24 characters long: the most the CSV
+            # writer holds per point.
+            ("0", "-1.2345678901234567e-200", "-9.876543210987654e-201", "3.3e-201"),
+        ],
+        ids=["few-values", "long-values"],
+    )
+    def test_lattice_estimate_covers_the_traced_peak_of_the_command(self, tmp_path, grid, coeffs):
+        argv = ["bloch", *(f"--{k}={v}" for k, v in zip("Kabc", coeffs)), f"--grid={grid}"]
+        tracemalloc.start()
+        try:
+            assert run([*argv, "--out", str(tmp_path / "cloud.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bloch_bytes(grid)
 
     def test_oversized_lattice_rejected_before_allocation(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -229,7 +250,7 @@ class TestCoverage:
         with pytest.raises(InvalidParameterError, match="bytes"):
             bloch_grid(2000)
         with pytest.raises(InvalidParameterError, match="bytes"):
-            qubit_geometry_check(0.0, 1.0, 0.0, 0.0, 183)
+            qubit_geometry_check(0.0, 1.0, 0.0, 0.0, 204)
 
     def test_monotone_in_members(self):
         full = finite_family(2, 0.0)
