@@ -285,6 +285,7 @@ def incoherent_with_value(witness: "Witness", target: float) -> IncoherentState:
     works; otherwise a two-point distribution on a lowest minimizing and a
     lowest maximizing diagonal index does:
     weight (hi - target)/(hi - lo) on the minimizer, the rest on the maximizer.
+    Where hi - lo overflows, the weights come from halved lo, hi and target.
     """
     lo, hi = witness.interval
     if not lo <= target <= hi:
@@ -292,6 +293,8 @@ def incoherent_with_value(witness: "Witness", target: float) -> IncoherentState:
     d = witness.dim
     if lo == hi:
         return IncoherentState(np.full(d, 1.0 / d))
+    if not math.isfinite(hi - lo):  # then |lo|, |hi| >= 2**970: halving them is exact
+        lo, hi, target = lo / 2, hi / 2, target / 2
     diag = np.real(np.diagonal(witness.matrix))
     p = np.zeros(d)
     p[int(np.argmin(diag))] = (hi - target) / (hi - lo)

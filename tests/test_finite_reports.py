@@ -143,3 +143,9 @@ def test_edge_values_reach_every_constructor():
     assert finite(qubit_pair_family(-0.0, 1e308, 0.0, 0.0, -1e308))
     assert finite(incoherent_with_value(canonical_witness(2, -1.0, 1e308), 1e308))
     assert finite(incoherent_with_value(canonical_witness(2, 5e-324, 5e-324), 5e-324))
+    # An interval wider than the float range: hi - lo overflows.
+    wide = Witness(np.diag([1e308, -1e308]))
+    for target, probs in [(0.0, [0.5, 0.5]), (1e308, [1.0, 0.0]), (-1e308, [0.0, 1.0])]:
+        state = incoherent_with_value(wide, target)
+        assert state.probs.tolist() == probs
+        assert wide.evaluate(state.as_density_matrix()).value == target
