@@ -62,7 +62,11 @@ def test_normals_odd_count_prefix_of_even():
     assert a == b[:5]
 
 
-ARRAY_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -5]
+# Found by inverting the splitmix64 finalizer: the first uniform of UNIT_FIRST
+# is exactly 1.0, so Box-Muller's r is 0; the second uniform of UNIT_SECOND is
+# 1.0, so its first angle is 2 pi.
+UNIT_FIRST, UNIT_SECOND = 0xF56E309E96A04737, 0x5736B6E51755CB22
+ARRAY_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -5, UNIT_FIRST, UNIT_SECOND]
 
 
 def bits(values) -> list[int]:
@@ -95,6 +99,15 @@ def test_exponential_table_matches_scalar_stream(m):
     for row, seed in zip(exponentials(ARRAY_SEEDS, m), ARRAY_SEEDS):
         r = SplitMix64(seed)
         assert bits(row) == bits([-math.log(r.uniform()) for _ in range(m)])
+
+
+def test_edge_seeds_reach_a_unit_uniform():
+    assert uniforms([UNIT_FIRST], 1)[0, 0] == 1.0
+    assert uniforms([UNIT_SECOND], 2)[0, 1] == 1.0
+    cos, sin = normal_pairs([UNIT_FIRST, UNIT_SECOND], 1)
+    assert bits([cos[0, 0], sin[0, 0]]) == bits([-0.0, -0.0])
+    assert bits([cos[1, 0], sin[1, 0]]) == bits([1.998514358296115, -4.894948423874727e-16])
+    assert bits(exponentials([UNIT_FIRST], 1)[0]) == bits([-0.0])
 
 
 def test_empty_tables():

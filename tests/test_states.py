@@ -246,6 +246,24 @@ def test_batched_samplers_match_one_seed_and_reference(d, seeds):
         assert same_bits(hermitian[i], reference_hermitian(d, seed))
 
 
+# The first uniform of this seed is exactly 1.0: its first Box-Muller pair is
+# (-0.0, -0.0) and its first exponential -0.0.
+UNIT_FIRST = 0xF56E309E96A04737
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_batched_samplers_match_one_seed_at_a_unit_uniform(d):
+    seeds = [UNIT_FIRST, 7, UNIT_FIRST]
+    ginibre = sample_ginibre_batch(d, seeds)
+    probs = sample_incoherent_batch(d, seeds)
+    for i, seed in enumerate(seeds):
+        assert same_bits(ginibre[i], sample_ginibre(d, seed).matrix)
+        assert same_bits(ginibre[i], reference_ginibre(d, seed))
+        assert same_bits(probs[i], sample_incoherent(d, seed).probs)
+        assert same_bits(probs[i], reference_incoherent(d, seed))
+    assert same_bits(sample_incoherent(d, UNIT_FIRST).probs[0], -0.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(2, 6), n=st.integers(0, 40), seed=st.integers())
 def test_ensemble_matches_reference(d, n, seed):
