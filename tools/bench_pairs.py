@@ -1,19 +1,21 @@
 """Compare two checkouts on the benchmark workloads and write a BENCH_<topic>.json.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --claim verify-large-d \
+    python3 tools/bench_pairs.py --parent DIR --change DIR --claim family-doc:items_per_s \
         --pairs verify-large-d=10,verify-small-d=5,bloch-csv=5,family-doc=5 \
         --topic "..." --out BENCH_topic.json
 
-``--claim`` names the workload whose ``cmd_p50_s`` the change claims to
-improve; without it no gain is claimed and the summary has no claim lines.
-With it, ``claim_met`` is true when the change is faster in at least nine
-tenths of that workload's pairs and its median is lower than the parent's by
-more than the parent's interquartile range; the hold-out seed's result is
-reported beside it.  The summary always lists every workload's ``cmd_p50_s``
-medians and pair wins, each end-to-end metric's change/parent median ratio,
-and under ``beyond_bound`` every (workload, metric) whose ratio is worse than
-that metric's bound in the change checkout's ``BENCHMARK.json``, which the
-tool only reads.  Under ``unresolved`` it lists every (workload, metric)
+``--claim WORKLOAD:METRIC`` names the workload and the end-to-end metric
+the change claims to improve (a plain ``WORKLOAD`` means its ``cmd_p50_s``);
+without it no gain is claimed and the summary has no claim lines.  The metric
+must be one BENCHMARK.json declares, and wins and the median gap are counted
+in the direction its ``better`` gives.  ``claim_met`` is true when the change
+is better in at least nine tenths of that workload's pairs and its median is
+better than the parent's by more than the parent's interquartile range; the
+hold-out seed's result is reported beside it.  The summary always lists every
+workload's ``cmd_p50_s`` medians and pair wins, each end-to-end metric's
+change/parent median ratio, and under ``beyond_bound`` every (workload,
+metric) whose ratio is worse than that metric's bound in the change
+checkout's ``BENCHMARK.json``, which the tool only reads.  Under ``unresolved`` it lists every (workload, metric)
 whose parent runs spread wider than the bound (interquartile range over
 median), unless every change run reads better than every parent run: there
 the ratio cannot tell a change within the bound from one beyond it.  Under
@@ -147,7 +149,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--pairs", required=True, help="comma-separated WORKLOAD=PAIRS")
-    parser.add_argument("--claim", help="workload whose cmd_p50_s the change claims (default: no claim)")
+    parser.add_argument("--claim", help="WORKLOAD[:METRIC] the change claims to improve; METRIC "
+                        "defaults to cmd_p50_s (default: no claim)")
     parser.add_argument("--topic", required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", required=True)
@@ -157,10 +160,15 @@ def main(argv=None) -> int:
     too_few = [f"{w}={n}" for w, n in plan if n < 2]
     if too_few:
         parser.error(f"every workload needs at least 2 pairs, got {', '.join(too_few)}")
-    if args.claim is not None and args.claim not in dict(plan):
-        parser.error(f"--claim {args.claim} is not among the --pairs workloads")
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     end_to_end = end_to_end_metrics(trees["change"])
+    if args.claim is not None:
+        claim_workload, _, claim_metric = args.claim.partition(":")
+        claim_metric = claim_metric or "cmd_p50_s"
+        if claim_workload not in dict(plan):
+            parser.error(f"--claim {args.claim}: {claim_workload} is not among the --pairs workloads")
+        if claim_metric not in end_to_end:
+            parser.error(f"--claim {args.claim}: BENCHMARK.json declares no end-to-end metric {claim_metric}")
     report = {
         "topic": args.topic,
         "command": f"python3 benchmarks/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
@@ -184,19 +192,22 @@ def main(argv=None) -> int:
 
     summary = {}
     if args.claim is not None:
-        claimed = report["workloads"][args.claim]
-        p50 = claimed["metrics"]["cmd_p50_s"]
-        gap = p50["parent"]["median"] - p50["change"]["median"]
-        iqr = p50["parent"]["q3"] - p50["parent"]["q1"]
+        claimed = report["workloads"][claim_workload]
+        metric = claimed["metrics"][claim_metric]
+        higher = end_to_end[claim_metric][0]
+        gap = metric["change"]["median"] - metric["parent"]["median"]
+        gap = gap if higher else -gap
+        iqr = metric["parent"]["q3"] - metric["parent"]["q1"]
         held = claimed[f"holdout_seed_{HOLDOUT_SEED}"]
-        summary["claim"] = f"cmd_p50_s on {args.claim} improves"
-        summary["claim_met"] = 10 * p50["change_wins"] >= 9 * claimed["pairs"] and gap > iqr
+        summary["claim"] = f"{claim_metric} on {claim_workload} improves"
+        summary["claim_met"] = 10 * metric["change_wins"] >= 9 * claimed["pairs"] and gap > iqr
         summary["claim_rule"] = (
-            f"change faster in {p50['change_wins']} of {claimed['pairs']} pairs (needs 9/10); "
-            f"median gap {gap:.4f} s against parent IQR {iqr:.4f} s (gap must be larger)"
+            f"change better ({'higher' if higher else 'lower'}) in {metric['change_wins']} of "
+            f"{claimed['pairs']} pairs (needs 9/10); median gap {gap:.6g} against parent IQR "
+            f"{iqr:.6g} (gap must be larger)"
         )
-        summary[f"hold-out seed {HOLDOUT_SEED}, {args.claim} cmd_p50_s"] = (
-            f"parent {held['parent']['cmd_p50_s']:.4f} s, change {held['change']['cmd_p50_s']:.4f} s"
+        summary[f"hold-out seed {HOLDOUT_SEED}, {claim_workload} {claim_metric}"] = (
+            f"parent {held['parent'][claim_metric]:.6g}, change {held['change'][claim_metric]:.6g}"
         )
     for workload, result in report["workloads"].items():
         p50 = result["metrics"]["cmd_p50_s"]
