@@ -355,13 +355,17 @@ class TestReaderPausesTheCollector:
             pass
 
         trees, enabled_with_live_trees = [], []
-        load = json.load
-        monkeypatch.setattr(cli.json, "load", lambda fh: trees.append(weakref.ref(t := Tree(load(fh)))) or t)
+
+        def load(fh, load=json.load):
+            tree = Tree(load(fh))
+            trees.append(weakref.ref(tree))
+            return tree
 
         def enable():
             enabled_with_live_trees.append(sum(ref() is not None for ref in trees))
             gc.enable()
 
+        monkeypatch.setattr(cli.json, "load", load)
         monkeypatch.setattr(cli, "gc", type("Collector", (), {
             "isenabled": staticmethod(gc.isenabled),
             "disable": staticmethod(gc.disable),
