@@ -7,6 +7,7 @@ import os
 import tempfile
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -366,11 +367,7 @@ class TestReaderPausesTheCollector:
             gc.enable()
 
         monkeypatch.setattr(cli.json, "load", load)
-        monkeypatch.setattr(cli, "gc", type("Collector", (), {
-            "isenabled": staticmethod(gc.isenabled),
-            "disable": staticmethod(gc.disable),
-            "enable": staticmethod(enable),
-        }))
+        monkeypatch.setattr(cli, "gc", SimpleNamespace(isenabled=gc.isenabled, disable=gc.disable, enable=enable))
         for argv in self.argvs(*self.documents(tmp_path)):
             assert run(argv) == 0
         assert len(trees) == 4 and enabled_with_live_trees == [0, 0, 0, 0]
