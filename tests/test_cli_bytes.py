@@ -169,6 +169,50 @@ def test_writer_on_a_witness_family_document(tmp_path):
     assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
+def rendered_as_json(arrays, ind: str) -> list[str]:
+    """Each (r, 2) array as json.dumps(array.tolist(), indent=2) renders it
+    on a line indented by ind."""
+    return [json.dumps(a.tolist(), indent=2).replace("\n", ind) for a in arrays]
+
+
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    rows=st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=12),
+    k=st.integers(1, 4),
+    depth=st.sampled_from([0, 2, 6]),
+)
+def test_writer_renders_float_arrays_as_their_lists(rows, k, depth):
+    # A (k, r, 2) float64 block is rendered as each array's list of
+    # [re, im] pairs, strided views included.
+    a = np.array(rows, dtype=np.float64)
+    block = np.stack([a, a[::-1], a[:, ::-1], -a][:k])
+    ind = "\n" + " " * depth
+    for view in (block, block[::-1], block[:, ::-1], block[:, :, ::-1]):
+        assert cli._render_pairs(view, ind) == rendered_as_json(view, ind)
+
+
+def test_writer_array_edge_values():
+    values = EDGE_FLOATS + [math.nan, -math.nan, math.inf, -math.inf]
+    a = np.array([[x, y] for x in values for y in values[::-1]])
+    [text] = cli._render_pairs(a[None], "\n")
+    assert text == json.dumps(a.tolist(), indent=2)
+    assert "NaN" in text and "-Infinity" in text and "-0.0" in text
+
+
+def test_entries_arrays_edge_values_match_json():
+    # The entries of a family member, at its indentation.
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, math.nan, math.inf, -math.inf]
+    a = np.array([[x, y] for x in values for y in values[::-1]])
+    ind = "\n      "
+    for entries in (a, a[::-1], a[:, ::-1], a[::3], np.asfortranarray(a)):  # strided views included
+        [text] = cli._render_pairs(entries[None], ind)
+        assert text == json.dumps(entries.tolist(), indent=2).replace("\n", ind)
+    assert "NaN" in text and "-Infinity" in text and "-0.0" in text and "5e-324" in text and "1e+22" in text
+
+
 # --- reader ----------------------------------------------------------------
 
 
