@@ -25,19 +25,21 @@ broadcast with no sequential loop.  ``uniforms(seeds, m)`` is the
 of their first m ``normal_pair()`` draws, and ``exponentials(seeds, m)`` is
 the ``-ln u`` table of their first m ``uniform()`` draws.  Row i of each
 table equals the scalar draws of ``SplitMix64(seeds[i])`` bit for
-bit.  The integer stages and ``sqrt``, ``*`` and ``/`` (correctly rounded in
-IEEE 754) run in numpy.  ``log``, ``cos`` and ``sin`` go through ``math`` one
-element at a time: numpy's SIMD versions differ from libm in the last bit on
-some inputs, and can differ between CPUs, which would change every seeded
-ensemble.  Each angle table becomes a Python list once and feeds both
-``cos`` and ``sin``.  :class:`SplitMix64` stays the scalar recurrence the
-tables are tested against.
+bit.  The integer stages, ``sqrt``, ``*`` and ``/`` (correctly rounded in
+IEEE 754) and ``cos`` and ``sin`` run in numpy: numpy's float64 ``cos`` and
+``sin`` return libm's bits at each x86-64 dispatch level (X86_V4, X86_V3 and
+baseline), which ``tests/test_rng.py`` checks against ``math`` and CI reruns
+with the two wider levels disabled.
+``log`` goes through ``math`` one element at a time, because numpy's AVX-512
+``log`` differs from libm in the last bit on some inputs, and so would change
+seeded ensembles from one CPU to another.  :class:`SplitMix64` stays the
+scalar recurrence the tables are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,22 +96,20 @@ def uniforms(seeds: Sequence[Seed], m: int) -> np.ndarray:
     return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
 
 
-def _elementwise(a: np.ndarray, *fs: Callable[[float], float]) -> list[np.ndarray]:
-    # Each f applied to every element of a through Python floats (libm, not
-    # numpy SIMD); a becomes a Python list once, whatever the number of fs.
-    values = a.ravel().tolist()
-    return [np.fromiter(map(f, values), np.float64, a.size).reshape(a.shape) for f in fs]
+def _log(a: np.ndarray) -> np.ndarray:
+    # math.log on every element through Python floats (libm, not numpy SIMD).
+    return np.fromiter(map(math.log, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
 
 
 def normal_pairs(seeds: Sequence[Seed], m: int) -> tuple[np.ndarray, np.ndarray]:
     """(r cos theta, r sin theta): two (len(seeds), m) tables; column k holds
     the k-th ``normal_pair()`` of every seed's stream."""
     u = uniforms(seeds, 2 * m)
-    r = np.sqrt(-2.0 * _elementwise(u[:, 0::2], math.log)[0])
-    cos, sin = _elementwise(2.0 * math.pi * u[:, 1::2], math.cos, math.sin)
-    return r * cos, r * sin
+    r = np.sqrt(-2.0 * _log(u[:, 0::2]))
+    theta = 2.0 * math.pi * u[:, 1::2]
+    return r * np.cos(theta), r * np.sin(theta)
 
 
 def exponentials(seeds: Sequence[Seed], m: int) -> np.ndarray:
     """(len(seeds), m) table of ``-math.log(u)`` over ``uniforms(seeds, m)``."""
-    return -_elementwise(uniforms(seeds, m), math.log)[0]
+    return -_log(uniforms(seeds, m))

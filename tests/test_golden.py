@@ -97,9 +97,10 @@ def test_bloch_maps_d9():
     assert sha256(back.tobytes()) == "ccb72b339e852391b51e24190995c447c581be894b0b38e9974aa2ac6f353fed"
 
 
-# The Box-Muller floats and whole seeded ensembles.  A vectorized log, cos or
-# sin (numpy's SIMD versions differ from libm in the last bit on some inputs)
-# or a reordered trace or sum changes these bytes.
+# The Box-Muller floats and whole seeded ensembles.  cos and sin run in numpy,
+# whose float64 loops give libm's bits (tests/test_rng.py); log runs in math,
+# because numpy's AVX-512 log differs from libm in the last bit on some
+# inputs.  A vectorized log or a reordered trace or sum changes these bytes.
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 from cohwit.rng import SplitMix64, exponentials, normal_pairs, uniforms
 
@@ -74,6 +75,12 @@ def bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
+def dispatch(f) -> str:
+    """numpy's version and the SIMD target its float64 ``f`` loop runs."""
+    info = opt_func_info(func_name=f"^{f}$", signature="float64")[f]
+    return f"numpy {np.__version__}, float64 {f} dispatch {info['dd']['current']}"
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 8, 33])
 def test_uniform_table_matches_scalar_stream(m):
     table = uniforms(ARRAY_SEEDS, m)
@@ -83,15 +90,15 @@ def test_uniform_table_matches_scalar_stream(m):
         assert bits(row) == bits([r.uniform() for _ in range(m)])
 
 
-@pytest.mark.parametrize("m", [0, 1, 7, 33])
+@pytest.mark.parametrize("m", [0, 1, 7, 33, 2**13])  # 2**13 * 8 seeds: 2**16 pairs
 def test_normal_pair_tables_match_scalar_stream(m):
     cos, sin = normal_pairs(ARRAY_SEEDS, m)
     assert cos.shape == sin.shape == (len(ARRAY_SEEDS), m)
     for c, s, seed in zip(cos, sin, ARRAY_SEEDS):
         r = SplitMix64(seed)
         pairs = [r.normal_pair() for _ in range(m)]
-        assert bits(c) == bits([p[0] for p in pairs])
-        assert bits(s) == bits([p[1] for p in pairs])
+        assert bits(c) == bits([p[0] for p in pairs]), dispatch("cos")
+        assert bits(s) == bits([p[1] for p in pairs]), dispatch("sin")
 
 
 @pytest.mark.parametrize("m", [1, 6, 9])
@@ -108,6 +115,25 @@ def test_edge_seeds_reach_a_unit_uniform():
     assert bits([cos[0, 0], sin[0, 0]]) == bits([-0.0, -0.0])
     assert bits([cos[1, 0], sin[1, 0]]) == bits([1.998514358296115, -4.894948423874727e-16])
     assert bits(exponentials([UNIT_FIRST], 1)[0]) == bits([-0.0])
+
+
+# The smallest and largest uniforms and the quarter turns.
+EDGE_UNIFORMS = [2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53, 1.0]
+
+
+@pytest.mark.parametrize("f", ["cos", "sin"])
+def test_numpy_trig_gives_libm_bits(f):
+    # normal_pairs runs numpy's cos and sin where SplitMix64 runs math's.
+    u = np.concatenate([uniforms(range(16), 2**16).ravel(), EDGE_UNIFORMS])  # 2**20 stream draws
+    angles = 2.0 * math.pi * u
+    got = getattr(np, f)(angles)
+    want = np.fromiter(map(getattr(math, f), angles.tolist()), np.float64, angles.size)
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, (
+        f"np.{f} differs from math.{f} on {bad.size} of {angles.size} angles "
+        f"(first: {float(angles[bad[0]])!r}) under {dispatch(f)}; every seeded "
+        "ensemble moves on this platform"
+    )
 
 
 def test_empty_tables():
