@@ -7,9 +7,17 @@ sampler exists once, in batched form over a sequence of seeds (state i from
 seed i); the one-seed samplers are views of it.  Batches are generated
 ``_BLOCK_ENTRIES`` matrix entries at a time, so temporaries stay bounded
 however many seeds are asked for.  Every sampled state is checked once: a
-matrix by :func:`validate_states`, a probability vector by
+matrix by :func:`validate_states`' checks, a probability vector by
 ``_check_probabilities``, whose checks imply all of :func:`validate_states`'
 on the diagonal matrix ``diag(p)``.
+
+The samplers have no use for eigenvalues, so their PSD step first tries the
+Cholesky certificate of ``linalg._psd_certified`` on a whole block of
+states.  Its success proves that every state of the block would pass
+``eigvalsh``'s test, so the block is accepted without an eigensolve; where
+it fails, ``eigvalsh`` runs on that block and gives the verdict and the
+message, as :func:`validate_states` does.  Verdicts and messages are those of
+``eigvalsh`` alone either way.
 """
 
 from __future__ import annotations
@@ -21,7 +29,16 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, InvalidStateError, OutOfIntervalError
-from .linalg import PSD_FLOOR, TRACE_DEV, _as_stack, _dagger, _first, _min_eigenvalues, _require_hermitian
+from .linalg import (
+    PSD_FLOOR,
+    TRACE_DEV,
+    _as_stack,
+    _dagger,
+    _first,
+    _hermitian_part,
+    _psd_certified,
+    _require_hermitian,
+)
 from .rng import Seed, exponentials, normal_pairs
 
 if TYPE_CHECKING:
@@ -43,7 +60,9 @@ def validate_states(stack, what: str = "state {t}") -> np.ndarray:
     Hermiticity within ``HERMITICITY_TOL``, trace within ``TRACE_DEV`` of 1,
     and eigenvalues of the Hermitian part down to ``-PSD_FLOOR``.  The first
     failing state t is named as ``what.format(t=t)``.  Returns each state's
-    smallest eigenvalue.
+    smallest eigenvalue, from ``eigvalsh`` of the Hermitian part; the
+    samplers, which need no eigenvalue, run the same checks with the Cholesky
+    certificate in front of ``eigvalsh`` (see the module docstring).
     """
     S = _as_stack(stack)
     lam = np.empty(len(S))
@@ -52,14 +71,24 @@ def validate_states(stack, what: str = "state {t}") -> np.ndarray:
     return lam
 
 
-def _validate_block(S: np.ndarray, start: int, what: str) -> np.ndarray:
+def _check_sampled(S: np.ndarray, what: str) -> None:
+    # validate_states without the eigenvalues: same verdicts, same messages.
+    for b in _blocks(len(S), S.shape[1]):
+        _validate_block(S[b], b.start, what, certify=True)
+
+
+def _validate_block(S: np.ndarray, start: int, what: str, certify: bool = False) -> np.ndarray | None:
+    # With certify, a block the Cholesky certificate accepts returns None.
     _require_hermitian(S, what, start)
     tr = np.trace(S, axis1=1, axis2=2)
     bad = np.abs(tr - 1.0) > TRACE_DEV
     if bad.any():
         t, who = _first(bad, what, start)
         raise InvalidStateError(f"{who} trace must be 1, got {complex(tr[t])}")
-    lam = _min_eigenvalues(S)
+    H = _hermitian_part(S)
+    if certify and _psd_certified(H):
+        return None
+    lam = np.linalg.eigvalsh(H)[:, 0]
     bad = lam < -PSD_FLOOR
     if bad.any():
         t, who = _first(bad, what, start)
@@ -196,7 +225,7 @@ def sample_ginibre_batch(d: int, seeds: Sequence[Seed]) -> np.ndarray:
     """
     _require_dim(d)
     stack = _fill(np.empty((len(seeds), d, d), np.complex128), _ginibre_block, d, seeds)
-    validate_states(stack, "Ginibre state {t}")
+    _check_sampled(stack, "Ginibre state {t}")
     return stack
 
 
@@ -240,11 +269,11 @@ def sample_ensemble(d: int, n_states: int, seed: Seed) -> np.ndarray:
     State t uses sub-seed ``seed + t``; the first ``n_states // 2`` are the
     random full-rank ones.  Rejects a negative ``n_states``.
 
-    Only the full-rank rows go through :func:`validate_states`.  A diagonal
-    row diag(p) passed :func:`sample_incoherent_batch`'s probability check
-    (finite p >= 0 summing to 1 within 1e-12), which implies every matrix
-    check: finite, exactly Hermitian, trace within ``TRACE_DEV`` of 1, and
-    eigenvalues p >= 0.  The full-rank rows come first, so a failing state
+    Only the full-rank rows go through :func:`validate_states`' checks.  A
+    diagonal row diag(p) passed :func:`sample_incoherent_batch`'s probability
+    check (finite p >= 0 summing to 1 within 1e-12), which implies every
+    matrix check: finite, exactly Hermitian, trace within ``TRACE_DEV`` of 1,
+    and eigenvalues p >= 0.  The full-rank rows come first, so a failing state
     is named by its index in the whole stack.
     """
     if n_states < 0:
@@ -255,7 +284,7 @@ def sample_ensemble(d: int, n_states: int, seed: Seed) -> np.ndarray:
     _fill(stack[:n_g], _ginibre_block, d, range(seed, seed + n_g))
     idx = np.arange(d)
     stack[n_g:, idx, idx] = sample_incoherent_batch(d, range(seed + n_g, seed + n_states))
-    validate_states(stack[:n_g], "ensemble state {t}")
+    _check_sampled(stack[:n_g], "ensemble state {t}")
     return stack
 
 

@@ -8,14 +8,18 @@ imports the library from that tree; the sides alternate which runs first.
 One run, on ``sample_ensemble(d, n, seed)`` and ``finite_family(d)``, times:
 
 - ``sample_s``: ``sample_ensemble`` less ``validate_s``;
-- ``validate_s``: ``validate_states`` on the ensemble's full-rank rows, the
-  rows ``sample_ensemble`` validates;
+- ``validate_s``: the state checks inside that ``sample_ensemble`` call,
+  timed around each ``states._validate_block`` call it makes, so both trees
+  are timed on the check their sampler really runs;
 - ``kernel_s``: the family's ``_values`` on the ensemble, the kernel alone;
 - ``evaluate_s``: ``evaluate_batch`` (kernel, margins and verdicts);
 - ``reduce_s``: ``verify_coverage`` less the time spent inside its own
   ``sample_ensemble`` and ``evaluate_batch`` calls (size check, l1
   coherence and the report's counts);
-- ``verify_coverage_s``: the whole sweep.
+- ``verify_coverage_s``: the whole sweep;
+- ``parts_s``: ``sample_s + validate_s + evaluate_s + reduce_s`` of the
+  same run, to set beside ``verify_coverage_s`` (each median comes from its
+  own run, so the medians of the parts need not add up).
 
 The file records the machine, every run, each side's median, the
 change/parent median ratios, and whether both sides produced the same
@@ -36,49 +40,53 @@ import sys
 import time
 
 SIDES = ("parent", "change")
-TIMINGS = ("sample_s", "validate_s", "kernel_s", "evaluate_s", "reduce_s", "verify_coverage_s")
+TIMINGS = ("sample_s", "validate_s", "kernel_s", "evaluate_s", "reduce_s", "verify_coverage_s", "parts_s")
 
 
 def worker(tree: str, d: int, n: int, seed: int) -> dict:
     """One run's timings and output digests, with the library from ``tree``."""
     sys.path.insert(0, os.path.join(tree, "src"))
     import numpy as np
-    from cohwit import finite_family, sample_ensemble, validate_states, verify, verify_coverage
+    from cohwit import finite_family, sample_ensemble, states, verify, verify_coverage
 
-    def timed(fn, *args):
+    def timed(fn, *args, **kwargs):
         start = time.perf_counter()
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         return out, time.perf_counter() - start
 
-    family = finite_family(d)
-    verify_coverage(family, d, 2, seed)  # imports, tables and caches, before timing
-    stack, sample = timed(sample_ensemble, d, n, seed)
-    _, validate = timed(validate_states, stack[: n // 2])
-    values, kernel = timed(family._values, stack)
-    digest = hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
-    del values
-    _, evaluate = timed(family.evaluate_batch, stack)
-    del stack
-    inside = {"sample": 0.0, "evaluate": 0.0}
+    inside = {"validate": 0.0, "sample": 0.0, "evaluate": 0.0}
 
     def spy(key, fn):
-        def wrapped(*args):
-            out, spent = timed(fn, *args)
+        def wrapped(*args, **kwargs):
+            out, spent = timed(fn, *args, **kwargs)
             inside[key] += spent
             return out
 
         return wrapped
 
+    family = finite_family(d)
+    verify_coverage(family, d, 2, seed)  # imports, tables and caches, before timing
+    validate_block = states._validate_block
+    states._validate_block = spy("validate", validate_block)
+    stack, sample = timed(sample_ensemble, d, n, seed)
+    states._validate_block = validate_block
+    values, kernel = timed(family._values, stack)
+    digest = hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+    del values
+    _, evaluate = timed(family.evaluate_batch, stack)
+    del stack
     verify.sample_ensemble = spy("sample", sample_ensemble)
     family.evaluate_batch = spy("evaluate", family.evaluate_batch)
     report, sweep = timed(verify_coverage, family, d, n, seed)
+    reduce = sweep - inside["sample"] - inside["evaluate"]
     return {
-        "sample_s": sample - validate,
-        "validate_s": validate,
+        "sample_s": sample - inside["validate"],
+        "validate_s": inside["validate"],
         "kernel_s": kernel,
         "evaluate_s": evaluate,
-        "reduce_s": sweep - inside["sample"] - inside["evaluate"],
+        "reduce_s": reduce,
         "verify_coverage_s": sweep,
+        "parts_s": sample + evaluate + reduce,
         "kernel_values_sha256": digest,
         "report_sha256": hashlib.sha256(repr(report).encode()).hexdigest(),
         "numpy": np.__version__,
