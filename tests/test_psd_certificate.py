@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohwit import InvalidStateError, sample_ensemble, sample_ginibre_batch, validate_states
+from cohwit import CohwitError, InvalidStateError, sample_ensemble, sample_ginibre_batch, validate_states
 from cohwit.linalg import PSD_FLOOR, _hermitian_part, _min_eigenvalues, _psd_certified
 from cohwit.states import _check_sampled, _ginibre_block
 
@@ -53,7 +53,7 @@ def test_certificate_accepts_interior_states_and_refuses_past_the_shift(d):
 def outcome(check, stack):
     try:
         check(stack, "ensemble state {t}")
-    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+    except CohwitError as exc:
         return type(exc), str(exc)
     return None
 
