@@ -54,13 +54,7 @@ from .errors import CohwitError, DimensionMismatchError, DocumentError, NotHermi
 from .linalg import DETECT_EPS, _require_bytes
 from .rng import Seed
 from .states import DensityMatrix, _blocks, l1_coherence
-from .verify import (
-    COHERENCE_THRESHOLD,
-    _qubit_lattice,
-    generator_coverage_bytes,
-    require_coverage_budget,
-    verify_coverage,
-)
+from .verify import COHERENCE_THRESHOLD, _qubit_lattice, verify_coverage
 from .witness import (
     Witness,
     WitnessFamily,
@@ -93,14 +87,6 @@ def _num(value, where: str) -> float:
     if not math.isfinite(out):
         raise DocumentError(f"{where}: non-finite value")
     return out
-
-
-def matrix_to_document(matrix) -> dict:
-    M = np.asarray(matrix, dtype=np.complex128)
-    return {
-        "dim": int(M.shape[0]),
-        "entries": M.reshape(-1).view(np.float64).reshape(-1, 2).tolist(),
-    }
 
 
 def _number_pairs(items: list) -> np.ndarray | None:
@@ -181,26 +167,12 @@ def _read_members(label: str, members: list) -> WitnessFamily:
     return family
 
 
-def matrix_from_document(doc) -> np.ndarray:
-    return _read_stack([doc], "matrix")[0]
-
-
 def state_from_document(doc) -> DensityMatrix:
     M = _read_stack([doc], "state")[0]
     try:
         return DensityMatrix(M)
     except CohwitError as exc:
         raise DocumentError(f"state: {exc}") from exc
-
-
-def witness_to_document(witness: Witness, kind: str = "custom", params: dict | None = None) -> dict:
-    return {
-        **matrix_to_document(witness.matrix),
-        "interval": list(witness.interval),
-        "detect_eps": witness.detect_eps,
-        "kind": kind,
-        "params": params or {},
-    }
 
 
 def witness_from_document(doc) -> Witness:
@@ -447,8 +419,6 @@ def _cmd_verify(args) -> int:
         if family.dim != args.d:
             raise DocumentError(f"family dim {family.dim} does not match --d {args.d}")
     else:
-        # Charged before it is built; verify_coverage charges every family again.
-        require_coverage_budget(generator_coverage_bytes, args.d, args.samples, args.d * (args.d - 1))
         family = finite_family(args.d, args.K)
     report = verify_coverage(
         family, args.d, args.samples, args.seed, coherence_threshold=args.threshold

@@ -33,9 +33,10 @@ PSD_FLOOR = 1e-9
 TRACE_DEV = 1e-9
 DETECT_EPS = 1e-9
 
-# Largest memory estimate (coverage_bytes, bloch_bytes, the CLI's
+# Largest memory estimate (sweep_bytes, bloch_bytes, the CLI's
 # document_bytes, generator_bytes, finite_family_bytes) a task may have; a
-# larger one is refused before anything is allocated.
+# larger one is refused before anything is allocated.  A sweep holds one
+# chunk of states at a time, so its estimate takes no state count.
 MAX_COVERAGE_BYTES = 1 << 30
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,10 +71,11 @@ def validate_states(stack, what: str = "state {t}") -> np.ndarray:
     return lam
 
 
-def _check_sampled(S: np.ndarray, what: str) -> None:
-    # validate_states without the eigenvalues: same verdicts, same messages.
+def _check_sampled(S: np.ndarray, what: str, start: int = 0) -> None:
+    # validate_states without the eigenvalues: same verdicts, same messages,
+    # with S's first state named as state ``start``.
     for b in _blocks(len(S), S.shape[1]):
-        _validate_block(S[b], b.start, what, certify=True)
+        _validate_block(S[b], start + b.start, what, certify=True)
 
 
 def _validate_block(S: np.ndarray, start: int, what: str, certify: bool = False) -> np.ndarray | None:
@@ -267,25 +268,40 @@ def sample_ensemble(d: int, n_states: int, seed: Seed) -> np.ndarray:
     (coherent a.s.), half diagonal states.
 
     State t uses sub-seed ``seed + t``; the first ``n_states // 2`` are the
-    random full-rank ones.  Rejects a negative ``n_states``.
-
-    Only the full-rank rows go through :func:`validate_states`' checks.  A
-    diagonal row diag(p) passed :func:`sample_incoherent_batch`'s probability
-    check (finite p >= 0 summing to 1 within 1e-12), which implies every
-    matrix check: finite, exactly Hermitian, trace within ``TRACE_DEV`` of 1,
-    and eigenvalues p >= 0.  The full-rank rows come first, so a failing state
-    is named by its index in the whole stack.
+    random full-rank ones.  Rejects a negative ``n_states``.  The stack is
+    the one chunk of ``_ensemble_chunks``, which every sweep samples through.
     """
+    chunks = list(_ensemble_chunks(d, n_states, seed, max(n_states, 1)))
+    return chunks[0] if chunks else np.zeros((0, d, d), np.complex128)
+
+
+def _ensemble_chunks(d: int, n_states: int, seed: Seed, step: int, n_ginibre: int | None = None) -> Iterator:
+    """The rows of :func:`sample_ensemble`'s stack, with its first
+    ``n_ginibre`` (default ``n_states // 2``) full-rank, as validated chunks
+    of ``step`` states, each sampled when it is asked for.  State t uses
+    sub-seed ``seed + t`` however the stack is chunked, so the rows are the
+    same bits.  A negative ``n_states`` is rejected at the call."""
     if n_states < 0:
         raise InvalidParameterError(f"n_states must be >= 0, got {n_states}")
     _require_dim(d)
-    n_g = n_states // 2
-    stack = np.zeros((n_states, d, d), np.complex128)
-    _fill(stack[:n_g], _ginibre_block, d, range(seed, seed + n_g))
+    n_g = n_states // 2 if n_ginibre is None else n_ginibre
+    # Each chunk is made by a call, so no frame here holds one while the next is made.
+    return (_ensemble_rows(d, seed, i, min(i + step, n_states), n_g) for i in range(0, n_states, step))
+
+
+def _ensemble_rows(d: int, seed: Seed, start: int, stop: int, n_g: int) -> np.ndarray:
+    # Rows start .. stop - 1 of an ensemble whose first n_g rows are full-rank.
+    # Only those go through validate_states' checks, and a failing one is
+    # named by its index in the whole ensemble.  A diagonal row diag(p) passed
+    # sample_incoherent_batch's check (finite p >= 0 summing to 1 within
+    # 1e-12), which implies every matrix check.
+    g = max(0, min(n_g, stop) - start)
+    rows = np.zeros((stop - start, d, d), np.complex128)
+    _fill(rows[:g], _ginibre_block, d, range(seed + start, seed + start + g))
+    _check_sampled(rows[:g], "ensemble state {t}", start)
     idx = np.arange(d)
-    stack[n_g:, idx, idx] = sample_incoherent_batch(d, range(seed + n_g, seed + n_states))
-    _check_sampled(stack[:n_g], "ensemble state {t}")
-    return stack
+    rows[g:, idx, idx] = sample_incoherent_batch(d, range(seed + start + g, seed + stop))
+    return rows
 
 
 def canonical_coherent(d: int) -> DensityMatrix:

@@ -4,12 +4,18 @@ reports.
 Every sweep is deterministic in (inputs, seed): state t of an ensemble uses
 sub-seed ``seed + t``, so runs can be partitioned or replayed from the report
 alone.  Reports carry their seed and tolerances for that reason.
+
+A sweep samples, evaluates and tallies one chunk of states at a time, so
+:func:`sweep_bytes` bounds what it holds without its number of states.  Each
+report field is an exact count, minimum or maximum: the same in any chunking.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -20,11 +26,10 @@ from .rng import Seed
 from .states import (
     _BLOCK_ENTRIES,
     DensityMatrix,
+    _ensemble_chunks,
     _require_dim,
     l1_coherence_batch,
-    sample_ensemble,
     sample_hermitian_batch,
-    sample_incoherent_batch,
 )
 from .witness import WitnessFamily, _GeneratorFamily, _slack, is_effective_qubit, qubit_witness
 
@@ -34,6 +39,10 @@ COHERENCE_THRESHOLD = 1e-7
 
 # Interval containment slack for diagonal states (pure roundoff budget).
 CONTAINMENT_SLACK = 1e-12
+
+# A chunk of a sweep holds at most this many (member, state) pairs and state
+# matrix entries together, and at least one state.
+_CHUNK_ITEMS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -92,27 +101,25 @@ class GeometryReport:
         return self.n_detected > 0
 
 
-def coverage_bytes(d: int, n_states: int, n_members: int) -> int:
-    """Bytes a coverage sweep of a family that holds its member matrices (a
-    family built from witnesses or read from a document) holds at once: the
-    complex (n_states, d, d) state stack and its float copy in
-    ``l1_coherence_batch``, the members' d x d matrices, the 41 bytes per
-    (member, state) pair of the kernel's complex values, float margins and two
-    margin temporaries and its bool verdict, and the sampling block of
-    :func:`generator_coverage_bytes`."""
-    block = max(_BLOCK_ENTRIES, d * d)
-    return 24 * d * d * n_states + 16 * d * d * n_members + 41 * n_members * n_states + 128 * block
+def _chunk_states(d: int, n_members: int) -> int:
+    """States per chunk of a sweep of n_members members at dim d."""
+    return max(1, _CHUNK_ITEMS // (n_members + d * d))
 
 
-def generator_coverage_bytes(d: int, n_states: int, n_members: int) -> int:
-    """Bytes a coverage sweep of the built-in :func:`finite_family` holds at
-    once.  That family keeps no member matrix, so this counts the complex
-    (n_states, d, d) state stack; per (member, state) pair, the 33 bytes of
-    :func:`coverage_bytes` and the kernel's gather temporary; and 128 bytes
-    per entry of one sampling block, which covers the sampler's temporaries
-    and, before the sweep, the family's construction."""
+def sweep_bytes(d: int, n_members: int, holds_matrices: bool) -> int:
+    """Bytes a sweep of n_members members at dim d holds at once, whatever
+    its number of states, since it holds one chunk (``_chunk_states``) at a
+    time.  Per state of the chunk: 24 bytes per matrix entry, the complex
+    chunk and the float copy the l1 oracle makes, and 41 bytes per member,
+    the kernel's complex values, float margins, two margin temporaries and
+    bool verdicts.  Then 128 bytes per entry of one sampling block, which
+    covers the sampler's temporaries and, with the chunk, the built-in
+    family's construction.  A family that holds member matrices (one built
+    from witnesses or read from a document) adds 16 bytes per member matrix
+    entry."""
     block = max(_BLOCK_ENTRIES, d * d)
-    return 16 * d * d * n_states + 41 * n_members * n_states + 128 * block
+    held = 16 * d * d * n_members if holds_matrices else 0
+    return (24 * d * d + 41 * n_members) * _chunk_states(d, n_members) + 128 * block + held
 
 
 def bloch_bytes(grid_n: int) -> int:
@@ -123,16 +130,6 @@ def bloch_bytes(grid_n: int) -> int:
     112 bytes per point of the cube.  Counting 128 bytes per point of the cube
     and 2 MiB covers that and the command's fixed costs."""
     return 128 * grid_n**3 + 2**21
-
-
-def require_coverage_budget(estimate, d: int, n_states: int, n_members: int) -> None:
-    """Reject a sweep whose ``estimate(d, n_states, n_members)``, one of
-    :func:`coverage_bytes` and :func:`generator_coverage_bytes`, exceeds
-    ``MAX_COVERAGE_BYTES``."""
-    _require_bytes(
-        estimate(d, n_states, n_members),
-        f"a sweep of {n_states} states against {n_members} members at d={d}",
-    )
 
 
 def verify_incoherent_containment(
@@ -148,23 +145,21 @@ def verify_incoherent_containment(
     Witness j uses sub-seed ``seed + j``; state t uses ``seed + n_witnesses + t``.
     ``interval_shrink`` narrows each interval symmetrically and exists only to
     fault-inject the harness (a positive shrink must produce a FAIL).  A sweep
-    whose :func:`coverage_bytes` exceed ``MAX_COVERAGE_BYTES`` is rejected before sampling.
+    whose :func:`sweep_bytes` exceed ``MAX_COVERAGE_BYTES`` is rejected before sampling.
     """
     if n_witnesses < 1 or n_states < 1:
         raise InvalidParameterError(
             f"counts must be >= 1, got {n_witnesses} witnesses, {n_states} states"
         )
     _require_dim(d)
-    require_coverage_budget(coverage_bytes, d, n_states, n_witnesses)
+    _require_bytes(sweep_bytes(d, n_witnesses, True), f"a sweep of {n_witnesses} members at d={d}")
     matrices = sample_hermitian_batch(d, range(seed, seed + n_witnesses))
     family = WitnessFamily._from_stack(f"random-hermitian(d={d})", matrices, [DETECT_EPS] * n_witnesses)
-    first = seed + n_witnesses
-    probs = sample_incoherent_batch(d, range(first, first + n_states))
-    stack = np.zeros((n_states, d, d), dtype=np.complex128)
-    idx = np.arange(d)
-    stack[:, idx, idx] = probs
-    _, margins, _ = family.evaluate_batch(stack)
-    worst = float(np.max(margins + interval_shrink))
+    chunks = _ensemble_chunks(d, n_states, seed + n_witnesses, _chunk_states(d, n_witnesses), n_ginibre=0)
+    # map holds no chunk between its calls, so one chunk is held at a time.
+    high = max(map(lambda chunk: float(family.evaluate_batch(chunk)[1].max()), chunks))
+    # Rounding is monotone, so the largest margin shifted is the largest shifted margin.
+    worst = high + interval_shrink
     return ContainmentReport(
         dim=d,
         n_witnesses=n_witnesses,
@@ -175,6 +170,18 @@ def verify_incoherent_containment(
         slack=CONTAINMENT_SLACK,
         passed=worst <= CONTAINMENT_SLACK,
     )
+
+
+def _tally(family: WitnessFamily, threshold: float, chunk: np.ndarray) -> tuple[np.ndarray, float]:
+    """The counts of a chunk of states (coherent, detected, false alarms,
+    misses, then each member's hits) and its least detected margin, inf
+    where nothing is detected."""
+    coherent = l1_coherence_batch(chunk) > threshold
+    _, margins, detected = family.evaluate_batch(chunk)
+    seen = detected.any(axis=0)
+    counts = [np.count_nonzero(c) for c in (coherent, seen, seen & ~coherent, coherent & ~seen)]
+    low = float(margins[detected].min()) if seen.any() else math.inf
+    return np.concatenate([counts, detected.sum(axis=1)]), low
 
 
 def verify_coverage(
@@ -191,7 +198,8 @@ def verify_coverage(
     ``extra_states`` are appended after the sampled ensemble; they make
     targeted blind spots testable without changing the sampling contract.
     Rejects a negative ``n_states``, a negative or non-finite
-    ``coherence_threshold``, and a sweep over ``MAX_COVERAGE_BYTES``.
+    ``coherence_threshold``, and a sweep whose :func:`sweep_bytes` exceed
+    ``MAX_COVERAGE_BYTES``.
     """
     if not (math.isfinite(coherence_threshold) and coherence_threshold >= 0.0):
         raise InvalidParameterError(
@@ -202,32 +210,33 @@ def verify_coverage(
     for s in extra_states:
         if s.dim != d:
             raise DimensionMismatchError(f"extra state dim {s.dim} does not match d={d}")
-    estimate = generator_coverage_bytes if isinstance(family, _GeneratorFamily) else coverage_bytes
-    require_coverage_budget(estimate, d, n_states + len(extra_states), len(family))
-    stack = sample_ensemble(d, n_states, seed)
-    if extra_states:
-        stack = np.concatenate([stack, [s.matrix for s in extra_states]])
-    coherent = l1_coherence_batch(stack) > coherence_threshold
-    _, margins, detected = family.evaluate_batch(stack)
-    any_detected = detected.any(axis=0)
-    detected_margins = margins[detected]
-    n_detected = int(np.count_nonzero(any_detected))
-    n_false_alarm = int(np.count_nonzero(any_detected & ~coherent))
-    missed = np.count_nonzero(coherent & ~any_detected)
+    need = sweep_bytes(d, len(family), not isinstance(family, _GeneratorFamily))
+    _require_bytes(need, f"a sweep of {len(family)} members at d={d}")
+    step = _chunk_states(d, len(family))
+    starts = range(0, len(extra_states), step)
+    extra = (np.array([s.matrix for s in extra_states[i : i + step]]) for i in starts)
+    totals = np.zeros(4 + len(family), dtype=np.int64)
+    low = math.inf
+    # map holds no chunk between its calls, so one chunk is held at a time.
+    tally = functools.partial(_tally, family, coherence_threshold)
+    for counts, least in map(tally, chain(_ensemble_chunks(d, n_states, seed, step), extra)):
+        totals += counts
+        low = min(low, least)
+    n_coherent, n_detected, n_false_alarm, n_missed = totals[:4].tolist()
     eps = family.detect_eps
     return CoverageReport(
         dim=d,
-        n_states=len(stack),
-        n_coherent=int(np.count_nonzero(coherent)),
+        n_states=n_states + len(extra_states),
+        n_coherent=n_coherent,
         n_detected=n_detected,
         n_false_alarm=n_false_alarm,
-        min_margin_detected=float(detected_margins.min()) if detected_margins.size else None,
-        per_witness_hits=tuple(int(n) for n in detected.sum(axis=1)),
+        min_margin_detected=low if n_detected else None,
+        per_witness_hits=tuple(totals[4:].tolist()),
         seed=seed,
         coherence_threshold=coherence_threshold,
         detect_eps=eps[0] if len(set(eps)) == 1 else eps,
         family_label=family.label,
-        passed=(missed == 0 and n_false_alarm == 0),
+        passed=n_missed == 0 and n_false_alarm == 0,
     )
 
 

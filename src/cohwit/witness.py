@@ -154,7 +154,8 @@ class _MemberTable:
     def _hold(self, stack: np.ndarray, detect_eps: Sequence[float], what: str) -> None:
         """Hold ``stack`` read-only with its table once it passes the
         Hermiticity check (member t named as ``what.format(t=t)``), run one
-        sampling block at a time so it fits the block ``coverage_bytes`` charges."""
+        sampling block at a time so it fits the block ``verify.sweep_bytes``
+        charges."""
         for b in _blocks(len(stack), stack.shape[1]):
             _require_hermitian(stack[b], what, b.start)
         self._bounds = _table(stack, detect_eps)
@@ -517,8 +518,9 @@ def witness_for_state(state: DensityMatrix, K: float = 0.0) -> Witness:
 
 def finite_family_bytes(d: int) -> int:
     """Bytes :func:`finite_family` holds while it builds the family at dim d
-    (traced: 176 per matrix entry at d >= 100, 7.5 KB at d = 2); below any
-    ``generator_coverage_bytes`` sweep of the family, which ``verify`` checks first."""
+    (traced: 176 per matrix entry at d >= 100, 7.5 KB at d = 2).  It is
+    charged before the build; the ``verify.sweep_bytes`` of the family's
+    sweep, charged after it, is never below it."""
     return 180 * d * d + 8192
 
 

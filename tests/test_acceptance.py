@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from test_cli import document
 
 from cohwit import (
     SplitMix64,
@@ -30,7 +31,7 @@ from cohwit import (
     verify_coverage,
     verify_incoherent_containment,
 )
-from cohwit.cli import matrix_to_document, run
+from cohwit.cli import run
 
 SEED_C2 = 874_001
 SEED_C4 = 874_002
@@ -296,7 +297,7 @@ def test_c10_cli_roundtrip_and_determinism(tmp_path, capsys):
         sfile = tmp_path / f"rho{d}.json"
         rc = run(["gen", "--kind", "lemma2", "--d", str(d), "--m", str(lo), "--M", str(hi),
                   "--out", str(wfile)])
-        sfile.write_text(json.dumps(matrix_to_document(canonical_coherent(d).matrix)))
+        sfile.write_text(json.dumps(document(canonical_coherent(d).matrix)))
         capsys.readouterr()
         rc2 = run(["detect", "--witness", str(wfile), "--state", str(sfile)])
         out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohwit import (
+    Witness,
     canonical_coherent,
     canonical_witness,
     finite_family,
@@ -22,19 +23,25 @@ from cohwit import (
     sample_ginibre,
     sample_hermitian,
 )
-from cohwit import cli
-from cohwit.cli import (
-    family_from_document,
-    matrix_from_document,
-    matrix_to_document,
-    run,
-    witness_from_document,
-    witness_to_document,
-)
+from cohwit import cli, linalg
+from cohwit.cli import _read_stack, family_from_document, run, witness_from_document
+from cohwit.verify import sweep_bytes
+from cohwit.witness import finite_family_bytes
+
+
+def document(obj, kind: str = "custom", params: dict | None = None) -> dict:
+    """The JSON document of a matrix (a state document) or of a Witness: dim
+    and row-major [re, im] entries, and for a witness its interval, margin,
+    kind and params, as ``gen`` writes them."""
+    M = np.asarray(obj.matrix if isinstance(obj, Witness) else obj, dtype=np.complex128)
+    doc = {"dim": len(M), "entries": M.reshape(-1).view(np.float64).reshape(-1, 2).tolist()}
+    if isinstance(obj, Witness):
+        doc.update(interval=list(obj.interval), detect_eps=obj.detect_eps, kind=kind, params=params or {})
+    return doc
 
 
 def write_state(path, rho):
-    path.write_text(json.dumps(matrix_to_document(rho.matrix)))
+    path.write_text(json.dumps(document(rho.matrix)))
 
 
 def read_rows(text):
@@ -51,12 +58,12 @@ class TestDocuments:
     def test_matrix_roundtrip_is_exact(self):
         M = np.array([[0.1 + 0.2j, 1 / 3], [1 / 3, -0.7j + 0.9]], dtype=complex)
         M = (M + M.conj().T) / 2
-        doc = json.loads(json.dumps(matrix_to_document(M)))
-        assert np.array_equal(matrix_from_document(doc), M)
+        doc = json.loads(json.dumps(document(M)))
+        assert np.array_equal(_read_stack([doc], "matrix")[0], M)
 
     def test_witness_roundtrip_is_exact(self):
         w = generator_witness(3, 1.7, np.linspace(-1, 1, 8))
-        doc = json.loads(json.dumps(witness_to_document(w, "eta", {"d": 3})))
+        doc = json.loads(json.dumps(document(w, "eta", {"d": 3})))
         back = witness_from_document(doc)
         assert np.array_equal(back.matrix, w.matrix)
         assert back.detect_eps == w.detect_eps
@@ -64,27 +71,27 @@ class TestDocuments:
 
     def test_family_roundtrip(self):
         fam = finite_family(2, 0.5)
-        doc = {"label": fam.label, "members": [witness_to_document(w, "family-member") for w in fam.members]}
+        doc = {"label": fam.label, "members": [document(w, "family-member") for w in fam.members]}
         back = family_from_document(json.loads(json.dumps(doc)))
         assert back.label == fam.label
         for a, b in zip(back.members, fam.members):
             assert np.array_equal(a.matrix, b.matrix)
 
     def test_inconsistent_interval_rejected(self):
-        doc = witness_to_document(canonical_witness(2, 0.0, 1.0))
+        doc = document(canonical_witness(2, 0.0, 1.0))
         doc["interval"] = [0.1, 1.0]
         with pytest.raises(Exception, match="interval"):
             witness_from_document(doc)
 
     def test_non_hermitian_entries_rejected(self):
-        doc = witness_to_document(canonical_witness(2, 0.0, 1.0))
+        doc = document(canonical_witness(2, 0.0, 1.0))
         doc["entries"][1] = [1.5, 0.3]  # breaks conjugate symmetry
         with pytest.raises(Exception, match="Hermitian"):
             witness_from_document(doc)
 
     def test_wrong_entry_count_rejected(self):
         with pytest.raises(Exception, match="entries"):
-            matrix_from_document({"dim": 2, "entries": [[1.0, 0.0]]})
+            _read_stack([{"dim": 2, "entries": [[1.0, 0.0]]}], "matrix")
 
 
 class TestGen:
@@ -234,7 +241,7 @@ class TestVerify:
         # A witness with only a diagonal-generator coefficient never detects
         # anything, so the sampled coherent states go unseen.
         w = generator_witness(2, 0.0, [1.0, 0.0, 0.0])
-        fam_doc = {"label": "bad", "members": [witness_to_document(w, "custom")]}
+        fam_doc = {"label": "bad", "members": [document(w, "custom")]}
         fpath = tmp_path / "fam.json"
         fpath.write_text(json.dumps(fam_doc))
         rc = run(["verify", "--d", "2", "--samples", "100", "--seed", "3", "--family", str(fpath)])
@@ -244,12 +251,12 @@ class TestVerify:
     def test_family_dim_mismatch_exit_2(self, tmp_path):
         w = generator_witness(2, 0.0, [0.0, 1.0, 0.0])
         fpath = tmp_path / "fam.json"
-        fpath.write_text(json.dumps({"label": "f", "members": [witness_to_document(w)]}))
+        fpath.write_text(json.dumps({"label": "f", "members": [document(w)]}))
         assert run(["verify", "--d", "3", "--samples", "10", "--seed", "0", "--family", str(fpath)]) == 2
 
     def test_mixed_margins_reported_per_member(self, tmp_path, capsys):
         u, v = finite_family(2).members
-        docs = [witness_to_document(u), witness_to_document(v.with_eps(1e-3))]
+        docs = [document(u), document(v.with_eps(1e-3))]
         fpath = tmp_path / "fam.json"
         fpath.write_text(json.dumps({"label": "mixed", "members": docs}))
         rc = run(["verify", "--d", "2", "--samples", "20", "--seed", "5", "--family", str(fpath)])
@@ -385,7 +392,7 @@ class TestReaderPausesTheCollector:
         elif case == "bad-entry":
             bad.write_text(json.dumps({"dim": 2, "entries": [[1.0, 0.0], "x", [0.0, 0.0], [0.0, 0.0]]}))
         elif case == "mixed-dims":
-            members = [witness_to_document(canonical_witness(d, 0.0, 1.0)) for d in (2, 3)]
+            members = [document(canonical_witness(d, 0.0, 1.0)) for d in (2, 3)]
             bad.write_text(json.dumps({"label": "mixed", "members": members}))
         elif case == "unreadable":
             bad.write_bytes(b"\xff\xfe{}")
@@ -457,51 +464,68 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--d", "4", "--samples", "1000000000", "--seed", "0"],
+        # Refused by d, not by the state count: a sweep's charge takes none.
+        ["verify", "--d", "4000", "--samples", "1000000000", "--seed", "0"],
         ["verify", "--d", "100000", "--samples", "1", "--seed", "0"],
-        ["verify", "--d", "300", "--samples", "100000", "--seed", "0"],
-        ["verify", "--d", "700", "--samples", "40", "--seed", "0"],  # 1.18 GB, built-in family
-        ["verify", "--d", "91", "--samples", "1000000", "--seed", "0"],
+        ["verify", "--d", "2443", "--samples", "100000", "--seed", "0"],  # the family's own charge, 1.07 GB
+        ["verify", "--d", "2443", "--samples", "40", "--seed", "0", "--K", "37"],
+        ["verify", "--d", "1000000000000", "--samples", "1", "--seed", "0"],
     ],
 )
 def test_oversized_sweep_rejected_before_building(monkeypatch, tmp_path, capsys, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("the family was built before the size check")
 
-    monkeypatch.setattr("cohwit.cli.finite_family", refuse)
-    monkeypatch.setattr("cohwit.cli.family_from_document", refuse)
-    out = tmp_path / "family.json"
-    assert run([a.format(out=out) for a in argv]) == 2
+    monkeypatch.setattr("cohwit.witness._GeneratorFamily.__init__", refuse)
+    monkeypatch.setattr("cohwit.verify._ensemble_chunks", refuse)
+    assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "bytes" in captured.err
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
 
 
-def test_family_document_is_charged_for_its_own_members(monkeypatch, tmp_path, capsys):
-    # Two member matrices at d = 91: charged as 8190 they made 1.10 GB.
-    path = tmp_path / "two.json"
-    members = [witness_to_document(canonical_witness(91, lo, 1.0)) for lo in (0.0, -1.0)]
-    path.write_text(json.dumps({"label": "two", "members": members}))
-    argv = ["verify", "--d", "91", "--samples", "40", "--seed", "0", "--family", str(path)]
-    assert run(argv) == 3  # two members cannot cover d = 91
-    assert json.loads(capsys.readouterr().out)["verdict"] == "FAIL"
-
+def refused_before_sampling(monkeypatch, capsys, argv, cap):
+    """Run argv with the cap lowered to ``cap`` and sampling refused: exit 2
+    with one error line that names the bytes, and no report."""
     def refuse(*args, **kwargs):
         raise AssertionError("states were sampled before the size check")
 
-    monkeypatch.setattr("cohwit.verify.sample_ensemble", refuse)
-    argv[4] = "1000000"
-    assert run(argv) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "MAX_COVERAGE_BYTES", cap)
+        patch.setattr("cohwit.verify._ensemble_chunks", refuse)
+        assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "needs about" in captured.err
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
 
 
+def test_family_document_is_charged_for_its_own_members(monkeypatch, tmp_path, capsys):
+    # Two member matrices at d = 91: charged as 8190 they make 1.15 GB.
+    path = tmp_path / "two.json"
+    members = [document(canonical_witness(91, lo, 1.0)) for lo in (0.0, -1.0)]
+    path.write_text(json.dumps({"label": "two", "members": members}))
+    argv = ["verify", "--d", "91", "--samples", "40", "--seed", "0", "--family", str(path)]
+    need = sweep_bytes(91, 2, True)
+    assert need < 0.1 * sweep_bytes(91, 91 * 90, True)
+    monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", need)
+    assert run(argv) == 3  # two members cannot cover d = 91
+    assert json.loads(capsys.readouterr().out)["verdict"] == "FAIL"
+    refused_before_sampling(monkeypatch, capsys, argv, need - 1)
+
+
+def test_builtin_family_is_charged_before_sampling(monkeypatch, capsys):
+    # The family is built within its own charge, then its sweep is refused.
+    argv = ["verify", "--d", "91", "--samples", "40", "--seed", "1"]
+    need = sweep_bytes(91, 91 * 90, False)
+    assert finite_family_bytes(91) < need
+    refused_before_sampling(monkeypatch, capsys, argv, need - 1)
+
+
 def test_builtin_family_sweep_above_d90_runs(capsys):
     # The built-in family holds no member matrix, so its sweep is charged
-    # without one: about 20 MB here, where 16 B per member entry made 1.10 GB.
+    # without one: about 69 MB here, where 16 B per member entry make 1.15 GB.
     assert run(["verify", "--d", "91", "--samples", "40", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
 

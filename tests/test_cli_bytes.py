@@ -18,17 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cli import document
 from test_family_stack import reference_matrix
 
 from cohwit import DocumentError, Witness, WitnessFamily, finite_family, sample_ginibre
 from cohwit import cli
-from cohwit.cli import (
-    document_bytes,
-    matrix_from_document,
-    matrix_to_document,
-    run,
-    write_bloch_cloud,
-)
+from cohwit.cli import _read_stack, document_bytes, run, write_bloch_cloud
 from cohwit.verify import _qubit_lattice
 
 # --- writer ----------------------------------------------------------------
@@ -248,7 +243,8 @@ def entry_lists(draw, dim):
 def test_reader_matches_per_entry_loop(data):
     dim = data.draw(st.integers(2, 4))
     doc = {"dim": dim, "entries": data.draw(entry_lists(dim))}
-    assert outcome(matrix_from_document, doc) == outcome(lambda doc: reference_matrix(doc, "matrix"), doc)
+    read = lambda doc: _read_stack([doc], "matrix")[0]  # noqa: E731
+    assert outcome(read, doc) == outcome(lambda doc: reference_matrix(doc, "matrix"), doc)
 
 
 def test_reader_keeps_signed_zeros_and_every_bit():
@@ -256,15 +252,17 @@ def test_reader_keeps_signed_zeros_and_every_bit():
     M[0, 0] = complex(-0.0, 0.0)
     M[1, 2] = complex(0.0, -0.0)
     M[2, 1] = complex(-0.0, -0.0)
-    doc = json.loads(json.dumps(matrix_to_document(M)))
-    assert np.array_equal(matrix_from_document(doc).view(np.int64), M.view(np.int64))
+    doc = json.loads(json.dumps(document(M)))
+    assert np.array_equal(_read_stack([doc], "matrix")[0].view(np.int64), M.view(np.int64))
 
 
-def test_document_entries_match_per_entry_floats():
+def test_document_entries_match_per_entry_floats(tmp_path):
     M = sample_ginibre(4, 3).matrix.T  # not C-contiguous
     M = np.where(np.abs(M) < 0.1, -0.0, M)
     old = [[float(z.real), float(z.imag)] for z in M.reshape(-1)]
-    assert json.dumps(matrix_to_document(M)["entries"]) == json.dumps(old)
+    path = tmp_path / "w.json"
+    cli._write_document(str(path), Witness(M), "custom", [{}])
+    assert json.dumps(json.loads(path.read_text())["entries"]) == json.dumps(old)
 
 
 def test_huge_integer_entry_exits_2(tmp_path):

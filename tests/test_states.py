@@ -276,6 +276,15 @@ def test_ensemble_matches_reference(d, n, seed):
     assert same_bits(sample_ensemble(d, n, seed), want)
 
 
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 6), n=st.integers(0, 40), seed=st.integers(), step=st.sampled_from([1, 3, 7, 64]))
+def test_ensemble_chunks_are_the_stack_rows(d, n, seed, step):
+    chunks = list(states._ensemble_chunks(d, n, seed, step))
+    assert [len(c) for c in chunks] == [min(step, n - i) for i in range(0, n, step)]
+    rows = np.concatenate(chunks) if chunks else np.zeros((0, d, d), np.complex128)
+    assert same_bits(rows, sample_ensemble(d, n, seed))
+
+
 def test_ensemble_spanning_several_blocks_matches_reference():
     assert 250 > 3 * (_BLOCK_ENTRIES // 18**2)  # each half of 500 states takes several blocks
     stack = sample_ensemble(18, 500, 9)
@@ -313,6 +322,8 @@ def test_ensemble_validates_each_state_once(d, n, seed, data):
         patch.setattr(states, "_ginibre_block", block_with_bad_row)
         with pytest.raises(InvalidStateError, match=f"^ensemble state {t} is not PSD: min eigenvalue -0.5$"):
             sample_ensemble(d, n, seed)
+        with pytest.raises(InvalidStateError, match=f"^ensemble state {t} is not PSD: min eigenvalue -0.5$"):
+            list(states._ensemble_chunks(d, n, seed, 3))  # named in the whole stack, not in its chunk
 
 
 def test_ensemble_rejects_negative_count():

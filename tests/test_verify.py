@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_generators import traced_peak
 
 from cohwit import (
     DETECT_EPS,
@@ -24,13 +25,12 @@ from cohwit import (
 )
 from cohwit import linalg, verify
 from cohwit.cli import document_bytes, run
-from cohwit.verify import (
-    MAX_COVERAGE_BYTES,
-    bloch_bytes,
-    bloch_grid,
-    coverage_bytes,
-    generator_coverage_bytes,
-)
+from cohwit.verify import MAX_COVERAGE_BYTES, bloch_bytes, bloch_grid, sweep_bytes
+
+
+def chunked(monkeypatch, k: int, d: int, n_members: int) -> None:
+    """Make a sweep of n_members members at dim d take k states a chunk."""
+    monkeypatch.setattr(verify, "_CHUNK_ITEMS", k * (n_members + d * d))
 
 
 class TestMixedEnsemble:
@@ -77,11 +77,11 @@ class TestIncoherentContainment:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep sampled before its size check")
 
-        need = coverage_bytes(4, 200, 20)
+        need = sweep_bytes(4, 20, True)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "MAX_COVERAGE_BYTES", need - 1)
             patch.setattr(verify, "sample_hermitian_batch", refuse)
-            patch.setattr(verify, "sample_incoherent_batch", refuse)
+            patch.setattr(verify, "_ensemble_chunks", refuse)
             with pytest.raises(InvalidParameterError, match=f"20 members at d=4 needs about {need} bytes"):
                 verify_incoherent_containment(4, 20, 200, 11)
         monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", need)
@@ -97,13 +97,20 @@ class TestIncoherentContainment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= coverage_bytes(d, n_states, n_witnesses)
+        assert peak <= sweep_bytes(d, n_witnesses, True)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_report_does_not_depend_on_the_chunk(self, monkeypatch, d):
+        whole = verify_incoherent_containment(d, 5, 20, 3, interval_shrink=1e-3)
+        for k in (1, 3, 7):
+            chunked(monkeypatch, k, d, 5)
+            assert verify_incoherent_containment(d, 5, 20, 3, interval_shrink=1e-3) == whole
 
 
 class TestCoverage:
     def test_full_family_passes(self):
         report = verify_coverage(finite_family(3, 1.0), 3, 400, 777)
-        assert report.passed
+        assert type(report.passed) is bool and report.passed
         assert report.n_false_alarm == 0
         assert report.n_detected == report.n_coherent == 200
         assert len(report.per_witness_hits) == 6
@@ -117,7 +124,7 @@ class TestCoverage:
         )
         blind_spot = DensityMatrix(np.array([[0.5, 0.3j], [-0.3j, 0.5]]))
         report = verify_coverage(family, 2, 50, 101, extra_states=[blind_spot])
-        assert not report.passed
+        assert type(report.passed) is bool and not report.passed
         assert report.n_states == 51
         assert report.n_detected < report.n_coherent
 
@@ -135,30 +142,37 @@ class TestCoverage:
             sample_ensemble(2, -4, 0)
 
     def test_working_set_estimate(self):
-        # Stack and member matrices at 16 B per entry, the oracle's float copy
-        # of the stack at 8 B per entry, 41 B per (member, state) pair and
-        # 128 B per entry of one sampling block (4096 entries, or one state).
-        assert coverage_bytes(4, 1000, 12) == 16 * 16 * 1012 + 8 * 16 * 1000 + 41 * 12 * 1000 + 128 * 4096
-        assert coverage_bytes(91, 40, 2) == 16 * 8281 * 42 + 8 * 8281 * 40 + 41 * 2 * 40 + 128 * 8281
-        assert coverage_bytes(4, 1000, 12) < MAX_COVERAGE_BYTES
-        assert coverage_bytes(4, 10**9, 12) > MAX_COVERAGE_BYTES
-        assert coverage_bytes(10**5, 1, 10**5 * (10**5 - 1)) > MAX_COVERAGE_BYTES
+        # A chunk of 2**21 // (members + d * d) states, at least one, at 24 B
+        # per state matrix entry and 41 B per (member, state) pair; member
+        # matrices at 16 B per entry; and 128 B per entry of one sampling
+        # block (4096 entries, or one state).  No state count enters.
+        k = 2**21 // (12 + 16)
+        assert sweep_bytes(4, 12, True) == (24 * 16 + 41 * 12) * k + 128 * 4096 + 16 * 16 * 12
+        k = 2**21 // (2 + 8281)
+        assert sweep_bytes(91, 2, True) == (24 * 8281 + 41 * 2) * k + 128 * 8281 + 16 * 8281 * 2
+        assert sweep_bytes(4, 12, True) < MAX_COVERAGE_BYTES
+        # A document of all d(d - 1) generator members; one of two members.
+        assert sweep_bytes(89, 89 * 88, True) <= MAX_COVERAGE_BYTES < sweep_bytes(90, 90 * 89, True)
+        assert sweep_bytes(2415, 2, True) <= MAX_COVERAGE_BYTES < sweep_bytes(2416, 2, True)
+        assert sweep_bytes(10**5, 10**5 * (10**5 - 1), True) > MAX_COVERAGE_BYTES
 
     def test_builtin_family_estimate_holds_no_member_matrix(self):
-        # State stack at 16 B per entry, 41 B per (member, state) pair and
-        # 128 B per entry of one sampling block (4096 entries, or one state).
-        assert generator_coverage_bytes(4, 1000, 12) == 16 * 16 * 1000 + 41 * 12 * 1000 + 128 * 4096
-        assert generator_coverage_bytes(90, 40, 1) == 16 * 8100 * 40 + 41 * 40 + 128 * 8100
-        assert generator_coverage_bytes(91, 40, 91 * 90) < MAX_COVERAGE_BYTES < coverage_bytes(91, 40, 91 * 90)
-        assert generator_coverage_bytes(700, 40, 700 * 699) > MAX_COVERAGE_BYTES
-        assert generator_coverage_bytes(10**5, 1, 10**5 * (10**5 - 1)) > MAX_COVERAGE_BYTES
+        # A chunk at 24 B per state entry and 41 B per (member, state) pair
+        # and 128 B per entry of one sampling block (4096 entries, or one state).
+        assert sweep_bytes(4, 12, False) == (24 * 16 + 41 * 12) * (2**21 // 28) + 128 * 4096
+        assert sweep_bytes(90, 1, False) == (24 * 8100 + 41) * (2**21 // 8101) + 128 * 8100
+        # At d = 1500 a chunk is one state.
+        assert sweep_bytes(1500, 1500 * 1499, False) == 24 * 1500**2 + 41 * 1500 * 1499 + 128 * 1500**2
+        assert sweep_bytes(91, 91 * 90, False) < MAX_COVERAGE_BYTES < sweep_bytes(91, 91 * 90, True)
+        assert sweep_bytes(2358, 2358 * 2357, False) <= MAX_COVERAGE_BYTES < sweep_bytes(2359, 2359 * 2358, False)
+        assert sweep_bytes(10**5, 10**5 * (10**5 - 1), False) > MAX_COVERAGE_BYTES
 
     @pytest.mark.parametrize("d", [12, 40, 90])
     def test_estimates_cover_the_traced_peak_of_a_sweep(self, d):
         # Each family is built inside the trace: the built-in one as the CLI
-        # builds it after its size check, and one that holds member matrices
-        # from its member stack, as a family document is read into one.  At
-        # d = 90 it holds the first 180 members, since all 8010 are over the cap.
+        # builds it, and one that holds member matrices from its member
+        # stack, as a family document is read into one.  At d = 90 it holds
+        # the first 180 members, since all 8010 are over the cap.
         n, members = 40, 180 if d == 90 else d * (d - 1)
         tracemalloc.start()
         try:
@@ -166,7 +180,7 @@ class TestCoverage:
             builtin = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert builtin <= generator_coverage_bytes(d, n, d * (d - 1))
+        assert builtin <= sweep_bytes(d, d * (d - 1), False)
         matrices = [generator_witness(d, 0.0, eta).matrix for eta in np.eye(members, d * d - 1, d - 1)]
         tracemalloc.start()
         try:
@@ -175,24 +189,26 @@ class TestCoverage:
             stacked = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert stacked <= coverage_bytes(d, n, members)
+        assert stacked <= sweep_bytes(d, members, True)
 
-    def test_builtin_estimate_covers_the_traced_peak_where_pairs_dominate(self):
-        # At d = 12 and 4000 states the 41 B per (member, state) pair are about
-        # 70% of the estimate, so the kernel's own buffers are what it bounds.
-        d, n = 12, 4000
+    def test_builtin_estimate_covers_the_traced_peak_where_pairs_dominate(self, monkeypatch):
+        # At d = 12 and 4000 states a chunk, the 41 B per (member, state) pair
+        # are about 60% of the estimate, so the kernel's own buffers are what
+        # it bounds; the sweep takes a full chunk and a one-state one.
+        d, m, k = 12, 12 * 11, 4000
+        chunked(monkeypatch, k, d, m)
         tracemalloc.start()
         try:
-            verify_coverage(finite_family(d), d, n, 1)
+            verify_coverage(finite_family(d), d, k + 1, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 41 * d * (d - 1) * n > 0.6 * generator_coverage_bytes(d, n, d * (d - 1))
-        assert peak <= generator_coverage_bytes(d, n, d * (d - 1))
+        assert 41 * m * k > 0.6 * sweep_bytes(d, m, False)
+        assert peak <= sweep_bytes(d, m, False)
 
     def test_witness_built_family_holds_one_member_table(self):
         # A family built from Witness objects keeps their stacked matrices, not
-        # the witnesses, so coverage_bytes bounds its sweep like any other.
+        # the witnesses, so sweep_bytes bounds its sweep like any other.
         d, n = 20, 40
         members = d * (d - 1)
         tracemalloc.start()
@@ -207,7 +223,47 @@ class TestCoverage:
         finally:
             tracemalloc.stop()
         assert held <= 1.1 * family._stack.nbytes
-        assert peak <= coverage_bytes(d, n, members)
+        assert peak <= sweep_bytes(d, members, True)
+
+    def test_traced_peak_does_not_grow_with_the_states(self, monkeypatch):
+        # Chunks of 50 states: a sweep of 20 chunks holds what one of 2 does.
+        d = 8
+        family = finite_family(d)
+        chunked(monkeypatch, 50, d, len(family))
+        small, large = (traced_peak(lambda: verify_coverage(family, d, n, 1)) for n in (100, 1000))
+        assert large <= 1.02 * small
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("K", [0.0, 37.0])
+    def test_report_does_not_depend_on_the_chunk(self, monkeypatch, d, K):
+        # 30 states: chunks of 3 and 7 states straddle the boundary between
+        # the full-rank half and the diagonal half.
+        family = finite_family(d, K)
+        whole = verify_coverage(family, d, 30, 5)
+        for k in (1, 3, 7):
+            chunked(monkeypatch, k, d, len(family))
+            assert verify_coverage(family, d, 30, 5) == whole
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_extra_states_across_chunk_boundaries(self, monkeypatch, k):
+        # A blind one-member family at d = 2, and twice the I/4 state with
+        # rho_01 = 2.5e-8, which the built-in family detects though its l1
+        # coherence is under the threshold: two false alarms.  The extra
+        # states fill one chunk of 3 and part of the next.
+        blind = WitnessFamily("blind", [generator_witness(2, 0.0, [0.0, 1.0, 0.0])])
+        spots = [DensityMatrix(np.array([[0.5, 0.3j], [-0.3j, 0.5]])), sample_ginibre(2, 4)] * 2 + [
+            DensityMatrix(np.eye(2) / 2)
+        ]
+        mixed = np.eye(4, dtype=complex) / 4
+        mixed[0, 1] = mixed[1, 0] = 2.5e-8
+        cases = [(blind, 2, spots), (finite_family(4), 4, [sample_ginibre(4, 9), DensityMatrix(mixed)] * 2)]
+        for family, d, extra in cases:
+            whole = verify_coverage(family, d, 5, 17, extra_states=extra)
+            with monkeypatch.context() as patch:
+                chunked(patch, k, d, len(family))
+                assert verify_coverage(family, d, 5, 17, extra_states=extra) == whole
+            assert not whole.passed
+        assert whole.n_false_alarm == 2
 
     def test_lattice_and_document_estimates(self):
         # 128 B per lattice point plus 2 MiB; 144 B per member entry plus 64 B per entry.

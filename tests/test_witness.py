@@ -39,7 +39,7 @@ from cohwit import (
     witness_for_state,
 )
 from cohwit import linalg
-from cohwit.verify import generator_coverage_bytes
+from cohwit.verify import sweep_bytes
 from cohwit.witness import finite_family_bytes
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -441,8 +441,10 @@ class TestFiniteFamily:
             assert traced_peak(lambda: finite_family(d, K, coeffs)) <= finite_family_bytes(d)
 
     def test_estimate_places_the_cap_above_the_sweep_charge(self):
+        # The family is refused above d = 2442; its sweep's charge, which
+        # covers the family's construction too, refuses it above d = 2358.
         assert finite_family_bytes(2442) <= linalg.MAX_COVERAGE_BYTES < finite_family_bytes(2443)
-        assert all(finite_family_bytes(d) <= generator_coverage_bytes(d, 1, d * (d - 1)) for d in range(2, 3000))
+        assert all(finite_family_bytes(d) <= sweep_bytes(d, d * (d - 1), False) for d in range(2, 3000))
 
     def test_oversized_family_is_refused_before_it_is_built(self, monkeypatch):
         d = 200

@@ -14,8 +14,10 @@ One run, on ``sample_ensemble(d, n, seed)`` and ``finite_family(d)``, times:
 - ``kernel_s``: the family's ``_values`` on the ensemble, the kernel alone;
 - ``evaluate_s``: ``evaluate_batch`` (kernel, margins and verdicts);
 - ``reduce_s``: ``verify_coverage`` less the time spent inside its own
-  ``sample_ensemble`` and ``evaluate_batch`` calls (size check, l1
-  coherence and the report's counts);
+  sampling and ``evaluate_batch`` calls (size check, l1 coherence and the
+  report's counts).  A sweep that samples its states a chunk at a time is
+  timed around each ``states._ensemble_rows`` call; one that samples them at
+  once, around its ``sample_ensemble`` call;
 - ``verify_coverage_s``: the whole sweep;
 - ``parts_s``: ``sample_s + validate_s + evaluate_s + reduce_s`` of the
   same run, to set beside ``verify_coverage_s`` (each median comes from its
@@ -75,7 +77,10 @@ def worker(tree: str, d: int, n: int, seed: int) -> dict:
     del values
     _, evaluate = timed(family.evaluate_batch, stack)
     del stack
-    verify.sample_ensemble = spy("sample", sample_ensemble)
+    if hasattr(states, "_ensemble_rows"):  # the sweep samples one chunk a call
+        states._ensemble_rows = spy("sample", states._ensemble_rows)
+    else:
+        verify.sample_ensemble = spy("sample", sample_ensemble)
     family.evaluate_batch = spy("evaluate", family.evaluate_batch)
     report, sweep = timed(verify_coverage, family, d, n, seed)
     reduce = sweep - inside["sample"] - inside["evaluate"]
