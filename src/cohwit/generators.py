@@ -118,13 +118,21 @@ def bloch_vector(state: "DensityMatrix") -> np.ndarray:
     return 0.5 * d * tr
 
 
+def _generator_matrix(d: int, K: float, coeffs) -> np.ndarray:
+    # (K I + sum_i s_i g_i) / d; an overflowing entry is left for the caller to refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = _operator(d, coeffs)  # validates d before np.eye sees it
+        return (K * np.eye(d, dtype=np.complex128) + op) / d
+
+
 def state_from_bloch(d: int, r) -> ComplexMatrix:
-    """(1/d)(I + sum_i r_i g_i): Hermitian with unit trace by construction.
+    """(1/d)(I + sum_i r_i g_i): Hermitian with unit trace by construction,
+    the K = 1 case of the generator witnesses' (K I + sum_i s_i g_i) / d.
 
     The result is NOT guaranteed positive semidefinite for d >= 3 even at
     small norm; wrap it in ``DensityMatrix`` to validate.
     """
-    return (np.eye(d, dtype=np.complex128) + _operator(d, r)) / d
+    return _generator_matrix(d, 1.0, r)
 
 
 def offdiag_support(state: "DensityMatrix") -> set[int]:

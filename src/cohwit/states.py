@@ -202,8 +202,7 @@ def _complex_normals(d: int, seeds: Sequence[Seed]) -> np.ndarray:
 
 def _ginibre_block(d: int, seeds: Sequence[Seed]) -> np.ndarray:
     G = _complex_normals(d, seeds)
-    M = G @ _dagger(G)
-    M = (M + _dagger(M)) / 2.0  # exact Hermitian symmetry despite roundoff
+    M = _hermitian_part(G @ _dagger(G))  # exact Hermitian symmetry despite roundoff
     return M / np.trace(M, axis1=1, axis2=2).real[:, None, None]
 
 
@@ -213,8 +212,7 @@ def _incoherent_block(d: int, seeds: Sequence[Seed]) -> np.ndarray:
 
 
 def _hermitian_block(d: int, seeds: Sequence[Seed]) -> np.ndarray:
-    G = _complex_normals(d, seeds)
-    return (G + _dagger(G)) / 2.0
+    return _hermitian_part(_complex_normals(d, seeds))
 
 
 def sample_ginibre_batch(d: int, seeds: Sequence[Seed]) -> np.ndarray:
@@ -317,10 +315,22 @@ def canonical_coherent(d: int) -> DensityMatrix:
     return DensityMatrix(M)
 
 
+def qubit_states_stack(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(n, 2, 2) stack of the matrices (I + x sigma_x + y sigma_y + z sigma_z)/2
+    for coordinate arrays of n points inside the ball, unvalidated."""
+    n = x.size
+    stack = np.empty((n, 2, 2), dtype=np.complex128)
+    stack[:, 0, 0] = 0.5 * (1.0 + z)
+    stack[:, 1, 1] = 0.5 * (1.0 - z)
+    stack[:, 0, 1] = 0.5 * (x - 1j * y)
+    stack[:, 1, 0] = 0.5 * (x + 1j * y)
+    return stack
+
+
 def qubit_state(x: float, y: float, z: float) -> DensityMatrix:
-    """Qubit state (I + x sigma_x + y sigma_y + z sigma_z)/2 for x²+y²+z² <= 1."""
-    M = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=np.complex128)
-    return DensityMatrix(M)
+    """Qubit state (I + x sigma_x + y sigma_y + z sigma_z)/2 for x²+y²+z² <= 1:
+    the one-point case of :func:`qubit_states_stack`, validated."""
+    return DensityMatrix(qubit_states_stack(*(np.array([v], dtype=np.float64) for v in (x, y, z)))[0])
 
 
 def incoherent_with_value(witness: "Witness", target: float) -> IncoherentState:

@@ -29,6 +29,7 @@ from .states import (
     _ensemble_chunks,
     _require_dim,
     l1_coherence_batch,
+    qubit_states_stack,
     sample_hermitian_batch,
 )
 from .witness import WitnessFamily, _GeneratorFamily, _slack, is_effective_qubit, qubit_witness
@@ -53,7 +54,6 @@ class ContainmentReport:
     n_witnesses: int
     n_states: int
     seed: Seed
-    interval_shrink: float
     worst_violation: float
     slack: float
     passed: bool
@@ -132,20 +132,13 @@ def bloch_bytes(grid_n: int) -> int:
     return 128 * grid_n**3 + 2**21
 
 
-def verify_incoherent_containment(
-    d: int,
-    n_witnesses: int,
-    n_states: int,
-    seed: Seed,
-    *,
-    interval_shrink: float = 0.0,
-) -> ContainmentReport:
+def verify_incoherent_containment(d: int, n_witnesses: int, n_states: int, seed: Seed) -> ContainmentReport:
     """Check that diagonal states never leave random witnesses' intervals.
 
     Witness j uses sub-seed ``seed + j``; state t uses ``seed + n_witnesses + t``.
-    ``interval_shrink`` narrows each interval symmetrically and exists only to
-    fault-inject the harness (a positive shrink must produce a FAIL).  A sweep
-    whose :func:`sweep_bytes` exceed ``MAX_COVERAGE_BYTES`` is rejected before sampling.
+    The worst violation is the largest margin of any state on any witness.  A
+    sweep whose :func:`sweep_bytes` exceed ``MAX_COVERAGE_BYTES`` is rejected
+    before sampling.
     """
     if n_witnesses < 1 or n_states < 1:
         raise InvalidParameterError(
@@ -157,15 +150,12 @@ def verify_incoherent_containment(
     family = WitnessFamily._from_stack(f"random-hermitian(d={d})", matrices, [DETECT_EPS] * n_witnesses)
     chunks = _ensemble_chunks(d, n_states, seed + n_witnesses, _chunk_states(d, n_witnesses), n_ginibre=0)
     # map holds no chunk between its calls, so one chunk is held at a time.
-    high = max(map(lambda chunk: float(family.evaluate_batch(chunk)[1].max()), chunks))
-    # Rounding is monotone, so the largest margin shifted is the largest shifted margin.
-    worst = high + interval_shrink
+    worst = max(map(lambda chunk: float(family.evaluate_batch(chunk)[1].max()), chunks))
     return ContainmentReport(
         dim=d,
         n_witnesses=n_witnesses,
         n_states=n_states,
         seed=seed,
-        interval_shrink=interval_shrink,
         worst_violation=worst,
         slack=CONTAINMENT_SLACK,
         passed=worst <= CONTAINMENT_SLACK,
@@ -254,17 +244,6 @@ def bloch_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
     mask = X * X + Y * Y + Z * Z <= 1.0
     return X[mask], Y[mask], Z[mask]
-
-
-def qubit_states_stack(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Stack of qubit state matrices for coordinate arrays inside the ball."""
-    n = x.size
-    stack = np.empty((n, 2, 2), dtype=np.complex128)
-    stack[:, 0, 0] = 0.5 * (1.0 + z)
-    stack[:, 1, 1] = 0.5 * (1.0 - z)
-    stack[:, 0, 1] = 0.5 * (x - 1j * y)
-    stack[:, 1, 0] = 0.5 * (x + 1j * y)
-    return stack
 
 
 def _qubit_lattice(K: float, a: float, b: float, c: float, grid_n: int):

@@ -30,7 +30,7 @@ from .errors import (
     ZeroOperatorError,
     NumericallyMarginalWarning,
 )
-from .generators import OFFDIAG_TOL, _operator, bloch_vector
+from .generators import OFFDIAG_TOL, _generator_matrix, _operator, bloch_vector
 from .linalg import (
     DETECT_EPS, PSD_FLOOR, TRACE_DEV, _as_stack, _require_bytes, _require_finite, _require_hermitian
 )
@@ -83,17 +83,12 @@ def _slack(bounds: np.ndarray, d: int) -> np.ndarray:
 
     Its diagonal p has a trace within TRACE_DEV of 1 and entries down to
     -PSD_FLOOR, so sum_k p_k W_kk exceeds hi (or falls below lo) by at most
-    ``max(|lo|, |hi|) * TRACE_DEV + (d - 1) * (hi - lo) * PSD_FLOOR``.
-    Where that product overflows (an interval wider than about 1.8e308 /
-    (d - 1)), the same bound is taken in the order
-    ``(d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR)``, which stays finite, so
-    the slack is finite for every finite interval.  The overflow still warns
-    unless the caller silences it, as :func:`_evaluate` does.
+    ``max(|lo|, |hi|) * TRACE_DEV + (d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR)``.
+    Each endpoint is scaled before the difference is taken, so the slack is
+    finite and nonnegative for every finite interval and never overflows.
     """
     lo, hi = bounds[:2]
-    spread = (d - 1) * (hi - lo) * PSD_FLOOR
-    spread = np.where(np.isfinite(spread), spread, (d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR))
-    return np.maximum(np.abs(lo), np.abs(hi)) * TRACE_DEV + spread
+    return np.maximum(np.abs(lo), np.abs(hi)) * TRACE_DEV + (d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR)
 
 
 def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,17 +118,18 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo, hi, eps = source._bounds[..., None]
     # Overflow is checked, not warned about: a side of the margin that
     # overflows loses to the other side in np.maximum, a margin that overflows
-    # raises NonFiniteError below, and _slack replaces an overflowing product.
+    # raises NonFiniteError below, and an eps + slack past the float range is
+    # inf, which no finite margin exceeds.
     with np.errstate(over="ignore", invalid="ignore"):
         # max(lo - value, value - hi), with operands swapped because np.maximum
         # keeps its second operand on a tie of signed zeros, as max keeps its first.
         margins = np.maximum(values - hi, lo - values)
-        slack = _slack(source._bounds, d)
+        detected = margins > eps + _slack(source._bounds, d)[:, None]
     bad = ~np.isfinite(margins)  # NaN or inf values make NaN or inf margins
     if bad.any():
         i, t = np.unravel_index(np.argmax(bad), bad.shape)
         raise NonFiniteError(f"witness {i} on state {t}: value {values[i, t]} or its margin overflows")
-    return values, margins, margins > eps + slack[:, None]
+    return values, margins, detected
 
 
 def _reports(source, state: DensityMatrix) -> tuple[DetectionReport, ...]:
@@ -159,12 +155,13 @@ class _MemberTable:
         for b in _blocks(len(stack), stack.shape[1]):
             _require_hermitian(stack[b], what, b.start)
         self._bounds = _table(stack, detect_eps)
+        self._dim = stack.shape[1]
         self._stack = stack
         self._stack.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self._stack.shape[1]
+        return self._dim
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
         # (members, n) expectation values on an (n, d, d) stack, one
@@ -322,10 +319,6 @@ class _GeneratorFamily(WitnessFamily):
         self._w = U[0, 0]  # every diagonal entry of every member, K/d
         self._bounds = np.repeat(_table(U[None], [DETECT_EPS]), len(coeffs), axis=1)
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
     @functools.cached_property
     def _stack(self) -> np.ndarray:
         # One scatter: the (K I)/d of a member with no pair coefficient, then
@@ -395,8 +388,16 @@ def tailored_witness(state: DensityMatrix, lo: float, hi: float) -> Witness:
     - lo == hi: the component operator plus lo * I.  The expectation is
       lo + component, which differs from lo by the component itself.
     - lo < hi: the canonical [lo, hi] witness plus the component operator
-      scaled so the expectation lands exactly on hi + 1.  When the canonical
-      witness already evaluates to hi + 1 it is returned unchanged.
+      scaled by ``gap / component`` so the expectation lands exactly on
+      hi + 1.  When the canonical witness already evaluates to hi + 1 it is
+      returned unchanged.
+
+    The detection margin is 1, and a change of the component by dc moves the
+    value by ``|gap / component| * dc``.  Entries up to COHERENT_ENTRY_TOL
+    count as no coherence at all, so where ``|gap / component|`` exceeds
+    ``1 / COHERENT_ENTRY_TOL`` (1e9) a change of the component below that
+    tolerance moves the value by more than the margin: the witness is built,
+    with a NumericallyMarginalWarning.
     """
     if lo > hi:
         raise InvalidIntervalError(f"interval reversed: [{lo}, {hi}]")
@@ -425,10 +426,19 @@ def tailored_witness(state: DensityMatrix, lo: float, hi: float) -> Witness:
     if gap == 0.0:
         return base
     component = entry.real if use_re else entry.imag
+    scale = gap / component
     # An overflowing scale leaves non-finite entries, which Witness refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        M = (gap / component) * comp_op + base.matrix
-    return Witness(M)
+        M = scale * comp_op + base.matrix
+    w = Witness(M)
+    if abs(scale) * COHERENT_ENTRY_TOL > 1.0:
+        warnings.warn(
+            f"tailored witness scales its anchor component {component} by {scale}, "
+            f"more than 1/{COHERENT_ENTRY_TOL}; detection is numerically marginal",
+            NumericallyMarginalWarning,
+            stacklevel=2,
+        )
+    return w
 
 
 def qubit_witness(K: float, a: float, b: float, c: float) -> Witness:
@@ -479,13 +489,6 @@ def qubit_pair_family(K: float, a1: float, b1: float, a2: float, b2: float) -> W
         )
     members = (qubit_witness(K, a1, b1, 0.0), qubit_witness(K, a2, b2, 0.0))
     return WitnessFamily(label=f"qubit-pair(K={K}, ({a1},{b1}), ({a2},{b2}))", members=members)
-
-
-def _generator_matrix(d: int, K: float, coeffs) -> np.ndarray:
-    # (K I + sum_i s_i g_i) / d; an overflowing entry is left for Witness to refuse.
-    with np.errstate(over="ignore", invalid="ignore"):
-        op = _operator(d, coeffs)  # validates d before np.eye sees it
-        return (K * np.eye(d, dtype=np.complex128) + op) / d
 
 
 def generator_witness(d: int, K: float, coeffs) -> Witness:

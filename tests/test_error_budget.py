@@ -3,8 +3,8 @@
 ``DensityMatrix`` accepts a trace within ``TRACE_DEV`` of 1 and eigenvalues
 down to ``-PSD_FLOOR``, so the value of such a diagonal state can leave a
 witness's interval by up to the slack ``max(|lo|, |hi|) * TRACE_DEV +
-(d - 1) * (hi - lo) * PSD_FLOOR``.  The verdict requires a margin above
-``detect_eps`` plus that slack.
+(d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR)``.  The verdict requires a margin
+above ``detect_eps`` plus that slack.
 """
 
 import warnings
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_finite_reports import tailored
 
 from cohwit import (
     DensityMatrix,
@@ -26,7 +27,6 @@ from cohwit import (
     qubit_witness,
     sample_ginibre,
     sample_hermitian,
-    tailored_witness,
     witness_for_state,
 )
 from cohwit.linalg import DETECT_EPS, PSD_FLOOR, TRACE_DEV
@@ -62,8 +62,8 @@ def test_detection_beyond_the_slack_is_kept():
 
 
 def test_wide_interval_keeps_a_finite_slack_and_detects():
-    # (d - 1) * (hi - lo) overflows here although the slack is about 5e299;
-    # lo - value overflows too, and the other side of the margin wins.
+    # hi - lo overflows here although the slack is about 5e299; lo - value
+    # overflows too, and the other side of the margin wins.
     matrix = np.diag([1e308, -1e308, 1e308]).astype(complex)
     matrix[0, 2] = matrix[2, 0] = 5e307
     plus = np.zeros((3, 3), dtype=complex)
@@ -73,9 +73,28 @@ def test_wide_interval_keeps_a_finite_slack_and_detects():
         warnings.simplefilter("error")
         report = w.evaluate(DensityMatrix(plus))
     assert report.margin == 5e307 and report.detected
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for bounds in (w._bounds, canonical_witness(3, 5e-324, 1.7976931348623157e308)._bounds):
             assert np.isfinite(_slack(bounds, 3)).all()
+
+
+def test_margin_past_the_float_range_detects_nothing_without_a_warning():
+    # detect_eps + slack overflows: no finite margin clears it.
+    w = Witness(np.array([[1e308, 1e308], [1e308, 0.0]]), 1.7976931348623157e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = w.evaluate(DensityMatrix(np.full((2, 2), 0.5)))
+    assert report.margin == 5e307 and not report.detected
+
+
+@pytest.mark.parametrize("d", [2, 8192])
+def test_slack_of_the_widest_interval_is_finite_without_a_warning(d):
+    bounds = np.array([[-1.7976931348623157e308], [1.7976931348623157e308], [DETECT_EPS]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slack = _slack(bounds, d)
+    assert np.isfinite(slack).all() and (slack >= 0.0).all()
 
 
 EDGE_TRACES = st.one_of(
@@ -123,7 +142,7 @@ def witnesses(draw, kind, d):
         lo, hi = sorted((draw(BIG), draw(BIG)))
         if kind == "canonical":
             return canonical_witness(d, lo, hi)
-        return tailored_witness(sample_ginibre(d, seed), lo, hi)
+        return tailored(sample_ginibre(d, seed), lo, hi)
     if kind == "generator":
         coeffs = draw(st.lists(st.floats(-1e3, 1e3), min_size=d * d - 1, max_size=d * d - 1))
         return generator_witness(d, draw(BIG), coeffs)

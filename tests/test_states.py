@@ -22,6 +22,7 @@ from cohwit import (
     is_hermitian,
     l1_coherence,
     min_eigenvalue,
+    qubit_state,
     sample_ensemble,
     sample_ginibre,
     sample_ginibre_batch,
@@ -492,3 +493,17 @@ def test_validator_returns_min_eigenvalues():
     stack = np.array([np.diag([0.25, 0.75]), np.full((2, 2), 0.5)], dtype=np.complex128)
     assert validate_states(stack) == pytest.approx([0.25, 0.0], abs=1e-15)
     assert validate_states(np.zeros((0, 3, 3))).shape == (0,)
+
+
+EDGES = [-1.0, -1 / 3, -0.0, 0.0, 5e-324, 1 / 3, 1.0]
+
+
+@pytest.mark.parametrize("x", EDGES)
+def test_qubit_state_matches_the_written_out_matrix(x):
+    # Every in-ball point of the edge values, on the sphere and inside it.
+    for y in EDGES:
+        for z in EDGES:
+            if x * x + y * y + z * z > 1.0:
+                continue
+            M = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=np.complex128)
+            assert same_bits(qubit_state(x, y, z).matrix, M)

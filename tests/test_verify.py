@@ -33,6 +33,19 @@ def chunked(monkeypatch, k: int, d: int, n_members: int) -> None:
     monkeypatch.setattr(verify, "_CHUNK_ITEMS", k * (n_members + d * d))
 
 
+def narrowed(monkeypatch, shrink: float) -> None:
+    """Fault-inject the containment sweep: every family it builds has each
+    member's interval narrowed by ``shrink`` on both sides."""
+    build = WitnessFamily._from_stack
+
+    def narrow(*args, **kwargs):
+        family = build(*args, **kwargs)
+        family._bounds = family._bounds + np.array([[shrink], [-shrink], [0.0]])
+        return family
+
+    monkeypatch.setattr(WitnessFamily, "_from_stack", narrow)
+
+
 class TestMixedEnsemble:
     def test_half_and_half(self):
         l1s = l1_coherence_batch(sample_ensemble(3, 40, 1))
@@ -52,8 +65,9 @@ class TestIncoherentContainment:
     def test_minimal_sweep(self):
         assert verify_incoherent_containment(2, 1, 1, 0).passed
 
-    def test_injected_fault_is_caught(self):
-        report = verify_incoherent_containment(3, 20, 200, 2024, interval_shrink=0.1)
+    def test_injected_fault_is_caught(self, monkeypatch):
+        narrowed(monkeypatch, 0.1)
+        report = verify_incoherent_containment(3, 20, 200, 2024)
         assert not report.passed
         assert report.worst_violation > 0.0
 
@@ -101,10 +115,11 @@ class TestIncoherentContainment:
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_report_does_not_depend_on_the_chunk(self, monkeypatch, d):
-        whole = verify_incoherent_containment(d, 5, 20, 3, interval_shrink=1e-3)
+        narrowed(monkeypatch, 1e-3)
+        whole = verify_incoherent_containment(d, 5, 20, 3)
         for k in (1, 3, 7):
             chunked(monkeypatch, k, d, 5)
-            assert verify_incoherent_containment(d, 5, 20, 3, interval_shrink=1e-3) == whole
+            assert verify_incoherent_containment(d, 5, 20, 3) == whole
 
 
 class TestCoverage:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cohwit import (
     SplitMix64,
     Verdict,
     Witness,
+    WitnessFamily,
     ZeroCoefficientError,
     ZeroOperatorError,
     bloch_vector,
@@ -46,6 +48,13 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 class TestWitnessConstruction:
+    def test_dim_of_every_member_table(self):
+        assert Witness(np.eye(3)).dim == 3
+        members = [canonical_witness(4, 0.0, 1.0), generator_witness(4, 1.0, np.ones(15))]
+        assert WitnessFamily("stacked", members).dim == 4
+        family = finite_family(5)
+        assert family.dim == 5 and "_stack" not in vars(family)  # no member stack was built
+
     def test_zero_diagonal_gives_point_interval(self):
         assert Witness(SX).interval == (0.0, 0.0)
 
@@ -216,6 +225,27 @@ class TestTailoredWitness:
             report = w.evaluate(rho)
             assert report.value == pytest.approx(hi + 1.0, abs=1e-9)
             assert report.verdict is Verdict.DETECTED
+
+    def test_tiny_anchor_entry_warns(self):
+        # gap / component = (4/3) / 1.1e-9 > 1e9: the margin of 1 rests on
+        # digits of the entry below COHERENT_ENTRY_TOL.
+        M = np.eye(3, dtype=complex) / 3
+        M[0, 1] = M[1, 0] = 1.1e-9
+        rho = DensityMatrix(M)
+        with pytest.warns(NumericallyMarginalWarning, match="numerically marginal") as caught:
+            w = tailored_witness(rho, 0.0, 1.0)
+        assert len(caught) == 1 and caught[0].filename == __file__
+        report = w.evaluate(rho)
+        assert report.margin == 1.0 and report.detected
+        assert np.abs(w.matrix).max() > 6e8
+
+    def test_canonical_scale_anchors_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NumericallyMarginalWarning)
+            for d in range(2, 6):
+                for lo, hi in [(0.0, 1.0), (-0.5, 0.5), (-10.0, 10.0), (3.0, 3.0)]:
+                    tailored_witness(canonical_coherent(d), lo, hi)
+                    tailored_witness(sample_ginibre(d, d), lo, hi)
 
 
 class TestQubitWitness:

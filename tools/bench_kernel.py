@@ -15,9 +15,8 @@ One run, on ``sample_ensemble(d, n, seed)`` and ``finite_family(d)``, times:
 - ``evaluate_s``: ``evaluate_batch`` (kernel, margins and verdicts);
 - ``reduce_s``: ``verify_coverage`` less the time spent inside its own
   sampling and ``evaluate_batch`` calls (size check, l1 coherence and the
-  report's counts).  A sweep that samples its states a chunk at a time is
-  timed around each ``states._ensemble_rows`` call; one that samples them at
-  once, around its ``sample_ensemble`` call;
+  report's counts).  The sweep samples its states a chunk at a time, and
+  its sampling is timed around each ``states._ensemble_rows`` call;
 - ``verify_coverage_s``: the whole sweep;
 - ``parts_s``: ``sample_s + validate_s + evaluate_s + reduce_s`` of the
   same run, to set beside ``verify_coverage_s`` (each median comes from its
@@ -49,7 +48,7 @@ def worker(tree: str, d: int, n: int, seed: int) -> dict:
     """One run's timings and output digests, with the library from ``tree``."""
     sys.path.insert(0, os.path.join(tree, "src"))
     import numpy as np
-    from cohwit import finite_family, sample_ensemble, states, verify, verify_coverage
+    from cohwit import finite_family, sample_ensemble, states, verify_coverage
 
     def timed(fn, *args, **kwargs):
         start = time.perf_counter()
@@ -77,10 +76,7 @@ def worker(tree: str, d: int, n: int, seed: int) -> dict:
     del values
     _, evaluate = timed(family.evaluate_batch, stack)
     del stack
-    if hasattr(states, "_ensemble_rows"):  # the sweep samples one chunk a call
-        states._ensemble_rows = spy("sample", states._ensemble_rows)
-    else:
-        verify.sample_ensemble = spy("sample", sample_ensemble)
+    states._ensemble_rows = spy("sample", states._ensemble_rows)  # the sweep samples one chunk a call
     family.evaluate_batch = spy("evaluate", family.evaluate_batch)
     report, sweep = timed(verify_coverage, family, d, n, seed)
     reduce = sweep - inside["sample"] - inside["evaluate"]
