@@ -18,8 +18,10 @@ witness (one member) or family: a (members, d, d) matrix stack and its
 entries lists, and each member's entries, a (d*d, 2) float64 view of its
 stack row, are rendered into its slot by one renderer that spells floats as
 json does.  A family document is its label and members list written around
-its members.  Each piece is written once it is made, so memory stays bounded
-by the block, not the document.
+its members.  Each piece is written once it is made, so the text held stays
+bounded by the block, not the document; the member stack is held whole, 16
+bytes per member matrix entry (about 115 MB for ``gen --kind family`` at
+d = 52, the largest ``document_bytes`` allows).
 
 One reader reads a list of documents with one set of checks: a state or
 witness document is its one-item case, and a family's members are read at
@@ -276,8 +278,8 @@ def _write_document(
     the block's members with empty entries lists, in one call, since each
     call of json's indenting encoder leaves a reference cycle behind for the
     collector; each member's rendered entries then fill its slot.  Each piece
-    is written as it is made, so what is held stays bounded by the block, not
-    the document."""
+    is written as it is made, so the text held stays bounded by the block;
+    the member stack is held whole."""
     m, d = table._stack.shape[:2]
     entries = table._stack.reshape(m, d * d).view(np.float64).reshape(m, d * d, 2)
     lo, hi, eps = table._bounds.tolist()
@@ -388,7 +390,7 @@ def _cmd_detect(args) -> int:
     if args.eps is not None:
         if args.eps < 0:
             raise DocumentError(f"--eps: must be nonnegative, got {args.eps}")
-        w = w.with_eps(args.eps)
+        w = Witness(w.matrix, args.eps)
     state = _read_document(args.state, state_from_document)
     report = w.evaluate(state)
     print(

@@ -27,6 +27,10 @@ indices (1, 2, 3) give (sigma_z, sigma_x, sigma_y).
 A density matrix expands as ``rho = (I + sum_i r_i g_i) / d`` with real
 coefficients ``r_i = (d/2) Tr(rho g_i)``; off-diagonal entries of rho load
 only the indices >= d, which is what ``offdiag_support`` reads off.
+
+The d = 2 case written with the Pauli matrices, (K I + a sigma_x + b sigma_y
++ c sigma_z) / 2, is ``_qubit_matrices``: the qubit witness is its one-point
+case, the qubit state and the ``bloch`` lattice its K = 1 case.
 """
 
 from __future__ import annotations
@@ -123,6 +127,19 @@ def _generator_matrix(d: int, K: float, coeffs) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         op = _operator(d, coeffs)  # validates d before np.eye sees it
         return (K * np.eye(d, dtype=np.complex128) + op) / d
+
+
+def _qubit_matrices(K, a, b, c) -> np.ndarray:
+    """(n, 2, 2) stack of (K I + a sigma_x + b sigma_y + c sigma_z) / 2 for
+    coefficients of n points (a scalar counts as one point or broadcasts).
+    The coefficients are float64 arrays before any complex arithmetic, which
+    fixes the sign of every zero; an overflowing entry is left for the caller
+    to refuse."""
+    K, a, b, c = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (K, a, b, c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 0.5 on the left: numpy's complex product with it on the right, or
+        # in place, can give a zero the other sign.
+        return 0.5 * np.stack([K + c, a - 1j * b, a + 1j * b, K - c], axis=-1).reshape(-1, 2, 2)
 
 
 def state_from_bloch(d: int, r) -> ComplexMatrix:

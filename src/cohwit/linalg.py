@@ -27,7 +27,7 @@ ComplexMatrix = np.ndarray
 # HERMITICITY_TOL, eigenvalues down to -PSD_FLOOR (clamped to 0 for reporting)
 # and a trace within TRACE_DEV of 1.  DETECT_EPS is the default margin a
 # witness value must clear beyond its interval before a state counts as
-# detected; a witness carries its own margin (``Witness.with_eps``).
+# detected; a witness carries its own margin (``Witness(matrix, detect_eps)``).
 HERMITICITY_TOL = 1e-10
 PSD_FLOOR = 1e-9
 TRACE_DEV = 1e-9
@@ -95,8 +95,9 @@ def _hermitian_part(S: np.ndarray) -> np.ndarray:
     return (S + _dagger(S)) / 2.0
 
 
-def _min_eigenvalues(S: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(_hermitian_part(S))[:, 0]
+def _min_eigenvalues(H: np.ndarray) -> np.ndarray:
+    # Smallest eigenvalue of each matrix of an exactly Hermitian stack.
+    return np.linalg.eigvalsh(H)[:, 0]
 
 
 def _psd_certified(H: np.ndarray) -> bool:
@@ -138,14 +139,9 @@ def as_complex_matrix(matrix, *, what: str = "matrix") -> ComplexMatrix:
     return S[0]
 
 
-def hermitian_deviation(matrix: ComplexMatrix) -> float:
-    """max_ij |A_ij - conj(A_ji)|."""
-    return float(_deviations(as_complex_matrix(matrix)[None])[0])
-
-
-def is_hermitian(matrix: ComplexMatrix, tol: float = HERMITICITY_TOL) -> bool:
-    """True iff the matrix equals its conjugate transpose within ``tol``."""
-    return hermitian_deviation(matrix) <= tol
+def is_hermitian(matrix: ComplexMatrix) -> bool:
+    """True iff the matrix equals its conjugate transpose within ``HERMITICITY_TOL``."""
+    return bool(_deviations(as_complex_matrix(matrix)[None])[0] <= HERMITICITY_TOL)
 
 
 def trace_product(a: ComplexMatrix, b: ComplexMatrix) -> complex:
@@ -166,4 +162,4 @@ def min_eigenvalue(matrix: ComplexMatrix) -> float:
     """
     S = _as_stack(matrix, "matrix")
     _require_hermitian(S, "matrix")
-    return float(_min_eigenvalues(S)[0])
+    return float(_min_eigenvalues(_hermitian_part(S))[0])

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, InvalidStateError, OutOfIntervalError
+from .generators import _qubit_matrices
 from .linalg import (
     PSD_FLOOR,
     TRACE_DEV,
@@ -36,6 +37,7 @@ from .linalg import (
     _dagger,
     _first,
     _hermitian_part,
+    _min_eigenvalues,
     _psd_certified,
     _require_hermitian,
 )
@@ -53,13 +55,13 @@ def _blocks(n: int, d: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def validate_states(stack, what: str = "state {t}") -> np.ndarray:
+def validate_states(stack) -> np.ndarray:
     """Check that every matrix of an (n, d, d) stack is a density matrix.
 
     The checks run in this order over the whole stack: finite entries,
     Hermiticity within ``HERMITICITY_TOL``, trace within ``TRACE_DEV`` of 1,
     and eigenvalues of the Hermitian part down to ``-PSD_FLOOR``.  The first
-    failing state t is named as ``what.format(t=t)``.  Returns each state's
+    failing state t is named as ``state {t}``.  Returns each state's
     smallest eigenvalue, from ``eigvalsh`` of the Hermitian part; the
     samplers, which need no eigenvalue, run the same checks with the Cholesky
     certificate in front of ``eigvalsh`` (see the module docstring).
@@ -67,7 +69,7 @@ def validate_states(stack, what: str = "state {t}") -> np.ndarray:
     S = _as_stack(stack)
     lam = np.empty(len(S))
     for b in _blocks(len(S), S.shape[1]):
-        lam[b] = _validate_block(S[b], b.start, what)
+        lam[b] = _validate_block(S[b], b.start, "state {t}")
     return lam
 
 
@@ -89,7 +91,7 @@ def _validate_block(S: np.ndarray, start: int, what: str, certify: bool = False)
     H = _hermitian_part(S)
     if certify and _psd_certified(H):
         return None
-    lam = np.linalg.eigvalsh(H)[:, 0]
+    lam = _min_eigenvalues(H)
     bad = lam < -PSD_FLOOR
     if bad.any():
         t, who = _first(bad, what, start)
@@ -315,22 +317,10 @@ def canonical_coherent(d: int) -> DensityMatrix:
     return DensityMatrix(M)
 
 
-def qubit_states_stack(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) stack of the matrices (I + x sigma_x + y sigma_y + z sigma_z)/2
-    for coordinate arrays of n points inside the ball, unvalidated."""
-    n = x.size
-    stack = np.empty((n, 2, 2), dtype=np.complex128)
-    stack[:, 0, 0] = 0.5 * (1.0 + z)
-    stack[:, 1, 1] = 0.5 * (1.0 - z)
-    stack[:, 0, 1] = 0.5 * (x - 1j * y)
-    stack[:, 1, 0] = 0.5 * (x + 1j * y)
-    return stack
-
-
 def qubit_state(x: float, y: float, z: float) -> DensityMatrix:
     """Qubit state (I + x sigma_x + y sigma_y + z sigma_z)/2 for x²+y²+z² <= 1:
-    the one-point case of :func:`qubit_states_stack`, validated."""
-    return DensityMatrix(qubit_states_stack(*(np.array([v], dtype=np.float64) for v in (x, y, z)))[0])
+    the K = 1 case of ``generators._qubit_matrices``, validated."""
+    return DensityMatrix(_qubit_matrices(1.0, x, y, z)[0])
 
 
 def incoherent_with_value(witness: "Witness", target: float) -> IncoherentState:

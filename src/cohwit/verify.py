@@ -29,10 +29,10 @@ from .states import (
     _ensemble_chunks,
     _require_dim,
     l1_coherence_batch,
-    qubit_states_stack,
     sample_hermitian_batch,
 )
-from .witness import WitnessFamily, _GeneratorFamily, _slack, is_effective_qubit, qubit_witness
+from .generators import _qubit_matrices
+from .witness import WitnessFamily, _slack, is_effective_qubit, qubit_witness
 
 # States with l1 coherence at or below this are exempt from detection demands:
 # their witness margins sit below numerical resolution.
@@ -96,10 +96,6 @@ class GeometryReport:
     effective: bool
     passed: bool
 
-    @property
-    def any_detected(self) -> bool:
-        return self.n_detected > 0
-
 
 def _chunk_states(d: int, n_members: int) -> int:
     """States per chunk of a sweep of n_members members at dim d."""
@@ -115,8 +111,8 @@ def sweep_bytes(d: int, n_members: int, holds_matrices: bool) -> int:
     bool verdicts.  Then 128 bytes per entry of one sampling block, which
     covers the sampler's temporaries and, with the chunk, the built-in
     family's construction.  A family that holds member matrices (one built
-    from witnesses or read from a document) adds 16 bytes per member matrix
-    entry."""
+    from witnesses or read from a document, or the built-in family once its
+    member stack is built) adds 16 bytes per member matrix entry."""
     block = max(_BLOCK_ENTRIES, d * d)
     held = 16 * d * d * n_members if holds_matrices else 0
     return (24 * d * d + 41 * n_members) * _chunk_states(d, n_members) + 128 * block + held
@@ -187,20 +183,22 @@ def verify_coverage(
 
     ``extra_states`` are appended after the sampled ensemble; they make
     targeted blind spots testable without changing the sampling contract.
-    Rejects a negative ``n_states``, a negative or non-finite
-    ``coherence_threshold``, and a sweep whose :func:`sweep_bytes` exceed
-    ``MAX_COVERAGE_BYTES``.
+    Rejects a negative ``n_states``, a sweep of no state at all (no sampled
+    and no extra state), a negative or non-finite ``coherence_threshold``,
+    and a sweep whose :func:`sweep_bytes` exceed ``MAX_COVERAGE_BYTES``.
     """
     if not (math.isfinite(coherence_threshold) and coherence_threshold >= 0.0):
         raise InvalidParameterError(
             f"coherence threshold must be finite and nonnegative, got {coherence_threshold}"
         )
+    if n_states == 0 and not extra_states:
+        raise InvalidParameterError("a coverage sweep needs at least one state, sampled or extra")
     if family.dim != d:
         raise DimensionMismatchError(f"family dim {family.dim} does not match d={d}")
     for s in extra_states:
         if s.dim != d:
             raise DimensionMismatchError(f"extra state dim {s.dim} does not match d={d}")
-    need = sweep_bytes(d, len(family), not isinstance(family, _GeneratorFamily))
+    need = sweep_bytes(d, len(family), family._holds_matrices)
     _require_bytes(need, f"a sweep of {len(family)} members at d={d}")
     step = _chunk_states(d, len(family))
     starts = range(0, len(extra_states), step)
@@ -251,7 +249,7 @@ def _qubit_lattice(K: float, a: float, b: float, c: float, grid_n: int):
     with its values and verdict mask on them; the grid is validated first."""
     x, y, z = bloch_grid(grid_n)
     w = qubit_witness(K, a, b, c)
-    values, _, detected = w.evaluate_batch(qubit_states_stack(x, y, z))
+    values, _, detected = w.evaluate_batch(_qubit_matrices(1.0, x, y, z))
     return w, (x, y, z, values, detected)
 
 
@@ -261,9 +259,11 @@ def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) ->
     Verdicts come from the actual matrix evaluation; the predicate is computed
     independently from the coordinates with the same 2 * (detect_eps + slack)
     buffer, so boundary-plane lattice points agree on NotDetected from both
-    sides.
+    sides.  A lattice with no point in the ball (grid_n = 2) is rejected.
     """
     w, (x, y, z, _, detected) = _qubit_lattice(K, a, b, c, grid_n)
+    if x.size == 0:
+        raise InvalidParameterError(f"a lattice of {grid_n}**3 points has no point in the ball")
     slack = float(_slack(w._bounds, 2)[0])
     # A quarter of each side: scaling by a power of two is exact, so this is
     # |ax + by + cz| > |c| + 2 (eps + slack), and the sum of three quarters stays finite.

@@ -30,7 +30,7 @@ from .errors import (
     ZeroOperatorError,
     NumericallyMarginalWarning,
 )
-from .generators import OFFDIAG_TOL, _generator_matrix, _operator, bloch_vector
+from .generators import OFFDIAG_TOL, _generator_matrix, _operator, _qubit_matrices, bloch_vector
 from .linalg import (
     DETECT_EPS, PSD_FLOOR, TRACE_DEV, _as_stack, _require_bytes, _require_finite, _require_hermitian
 )
@@ -163,6 +163,11 @@ class _MemberTable:
     def dim(self) -> int:
         return self._dim
 
+    @property
+    def _holds_matrices(self) -> bool:
+        # Whether the member stack is in memory; the built-in family builds it on first use.
+        return "_stack" in vars(self)
+
     def _values(self, stack: np.ndarray) -> np.ndarray:
         # (members, n) expectation values on an (n, d, d) stack, one
         # contraction per member: a single three-index einsum over the whole
@@ -194,24 +199,12 @@ class Witness(_MemberTable):
         return self._stack[0]
 
     @property
-    def interval_lo(self) -> float:
-        return float(self._bounds[0, 0])
-
-    @property
-    def interval_hi(self) -> float:
-        return float(self._bounds[1, 0])
-
-    @property
     def interval(self) -> tuple[float, float]:
-        return (self.interval_lo, self.interval_hi)
+        return tuple(self._bounds[:2, 0].tolist())
 
     @property
     def detect_eps(self) -> float:
         return float(self._bounds[2, 0])
-
-    def with_eps(self, detect_eps: float) -> "Witness":
-        """Same operator, different detection margin."""
-        return Witness(self.matrix, detect_eps)
 
     def evaluate(self, state: DensityMatrix) -> DetectionReport:
         """Expectation value, margin, and verdict on one state."""
@@ -237,7 +230,9 @@ class WitnessFamily(_MemberTable):
     (3, members) table of their intervals and margins, which the kernel uses,
     so evaluation touches no member object.  The family keeps no member
     witness, only this table; ``members`` builds them from the stack on first
-    access.
+    access, after charging what they hold (16 bytes per member matrix entry,
+    32 where the stack is built with them, and 1 KB per member) against
+    ``MAX_COVERAGE_BYTES``.
     """
 
     def __init__(self, label: str, members: Sequence[Witness]):
@@ -264,6 +259,11 @@ class WitnessFamily(_MemberTable):
 
     @functools.cached_property
     def members(self) -> tuple[Witness, ...]:
+        # Charged first: a copy of each member matrix and its objects (traced:
+        # about 500 bytes a member), and the stack where it is not yet held.
+        m, d = len(self), self.dim
+        per_entry = 16 if self._holds_matrices else 32
+        _require_bytes(m * (per_entry * d * d + 1024) + 8192, f"building {m} member witnesses at d={d}")
         return tuple(Witness(W, eps) for W, eps in zip(self._stack, self._bounds[2].tolist()))
 
     @property
@@ -442,7 +442,8 @@ def tailored_witness(state: DensityMatrix, lo: float, hi: float) -> Witness:
 
 
 def qubit_witness(K: float, a: float, b: float, c: float) -> Witness:
-    """(K I + a sigma_x + b sigma_y + c sigma_z)/2.
+    """(K I + a sigma_x + b sigma_y + c sigma_z)/2, the one-point case of
+    ``generators._qubit_matrices``.
 
     Interval [(K - |c|)/2, (K + |c|)/2]; on the qubit state with coordinates
     (x, y, z) the expectation is (K + ax + by + cz)/2, so detection is
@@ -452,9 +453,7 @@ def qubit_witness(K: float, a: float, b: float, c: float) -> Witness:
     if a == 0.0 and b == 0.0 and c == 0.0:
         raise ZeroOperatorError("qubit witness needs a, b, c not all zero")
     # K + c or K - c overflowing leaves non-finite entries, which Witness refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = 0.5 * np.array([[K + c, a - 1j * b], [a + 1j * b, K - c]], dtype=np.complex128)
-    return Witness(M)
+    return Witness(_qubit_matrices(K, a, b, c)[0])
 
 
 def is_effective_qubit(a: float, b: float, c: float) -> bool:

@@ -27,6 +27,15 @@ def openblas_core() -> str | None:
     return None
 
 
+def pytest_configure(config):
+    """Fail a test on a NumericallyMarginalWarning it does not expect.
+
+    Set here rather than in pyproject.toml: the benchmark gate runs under the
+    same ini file without ``src`` on the path, where the category would not
+    import."""
+    config.addinivalue_line("filterwarnings", "error::cohwit.errors.NumericallyMarginalWarning")
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     """Name the OpenBLAS core under each failure of a test that pins bytes."""

@@ -256,7 +256,7 @@ class TestVerify:
 
     def test_mixed_margins_reported_per_member(self, tmp_path, capsys):
         u, v = finite_family(2).members
-        docs = [document(u), document(v.with_eps(1e-3))]
+        docs = [document(u), document(Witness(v.matrix, 1e-3))]
         fpath = tmp_path / "fam.json"
         fpath.write_text(json.dumps({"label": "mixed", "members": docs}))
         rc = run(["verify", "--d", "2", "--samples", "20", "--seed", "5", "--family", str(fpath)])

@@ -170,7 +170,7 @@ def test_generator_stack_matches_generator_witness(d, K):
         eta[d - 1 + t] = coeffs[t]
         w = generator_witness(d, K, eta)
         assert bits(family._stack[t]) == bits(w.matrix)
-        assert bits(family._bounds[:, t]) == bits([w.interval_lo, w.interval_hi, w.detect_eps])
+        assert bits(family._bounds[:, t]) == bits([*w.interval, w.detect_eps])
     assert "members" not in vars(family)  # the stack builds no member
 
 

@@ -144,7 +144,8 @@ def test_margin_is_builtin_max_even_on_a_signed_zero_tie():
     # value - hi = +0.0; max() keeps its first argument on that tie.
     w = canonical_witness(3, -0.0, -0.0)
     report = w.evaluate(DensityMatrix(np.diag([0.5, 0.25, 0.25])))
-    want = max(w.interval_lo - report.value, report.value - w.interval_hi)
+    lo, hi = w.interval
+    want = max(lo - report.value, report.value - hi)
     assert same_bits(report.margin, want)
     assert math.copysign(1.0, report.margin) == -1.0
 

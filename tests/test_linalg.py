@@ -20,18 +20,19 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
 def test_is_hermitian_real_symmetric():
-    assert is_hermitian(SX, 1e-10)
+    assert is_hermitian(SX)
 
 
 def test_is_hermitian_rejects_symmetric_imaginary():
     # [[0, i], [i, 0]]: entry (0,1) is not the conjugate of (1,0)
-    assert not is_hermitian(np.array([[0, 1j], [1j, 0]]), 1e-10)
+    assert not is_hermitian(np.array([[0, 1j], [1j, 0]]))
 
 
 def test_is_hermitian_deviation_below_tol():
     A = np.array([[0, 1 + 1e-12j], [1, 0]])
-    assert is_hermitian(A, 1e-10)
-    assert not is_hermitian(A, 1e-13)
+    assert is_hermitian(A)
+    # HERMITICITY_TOL is 1e-10: a deviation of 1e-9 is past it.
+    assert not is_hermitian(np.array([[0, 1 + 1e-9j], [1, 0]]))
 
 
 def test_trace_product_generator_normalization():

@@ -52,7 +52,7 @@ def test_certificate_accepts_interior_states_and_refuses_past_the_shift(d):
 
 def outcome(check, stack):
     try:
-        check(stack, "ensemble state {t}")
+        check(stack)
     except CohwitError as exc:
         return type(exc), str(exc)
     return None
@@ -79,11 +79,11 @@ def test_sampler_check_matches_eigvalsh_verdicts_and_messages(d, n, bad):
     for t, lam in bad.items():
         stack[t] = state_with_min_eigenvalue(d, lam, t)
     expected = outcome(validate_states, stack)
-    assert outcome(_check_sampled, stack) == expected
+    assert outcome(lambda s: _check_sampled(s, "state {t}"), stack) == expected
     failing = sorted(t for t, lam in bad.items() if lam < -PSD_FLOOR)
     if failing:
         assert expected[0] is InvalidStateError
-        assert expected[1].startswith(f"ensemble state {failing[0]} is not PSD: min eigenvalue ")
+        assert expected[1].startswith(f"state {failing[0]} is not PSD: min eigenvalue ")
     else:
         assert expected is None
 
@@ -93,7 +93,7 @@ def test_validate_states_returns_the_eigvalsh_bits(d, n):
     stack = _ginibre_block(d, range(n))
     stack[1] = state_with_min_eigenvalue(d, -0.99 * PSD_FLOOR, 1)
     lam = validate_states(stack)
-    assert lam.tobytes() == _min_eigenvalues(stack).tobytes()
+    assert lam.tobytes() == _min_eigenvalues(_hermitian_part(stack)).tobytes()
 
 
 def test_samplers_run_no_eigvalsh_on_certified_blocks(monkeypatch):

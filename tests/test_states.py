@@ -485,8 +485,8 @@ def test_validator_names_a_state_in_a_later_block():
     assert 37 > _BLOCK_ENTRIES // 64**2  # state 37 is not in the first validation block
     stack = np.repeat(np.eye(64, dtype=np.complex128)[None] / 64, 40, axis=0)
     stack[37] *= 1.1
-    with pytest.raises(InvalidStateError, match="^ensemble state 37 trace"):
-        validate_states(stack, "ensemble state {t}")
+    with pytest.raises(InvalidStateError, match="^state 37 trace"):
+        validate_states(stack)
 
 
 def test_validator_returns_min_eigenvalues():

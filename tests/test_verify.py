@@ -143,12 +143,17 @@ class TestCoverage:
         assert report.n_states == 51
         assert report.n_detected < report.n_coherent
 
-    def test_vacuous_pass_on_empty_sample(self):
-        report = verify_coverage(finite_family(2), 2, 0, 0)
+    def test_sweep_of_no_state_rejected(self):
+        # A sweep of no state would PASS vacuously.
+        with pytest.raises(InvalidParameterError, match="at least one state"):
+            verify_coverage(finite_family(2), 2, 0, 0)
+        with pytest.raises(InvalidParameterError, match="at least one state"):
+            verify_coverage(finite_family(3), 3, 0, 1)
+        # Extra states alone make a sweep.
+        report = verify_coverage(finite_family(2), 2, 0, 0, extra_states=[sample_ginibre(2, 7)])
         assert report.passed
-        assert report.n_states == report.n_coherent == report.n_detected == 0
-        assert report.min_margin_detected is None
-        assert report.per_witness_hits == (0, 0)
+        assert report.n_states == report.n_coherent == report.n_detected == 1
+        assert report.seed == 0
 
     def test_negative_sample_count_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -348,7 +353,7 @@ class TestQubitGeometry:
         report = qubit_geometry_check(0.0, 1.0, 1.0, 1.0, 50)
         assert report.passed
         assert report.n_mismatch == 0
-        assert report.any_detected
+        assert report.n_detected > 0
         assert report.effective
 
     def test_pure_z_witness_detects_nothing(self):
@@ -360,11 +365,19 @@ class TestQubitGeometry:
     def test_in_plane_witness_with_offset(self):
         report = qubit_geometry_check(5.0, 1.0, -1.0, 0.0, 50)
         assert report.passed
-        assert report.any_detected
+        assert report.n_detected > 0
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ZeroOperatorError):
             qubit_geometry_check(1.0, 0.0, 0.0, 0.0, 10)
+
+    def test_lattice_with_no_point_in_the_ball_rejected(self):
+        # Every point of the 2**3 lattice is a corner of the cube, outside the
+        # ball; a check of no point would PASS vacuously.
+        assert bloch_grid(2)[0].size == 0
+        with pytest.raises(InvalidParameterError, match="no point in the ball"):
+            qubit_geometry_check(0.0, 1.0, 1.0, 1.0, 2)
+        assert qubit_geometry_check(0.0, 1.0, 1.0, 1.0, 3).n_points == 7
 
     def test_overflowing_plane_sum_keeps_the_verdicts(self):
         # The bound |c| + 2 (eps + slack) and the sum a x + b y + c z both

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -275,6 +276,23 @@ class TestQubitWitness:
         with pytest.raises(ZeroOperatorError):
             qubit_witness(1.0, 0.0, 0.0, 0.0)
 
+    def test_matrix_is_the_pauli_literal_bit_for_bit(self):
+        # The 2 x 2 literal over every (K, a, b, c) of 16 edge values, signs
+        # of zeros included; where the literal has a non-finite entry the
+        # witness is refused.
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1 / 3, -1 / 3, 0.5, -0.5, 1.0, -1.0, 1e308, -1e308]
+        edges += [2.0, 0.3, -0.2, np.finfo(np.float64).max]
+        for K, a, b, c in itertools.product(edges, repeat=4):
+            if a == 0.0 and b == 0.0 and c == 0.0:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                M = 0.5 * np.array([[K + c, a - 1j * b], [a + 1j * b, K - c]], dtype=np.complex128)
+            if np.isfinite(M).all():
+                assert qubit_witness(K, a, b, c).matrix.tobytes() == M.tobytes(), (K, a, b, c)
+            else:
+                with pytest.raises(NonFiniteError):
+                    qubit_witness(K, a, b, c)
+
     def test_verdict_matches_plane_predicate(self):
         rng = SplitMix64(2718)
         grid = np.linspace(-1.0, 1.0, 9)
@@ -475,6 +493,34 @@ class TestFiniteFamily:
         # covers the family's construction too, refuses it above d = 2358.
         assert finite_family_bytes(2442) <= linalg.MAX_COVERAGE_BYTES < finite_family_bytes(2443)
         assert all(finite_family_bytes(d) <= sweep_bytes(d, d * (d - 1), False) for d in range(2, 3000))
+
+    def test_members_are_charged_before_they_are_built(self):
+        # 9900 member witnesses of 10**4 entries, and the stack they are
+        # copied from: about 3.2 GB, refused before any of it is allocated.
+        family = finite_family(100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match="building 9900 member witnesses at d=100 needs about"):
+                family.members
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16384
+        assert "_stack" not in vars(family)
+
+    @pytest.mark.parametrize("d", [2, 5, 30])
+    @pytest.mark.parametrize("stack_built", [False, True])
+    def test_members_charge_covers_the_traced_peak(self, monkeypatch, d, stack_built):
+        families = [finite_family(d, 0.5) for _ in range(2)]
+        if stack_built:
+            for family in families:
+                family._stack
+        peak = traced_peak(lambda: families[0].members)
+        assert len(families[0].members) == d * (d - 1)
+        # With the cap just below the traced peak, the charge refuses.
+        monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", peak - 1)
+        with pytest.raises(InvalidParameterError, match="member witnesses"):
+            families[1].members
 
     def test_oversized_family_is_refused_before_it_is_built(self, monkeypatch):
         d = 200
