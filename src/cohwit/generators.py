@@ -136,10 +136,15 @@ def _qubit_matrices(K, a, b, c) -> np.ndarray:
     fixes the sign of every zero; an overflowing entry is left for the caller
     to refuse."""
     K, a, b, c = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (K, a, b, c))
+    M = np.empty((np.broadcast(K, a, b, c).size, 2, 2), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
+        M[:, 0, 0] = 0.5 * (K + c)
+        M[:, 1, 1] = 0.5 * (K - c)
         # 0.5 on the left: numpy's complex product with it on the right, or
         # in place, can give a zero the other sign.
-        return 0.5 * np.stack([K + c, a - 1j * b, a + 1j * b, K - c], axis=-1).reshape(-1, 2, 2)
+        M[:, 0, 1] = 0.5 * (a - 1j * b)
+        M[:, 1, 0] = 0.5 * (a + 1j * b)
+    return M
 
 
 def state_from_bloch(d: int, r) -> ComplexMatrix:
