@@ -280,8 +280,9 @@ def _write_document(
     collector; each member's rendered entries then fill its slot.  Each piece
     is written as it is made, so the text held stays bounded by the block;
     the member stack is held whole."""
-    m, d = table._stack.shape[:2]
-    entries = table._stack.reshape(m, d * d).view(np.float64).reshape(m, d * d, 2)
+    stack = table._stack
+    m, d = stack.shape[:2]
+    entries = stack.reshape(m, d * d).view(np.float64).reshape(m, d * d, 2)
     lo, hi, eps = table._bounds.tolist()
     encode = json.JSONEncoder(indent=2).encode
     # A member's own keys start lines of this indentation and keys nested in

@@ -6,11 +6,11 @@ holds the matrix checks everything else is built on, each written once for an
 ``what.format(t=start + t)``, and a single matrix M is checked as ``M[None]``.
 
 Positive semidefiniteness is decided by ``eigvalsh`` of the Hermitian part,
-``-PSD_FLOOR`` being the lowest eigenvalue accepted.  Where no eigenvalue is
-wanted, ``_psd_certified`` first tries a Cholesky factorization of the
-Hermitian part shifted by ``PSD_FLOOR / 2``; its success proves that
-``eigvalsh`` would accept, so ``eigvalsh`` runs only where the factorization
-fails or the smallest eigenvalue is asked for.
+``-PSD_FLOOR`` being the lowest eigenvalue accepted.  Every state check
+first tries ``_psd_certified``, a Cholesky factorization of the Hermitian
+part shifted by ``PSD_FLOOR / 2``; its success proves that ``eigvalsh`` would
+accept, so ``eigvalsh`` runs only where the factorization fails or the
+smallest eigenvalue is asked for (:func:`min_eigenvalue`).
 """
 
 from __future__ import annotations
@@ -120,10 +120,12 @@ def _psd_certified(H: np.ndarray) -> bool:
     tr(A) and every |h_ii| are at most 1 + 2d*sigma.  ``eigvalsh`` (zheevd)
     returns the eigenvalues of H + E with ||E||_2 <= p(d) u ||H||_2, p(d) a
     modest function of d (about d; LAPACK Users' Guide, Sec. 4.7), and
-    ||H||_2 <= 1 + 2d*sigma here.  For d <= 8192, past which one matrix
-    exceeds ``MAX_COVERAGE_BYTES``, these terms add up to less than 5e-12,
-    so eigvalsh's smallest eigenvalue of a certified matrix is at least
-    -sigma - 5e-12 > -PSD_FLOOR.
+    ||H||_2 <= 1 + 2d*sigma here.  These terms, g tr(A) / (1 - g) +
+    u max_i(|h_ii| + sigma) + p(d) u ||H||_2, add up to about
+    5(d+1) u (1 + 2d*sigma): less than 5e-12 at d = 8192, and less than
+    ``PSD_FLOOR`` - sigma = 5e-10 for every d <= 8e5, where one matrix takes
+    10 TB.  So eigvalsh's smallest eigenvalue of a certified matrix is more
+    than -PSD_FLOOR.
     """
     try:
         np.linalg.cholesky(H + (PSD_FLOOR / 2) * np.eye(H.shape[-1]))

@@ -11,13 +11,15 @@ matrix by :func:`validate_states`' checks, a probability vector by
 ``_check_probabilities``, whose checks imply all of :func:`validate_states`'
 on the diagonal matrix ``diag(p)``.
 
-The samplers have no use for eigenvalues, so their PSD step first tries the
-Cholesky certificate of ``linalg._psd_certified`` on a whole block of
-states.  Its success proves that every state of the block would pass
-``eigvalsh``'s test, so the block is accepted without an eigensolve; where
-it fails, ``eigvalsh`` runs on that block and gives the verdict and the
-message, as :func:`validate_states` does.  Verdicts and messages are those of
-``eigvalsh`` alone either way.
+Every state check (:func:`validate_states`, :class:`DensityMatrix` and the
+samplers) runs one path, a block of states at a time: finite entries,
+Hermiticity, trace, then the PSD step.  That step first tries the Cholesky
+certificate of ``linalg._psd_certified`` on the block.  Its success proves
+that every state of the block would pass ``eigvalsh``'s test, so the block
+is accepted without an eigensolve; where it fails, ``eigvalsh`` runs on that
+block and gives the verdict and the message.  Verdicts and messages are
+those of ``eigvalsh`` alone either way.  An eigenvalue is computed only where
+one is asked for (:attr:`DensityMatrix.min_eigenvalue`).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .linalg import (
     _min_eigenvalues,
     _psd_certified,
     _require_hermitian,
+    min_eigenvalue,
 )
 from .rng import Seed, exponentials, normal_pairs
 
@@ -55,33 +58,26 @@ def _blocks(n: int, d: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def validate_states(stack) -> np.ndarray:
+def validate_states(stack) -> None:
     """Check that every matrix of an (n, d, d) stack is a density matrix.
 
     The checks run in this order over the whole stack: finite entries,
     Hermiticity within ``HERMITICITY_TOL``, trace within ``TRACE_DEV`` of 1,
-    and eigenvalues of the Hermitian part down to ``-PSD_FLOOR``.  The first
-    failing state t is named as ``state {t}``.  Returns each state's
-    smallest eigenvalue, from ``eigvalsh`` of the Hermitian part; the
-    samplers, which need no eigenvalue, run the same checks with the Cholesky
-    certificate in front of ``eigvalsh`` (see the module docstring).
+    and eigenvalues of the Hermitian part down to ``-PSD_FLOOR``, decided by
+    the Cholesky certificate with ``eigvalsh`` behind it (see the module
+    docstring).  The first failing state t is named as ``state {t}``.
     """
-    S = _as_stack(stack)
-    lam = np.empty(len(S))
+    _validate(_as_stack(stack), "state {t}")
+
+
+def _validate(S: np.ndarray, what: str, start: int = 0) -> None:
+    # Every state check, one block at a time, with S's first state named as
+    # state ``start``.
     for b in _blocks(len(S), S.shape[1]):
-        lam[b] = _validate_block(S[b], b.start, "state {t}")
-    return lam
+        _validate_block(S[b], start + b.start, what)
 
 
-def _check_sampled(S: np.ndarray, what: str, start: int = 0) -> None:
-    # validate_states without the eigenvalues: same verdicts, same messages,
-    # with S's first state named as state ``start``.
-    for b in _blocks(len(S), S.shape[1]):
-        _validate_block(S[b], start + b.start, what, certify=True)
-
-
-def _validate_block(S: np.ndarray, start: int, what: str, certify: bool = False) -> np.ndarray | None:
-    # With certify, a block the Cholesky certificate accepts returns None.
+def _validate_block(S: np.ndarray, start: int, what: str) -> None:
     _require_hermitian(S, what, start)
     tr = np.trace(S, axis1=1, axis2=2)
     bad = np.abs(tr - 1.0) > TRACE_DEV
@@ -89,14 +85,13 @@ def _validate_block(S: np.ndarray, start: int, what: str, certify: bool = False)
         t, who = _first(bad, what, start)
         raise InvalidStateError(f"{who} trace must be 1, got {complex(tr[t])}")
     H = _hermitian_part(S)
-    if certify and _psd_certified(H):
-        return None
+    if _psd_certified(H):
+        return
     lam = _min_eigenvalues(H)
     bad = lam < -PSD_FLOOR
     if bad.any():
         t, who = _first(bad, what, start)
         raise InvalidStateError(f"{who} is not PSD: min eigenvalue {float(lam[t])}")
-    return lam
 
 
 def _check_probabilities(P: np.ndarray, prefix: str) -> None:
@@ -124,10 +119,9 @@ class DensityMatrix:
 
     def __init__(self, matrix):
         S = _as_stack(matrix, "density matrix")
-        lam = float(_validate_block(S, 0, "density matrix")[0])
+        _validate_block(S, 0, "density matrix")
         self._matrix = S[0].copy()
         self._matrix.setflags(write=False)
-        self._min_eig = max(lam, 0.0)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -139,8 +133,9 @@ class DensityMatrix:
 
     @property
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue, clamped to 0 for reporting."""
-        return self._min_eig
+        """Smallest eigenvalue of the Hermitian part, from ``eigvalsh`` on
+        each call, clamped to 0 for reporting."""
+        return max(min_eigenvalue(self._matrix), 0.0)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self._matrix, dtype=dtype)
@@ -226,7 +221,7 @@ def sample_ginibre_batch(d: int, seeds: Sequence[Seed]) -> np.ndarray:
     """
     _require_dim(d)
     stack = _fill(np.empty((len(seeds), d, d), np.complex128), _ginibre_block, d, seeds)
-    _check_sampled(stack, "Ginibre state {t}")
+    _validate(stack, "Ginibre state {t}")
     return stack
 
 
@@ -298,7 +293,7 @@ def _ensemble_rows(d: int, seed: Seed, start: int, stop: int, n_g: int) -> np.nd
     g = max(0, min(n_g, stop) - start)
     rows = np.zeros((stop - start, d, d), np.complex128)
     _fill(rows[:g], _ginibre_block, d, range(seed + start, seed + start + g))
-    _check_sampled(rows[:g], "ensemble state {t}", start)
+    _validate(rows[:g], "ensemble state {t}", start)
     idx = np.arange(d)
     rows[g:, idx, idx] = sample_incoherent_batch(d, range(seed + start + g, seed + stop))
     return rows

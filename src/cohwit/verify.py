@@ -111,8 +111,8 @@ def sweep_bytes(d: int, n_members: int, holds_matrices: bool) -> int:
     bool verdicts.  Then 128 bytes per entry of one sampling block, which
     covers the sampler's temporaries and, with the chunk, the built-in
     family's construction.  A family that holds member matrices (one built
-    from witnesses or read from a document, or the built-in family once its
-    member stack is built) adds 16 bytes per member matrix entry."""
+    from witnesses or read from a document, not the built-in family) adds 16
+    bytes per member matrix entry."""
     block = max(_BLOCK_ENTRIES, d * d)
     held = 16 * d * d * n_members if holds_matrices else 0
     return (24 * d * d + 41 * n_members) * _chunk_states(d, n_members) + 128 * block + held

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -163,10 +164,9 @@ class _MemberTable:
     def dim(self) -> int:
         return self._dim
 
-    @property
-    def _holds_matrices(self) -> bool:
-        # Whether the member stack is in memory; the built-in family builds it on first use.
-        return "_stack" in vars(self)
+    # Whether the member stack is in memory; the built-in family builds it
+    # each time it is read.
+    _holds_matrices = True
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
         # (members, n) expectation values on an (n, d, d) stack, one
@@ -298,8 +298,9 @@ class _GeneratorFamily(WitnessFamily):
     of a state's float view they multiply, Re or Im rho_kj and rho_jk, and
     ``_coef[:, t]`` the factors, Re of the entries for U and -Im for V.  The
     entries come from the matrix expression :func:`generator_witness`
-    evaluates, so they carry its bits.  The member stack is built on first
-    use, and the member objects from it on first access to ``members``.
+    evaluates, so they carry its bits.  The member stack is built each time
+    it is read, and the member objects from it on first access to
+    ``members``.
     """
 
     def __init__(self, label: str, d: int, K: float, coeffs: np.ndarray):
@@ -319,7 +320,9 @@ class _GeneratorFamily(WitnessFamily):
         self._w = U[0, 0]  # every diagonal entry of every member, K/d
         self._bounds = np.repeat(_table(U[None], [DETECT_EPS]), len(coeffs), axis=1)
 
-    @functools.cached_property
+    _holds_matrices = False
+
+    @property
     def _stack(self) -> np.ndarray:
         # One scatter: the (K I)/d of a member with no pair coefficient, then
         # each member's two pair entries.
@@ -479,10 +482,13 @@ def qubit_pair_family(K: float, a1: float, b1: float, a2: float, b2: float) -> W
     """Two zero-diagonal-spread qubit witnesses that jointly detect every
     coherent qubit state.
 
-    Requires a1*b2 - a2*b1 != 0: the two in-plane directions must not be
-    proportional (this also rules out a zero pair).
+    Requires a1*b2 - a2*b1 != 0 in exact arithmetic: the two in-plane
+    directions must not be proportional (this also rules out a zero pair).
+    Non-finite inputs are refused by :func:`qubit_witness`.
     """
-    if a1 * b2 - a2 * b1 == 0.0:
+    if all(map(math.isfinite, (a1, b1, a2, b2))) and (
+        Fraction(a1) * Fraction(b2) == Fraction(a2) * Fraction(b1)
+    ):
         raise DegenerateFamilyError(
             f"directions ({a1}, {b1}) and ({a2}, {b2}) are proportional or degenerate"
         )

@@ -1,19 +1,27 @@
-"""The samplers' PSD step: a Cholesky certificate in front of eigvalsh.
+"""The state check's PSD step: a Cholesky certificate in front of eigvalsh.
 
-A block of sampled states whose shifted Cholesky factorization completes is
-accepted without an eigensolve.  These tests check the bound that makes that
-sound (a certified state always passes eigvalsh's test), that the samplers'
-check and validate_states give the same verdicts and messages, and that the
-samplers run no eigvalsh on states the certificate accepts.
+A block of states whose shifted Cholesky factorization completes is accepted
+without an eigensolve.  These tests check the bound that makes that sound (a
+certified state always passes eigvalsh's test), that every state check gives
+eigvalsh's verdicts and messages, and that no state check runs eigvalsh on
+states the certificate accepts.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohwit import CohwitError, InvalidStateError, sample_ensemble, sample_ginibre_batch, validate_states
-from cohwit.linalg import PSD_FLOOR, _hermitian_part, _min_eigenvalues, _psd_certified
-from cohwit.states import _check_sampled, _ginibre_block
+from cohwit import (
+    CohwitError,
+    DensityMatrix,
+    InvalidStateError,
+    sample_ensemble,
+    sample_ginibre,
+    sample_ginibre_batch,
+    validate_states,
+)
+from cohwit.linalg import PSD_FLOOR, TRACE_DEV, _hermitian_part, _min_eigenvalues, _psd_certified
+from cohwit.states import _ginibre_block, _validate
 
 
 def state_with_min_eigenvalue(d: int, lam: float, seed: int) -> np.ndarray:
@@ -58,6 +66,17 @@ def outcome(check, stack):
     return None
 
 
+def eigvalsh_outcome(stack, what="state {t}"):
+    # The reference: eigvalsh's verdict on every state, the first failing
+    # state named; the stack is Hermitian with unit traces.
+    lam = np.linalg.eigvalsh(_hermitian_part(stack))[:, 0]
+    bad = np.flatnonzero(lam < -PSD_FLOOR)
+    if len(bad):
+        t = int(bad[0])
+        return InvalidStateError, f"{what.format(t=t)} is not PSD: min eigenvalue {float(lam[t])}"
+    return None
+
+
 # (d, number of states, {index: smallest eigenvalue}); the blocks hold 256
 # states at d = 4 and 5 at d = 28, so the bad states sit in several blocks.
 MIXED = [
@@ -78,8 +97,9 @@ def test_sampler_check_matches_eigvalsh_verdicts_and_messages(d, n, bad):
     stack = _ginibre_block(d, range(n))
     for t, lam in bad.items():
         stack[t] = state_with_min_eigenvalue(d, lam, t)
-    expected = outcome(validate_states, stack)
-    assert outcome(lambda s: _check_sampled(s, "state {t}"), stack) == expected
+    expected = eigvalsh_outcome(stack)
+    assert outcome(validate_states, stack) == expected
+    assert outcome(lambda s: _validate(s, "state {t}"), stack) == expected
     failing = sorted(t for t, lam in bad.items() if lam < -PSD_FLOOR)
     if failing:
         assert expected[0] is InvalidStateError
@@ -88,12 +108,47 @@ def test_sampler_check_matches_eigvalsh_verdicts_and_messages(d, n, bad):
         assert expected is None
 
 
+@st.composite
+def unsampled_states(draw):
+    """A trace-1, exactly Hermitian matrix that no sampler makes: a random
+    eigenbasis, a diagonal of mixed scale, or a large off-diagonal pair, with
+    its smallest eigenvalue near +-PSD_FLOOR or far below -PSD_FLOOR."""
+    d = draw(st.integers(2, 8))
+    lam = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12, np.log10(2e-9)))
+    kind = draw(st.sampled_from(["eigenbasis", "diagonal", "off-diagonal"]))
+    if kind == "eigenbasis":
+        return state_with_min_eigenvalue(d, lam, draw(st.integers(0, 2**32 - 1)))
+    M = np.zeros((d, d), np.complex128)
+    j, k = draw(st.permutations(range(d)))[:2]
+    if kind == "diagonal":
+        # Entries (1 + lam, -lam) or (2**e, 1 - 2**e), which sum to 1 in any order.
+        big = draw(st.sampled_from([1.0 + lam, *(2.0**e for e in range(-60, 53))]))
+        M[j, j], M[k, k] = big, 1.0 - big
+    else:
+        # [[p, r], [r*, 1 - p]] has smallest eigenvalue about lam where
+        # |r|**2 = p(1 - p) - lam, and about -1e6 where |r| = 1e6.
+        p = draw(st.floats(0.01, 0.99))
+        r = draw(st.sampled_from([np.sqrt(p * (1.0 - p) - lam), 1e6])) * np.exp(1j * draw(st.floats(0.0, 7.0)))
+        M[j, j], M[k, k], M[j, k], M[k, j] = p, 1.0 - p, r, np.conj(r)
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=unsampled_states())
+def test_every_state_check_matches_eigvalsh_on_unsampled_states(M):
+    assert abs(np.trace(M) - 1.0) <= TRACE_DEV  # so only the PSD step can refuse M
+    assert outcome(validate_states, M[None]) == eigvalsh_outcome(M[None])
+    assert outcome(DensityMatrix, M) == eigvalsh_outcome(M[None], "density matrix")
+
+
 @pytest.mark.parametrize("d,n", [(2, 700), (4, 600), (28, 12)])
-def test_validate_states_returns_the_eigvalsh_bits(d, n):
+def test_min_eigenvalue_returns_the_eigvalsh_bits(d, n):
     stack = _ginibre_block(d, range(n))
     stack[1] = state_with_min_eigenvalue(d, -0.99 * PSD_FLOOR, 1)
-    lam = validate_states(stack)
-    assert lam.tobytes() == _min_eigenvalues(_hermitian_part(stack)).tobytes()
+    want = [max(lam, 0.0) for lam in _min_eigenvalues(_hermitian_part(stack)).tolist()]
+    got = [DensityMatrix(M).min_eigenvalue for M in stack]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert got[1] == 0.0
 
 
 def test_samplers_run_no_eigvalsh_on_certified_blocks(monkeypatch):
@@ -108,6 +163,8 @@ def test_samplers_run_no_eigvalsh_on_certified_blocks(monkeypatch):
     for seed in (0, 1, 2024):
         sample_ensemble(4, 1000, seed)
         sample_ginibre_batch(28, range(seed, seed + 20))
+        validate_states(sample_ensemble(4, 10, seed))
+        rho = DensityMatrix(sample_ginibre(5, seed).matrix)
     assert calls == []
-    validate_states(sample_ensemble(4, 10, 0))
+    rho.min_eigenvalue
     assert calls == [1]

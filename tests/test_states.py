@@ -491,8 +491,9 @@ def test_validator_names_a_state_in_a_later_block():
 
 def test_validator_returns_min_eigenvalues():
     stack = np.array([np.diag([0.25, 0.75]), np.full((2, 2), 0.5)], dtype=np.complex128)
-    assert validate_states(stack) == pytest.approx([0.25, 0.0], abs=1e-15)
-    assert validate_states(np.zeros((0, 3, 3))).shape == (0,)
+    assert validate_states(stack) is None
+    assert [DensityMatrix(M).min_eigenvalue for M in stack] == pytest.approx([0.25, 0.0], abs=1e-15)
+    assert validate_states(np.zeros((0, 3, 3))) is None
 
 
 EDGES = [-1.0, -1 / 3, -0.0, 0.0, 5e-324, 1 / 3, 1.0]

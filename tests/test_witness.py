@@ -43,18 +43,18 @@ from cohwit import (
 )
 from cohwit import linalg
 from cohwit.verify import sweep_bytes
-from cohwit.witness import finite_family_bytes
+from cohwit.witness import _GeneratorFamily, finite_family_bytes
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 class TestWitnessConstruction:
-    def test_dim_of_every_member_table(self):
+    def test_dim_of_every_member_table(self, monkeypatch):
         assert Witness(np.eye(3)).dim == 3
         members = [canonical_witness(4, 0.0, 1.0), generator_witness(4, 1.0, np.ones(15))]
         assert WitnessFamily("stacked", members).dim == 4
-        family = finite_family(5)
-        assert family.dim == 5 and "_stack" not in vars(family)  # no member stack was built
+        monkeypatch.setattr(_GeneratorFamily, "_stack", property(lambda self: pytest.fail("member stack built")))
+        assert finite_family(5).dim == 5
 
     def test_zero_diagonal_gives_point_interval(self):
         assert Witness(SX).interval == (0.0, 0.0)
@@ -344,6 +344,17 @@ class TestQubitPairFamily:
         with pytest.raises(DegenerateFamilyError):
             qubit_pair_family(0.0, 0.0, 0.0, 1.0, 1.0)
 
+    def test_proportional_directions_rejected_where_the_cross_product_overflows(self):
+        # a1*b2 - a2*b1 is inf - inf = NaN in floats, and 0 exactly.
+        with pytest.raises(DegenerateFamilyError):
+            qubit_pair_family(0.0, 1e200, 1e200, 1e200, 1e200)
+
+    def test_perpendicular_directions_accepted_where_the_cross_product_underflows(self):
+        # a1*b2 - a2*b1 is 0 in floats, and 1e-340 exactly.
+        fam = qubit_pair_family(0.0, 1e-170, 0.0, 0.0, 1e-170)
+        assert len(fam) == 2
+        assert fam.members[0].matrix[0, 1] == 5e-171 and fam.members[1].matrix[0, 1] == -5e-171j
+
     def test_covers_all_coherent_qubit_states(self):
         fam = qubit_pair_family(1.0, 1.0, 1.0, 1.0, -1.0)
         for t in range(200):
@@ -494,10 +505,11 @@ class TestFiniteFamily:
         assert finite_family_bytes(2442) <= linalg.MAX_COVERAGE_BYTES < finite_family_bytes(2443)
         assert all(finite_family_bytes(d) <= sweep_bytes(d, d * (d - 1), False) for d in range(2, 3000))
 
-    def test_members_are_charged_before_they_are_built(self):
+    def test_members_are_charged_before_they_are_built(self, monkeypatch):
         # 9900 member witnesses of 10**4 entries, and the stack they are
         # copied from: about 3.2 GB, refused before any of it is allocated.
         family = finite_family(100)
+        monkeypatch.setattr(_GeneratorFamily, "_stack", property(lambda self: pytest.fail("member stack built")))
         tracemalloc.start()
         try:
             with pytest.raises(InvalidParameterError, match="building 9900 member witnesses at d=100 needs about"):
@@ -506,15 +518,16 @@ class TestFiniteFamily:
         finally:
             tracemalloc.stop()
         assert peak < 16384
-        assert "_stack" not in vars(family)
 
     @pytest.mark.parametrize("d", [2, 5, 30])
-    @pytest.mark.parametrize("stack_built", [False, True])
-    def test_members_charge_covers_the_traced_peak(self, monkeypatch, d, stack_built):
+    @pytest.mark.parametrize("holds_matrices", [False, True])
+    def test_members_charge_covers_the_traced_peak(self, monkeypatch, d, holds_matrices):
+        # The built-in family builds its member stack for the copies; a
+        # family of the same members that holds its stack copies from it.
         families = [finite_family(d, 0.5) for _ in range(2)]
-        if stack_built:
-            for family in families:
-                family._stack
+        if holds_matrices:
+            families = [WitnessFamily._from_stack(f.label, f._stack, f.detect_eps) for f in families]
+        assert families[0]._holds_matrices == holds_matrices
         peak = traced_peak(lambda: families[0].members)
         assert len(families[0].members) == d * (d - 1)
         # With the cap just below the traced peak, the charge refuses.
