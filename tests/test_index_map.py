@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from test_witness import refuse_member_stack
 
 from cohwit import (
     DensityMatrix,
@@ -34,7 +35,6 @@ from cohwit import (
 )
 from cohwit.generators import _operator
 from cohwit.verify import verify_coverage
-from cohwit.witness import _GeneratorFamily
 
 DIMS = range(2, 13)
 
@@ -267,7 +267,7 @@ def test_generator_family_reports_non_finite_states_as_its_members_do():
 
 def test_non_finite_states_are_refused_before_the_member_stack_is_built(monkeypatch):
     family = finite_family(30)
-    monkeypatch.setattr(_GeneratorFamily, "_stack", property(lambda self: pytest.fail("member stack built")))
+    refuse_member_stack(monkeypatch)
     stack = np.zeros((3, 30, 30), dtype=np.complex128)
     stack[2, 4, 7] = complex(0.0, np.nan)
     with pytest.raises(NonFiniteError, match=r"^state 2 contains non-finite entries$"):

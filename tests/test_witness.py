@@ -48,12 +48,17 @@ from cohwit.witness import _GeneratorFamily, finite_family_bytes
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+def refuse_member_stack(monkeypatch):
+    """Fail the test where the built-in family builds its member stack."""
+    monkeypatch.setattr(_GeneratorFamily, "_stack", property(lambda self: pytest.fail("member stack built")))
+
+
 class TestWitnessConstruction:
     def test_dim_of_every_member_table(self, monkeypatch):
         assert Witness(np.eye(3)).dim == 3
         members = [canonical_witness(4, 0.0, 1.0), generator_witness(4, 1.0, np.ones(15))]
         assert WitnessFamily("stacked", members).dim == 4
-        monkeypatch.setattr(_GeneratorFamily, "_stack", property(lambda self: pytest.fail("member stack built")))
+        refuse_member_stack(monkeypatch)
         assert finite_family(5).dim == 5
 
     def test_zero_diagonal_gives_point_interval(self):
@@ -509,7 +514,7 @@ class TestFiniteFamily:
         # 9900 member witnesses of 10**4 entries, and the stack they are
         # copied from: about 3.2 GB, refused before any of it is allocated.
         family = finite_family(100)
-        monkeypatch.setattr(_GeneratorFamily, "_stack", property(lambda self: pytest.fail("member stack built")))
+        refuse_member_stack(monkeypatch)
         tracemalloc.start()
         try:
             with pytest.raises(InvalidParameterError, match="building 9900 member witnesses at d=100 needs about"):
