@@ -35,8 +35,10 @@ thresholds and trigger passes that find nothing; cyclic garbage made
 elsewhere meanwhile waits for a later pass.
 
 A ``bloch`` CSV row is exactly ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\n"``
-of Python floats, rendered from the arrays with one ``repr`` per distinct
-float64 bit pattern.
+of Python floats.  The command holds the lattice as its one axis and the
+index triples of its in-ball points, with each point's value and verdict; a
+row is gathered from one ``repr`` per axis value and one per distinct float64
+bit pattern of the value column.
 """
 
 from __future__ import annotations
@@ -334,24 +336,27 @@ def _require(args: argparse.Namespace, names: Sequence[str], kind: str) -> None:
         raise DocumentError(f"gen --kind {kind} requires {', '.join(missing)}")
 
 
-def write_bloch_cloud(stream, x, y, z, values, detected) -> None:
-    """Write a point cloud as CSV: a header line, then for point i the row
-    ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\\n"`` of its coordinates and
-    value as Python floats and its verdict, "Detected" where ``detected[i]``
-    is true, else "NotDetected".
+def write_bloch_cloud(stream, axis, ijk, values, detected) -> None:
+    """Write a point cloud as CSV: a header line, then for point t the row
+    ``f"{x!r},{y!r},{z!r},{value!r},{verdict}\\n"`` of its coordinates
+    (x, y, z) = (axis[i[t]], axis[j[t]], axis[k[t]]), where (i, j, k) is
+    ``ijk``, and its value as Python floats, then its verdict, "Detected"
+    where ``detected[t]`` is true, else "NotDetected".
 
-    Each distinct float64 bit pattern is formatted once, so 0.0 and -0.0 stay
-    apart, and rows are joined and written _CSV_CHUNK_ROWS at a time.
+    Each axis value is formatted once, and each distinct float64 bit pattern
+    of ``values`` once, so 0.0 and -0.0 stay apart.  Rows are written
+    _CSV_CHUNK_ROWS at a time: each chunk's (rows, 5) index into the
+    formatted cells is stacked from ``ijk``, the value index and the
+    verdict, and its cells are gathered and joined in one write.
     """
     stream.write("x,y,z,value,verdict\n")
-    bits, index = _distinct(np.array([x, y, z, values], dtype=np.float64).view(np.int64))
-    cells = [f"{v!r}," for v in bits.view(np.float64).tolist()]
+    bits, which = _distinct(values.view(np.int64))
+    cells = [f"{v!r}," for v in chain(axis.tolist(), bits.view(np.float64).tolist())]
     pieces = np.array(cells + ["NotDetected\n", "Detected\n"], dtype=object)
-    index = np.vstack([index, len(cells) + detected])  # (5, n)
-    n = index.shape[1]
-    for start in range(0, n, _CSV_CHUNK_ROWS):
-        rows = pieces[index[:, start : start + _CSV_CHUNK_ROWS].T]
-        stream.write("".join(rows.ravel().tolist()))
+    columns = (*ijk, len(axis) + which, len(cells) + detected)
+    for start in range(0, len(values), _CSV_CHUNK_ROWS):
+        index = np.stack([column[start : start + _CSV_CHUNK_ROWS] for column in columns], axis=1)
+        stream.write("".join(pieces[index].ravel().tolist()))
 
 
 def _cmd_gen(args) -> int:

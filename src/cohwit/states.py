@@ -169,13 +169,17 @@ class IncoherentState:
 
 
 def l1_coherence_batch(stack: np.ndarray) -> np.ndarray:
-    """Sum of |rho_ij| over i != j for every matrix of an (n, d, d) stack."""
-    a = np.abs(stack)
-    return a.sum(axis=(1, 2)) - np.trace(a, axis1=1, axis2=2)
+    """Sum of |rho_ij| over i != j for every matrix of an (n, d, d) stack:
+    the off-diagonal moduli alone are summed, so a diagonal matrix gives
+    exactly +0.0 and no value is negative."""
+    n, d = stack.shape[:2]
+    a = np.abs(stack).reshape(n, d * d)
+    a[:, :: d + 1] = 0.0
+    return a.sum(axis=1)
 
 
 def l1_coherence(state: DensityMatrix) -> float:
-    """Sum of |rho_ij| over i != j; exactly 0 on diagonal states."""
+    """Sum of |rho_ij| over i != j; exactly 0.0 on diagonal states."""
     return float(l1_coherence_batch(state.matrix[None])[0])
 
 

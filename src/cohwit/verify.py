@@ -120,11 +120,13 @@ def sweep_bytes(d: int, n_members: int, holds_matrices: bool) -> int:
 
 def bloch_bytes(grid_n: int) -> int:
     """Bytes the ``bloch`` command holds at once for a grid_n**3 lattice.
-    Per point in the ball it holds the coordinates and values, their sorted
-    bit patterns and indices, and a formatted string per distinct value; at
-    worst, when every value is distinct and 24 characters long, that is about
-    112 bytes per point of the cube.  Counting 128 bytes per point of the cube
-    and 2 MiB covers that and the command's fixed costs."""
+    Per point in the ball it holds three axis indices, the point's 2 x 2
+    matrix while the lattice is evaluated, its value and verdict, and, while
+    the CSV is written, the value column's sorted bit patterns and indices
+    and a formatted string per distinct value.  At grid_n = 121 its traced
+    peak is about 85 bytes per point of the cube when every value is distinct
+    and 24 characters long, and 74 when few are.  Counting 128 bytes per
+    point of the cube and 2 MiB covers that and the command's fixed costs."""
     return 128 * grid_n**3 + 2**21
 
 
@@ -228,6 +230,20 @@ def verify_coverage(
     )
 
 
+def _ball_lattice(grid_n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The axis ``np.linspace(-1, 1, grid_n)`` and the index arrays (i, j, k)
+    of the lattice points (axis[i], axis[j], axis[k]) in the unit ball, in C
+    order.  The squared norm is summed (x² + y²) + z², as the meshgrid
+    expression ``X*X + Y*Y + Z*Z`` does, so the same points pass, and no
+    coordinate grid is built.  The grid is validated first."""
+    if grid_n < 2:
+        raise InvalidParameterError(f"grid_n must be >= 2, got {grid_n}")
+    _require_bytes(bloch_bytes(grid_n), f"a lattice of {grid_n}**3 points")
+    axis = np.linspace(-1.0, 1.0, grid_n)
+    sq = axis * axis
+    return axis, np.nonzero((sq[:, None] + sq)[:, :, None] + sq <= 1.0)
+
+
 def bloch_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """In-ball points of the grid_n**3 lattice over [-1, 1]^3.
 
@@ -235,22 +251,18 @@ def bloch_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     by the CLI point-cloud output.  Rejects ``grid_n < 2`` and a lattice
     whose :func:`bloch_bytes` exceed ``MAX_COVERAGE_BYTES``.
     """
-    if grid_n < 2:
-        raise InvalidParameterError(f"grid_n must be >= 2, got {grid_n}")
-    _require_bytes(bloch_bytes(grid_n), f"a lattice of {grid_n}**3 points")
-    axis = np.linspace(-1.0, 1.0, grid_n)
-    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
-    mask = X * X + Y * Y + Z * Z <= 1.0
-    return X[mask], Y[mask], Z[mask]
+    axis, (i, j, k) = _ball_lattice(grid_n)
+    return axis[i], axis[j], axis[k]
 
 
 def _qubit_lattice(K: float, a: float, b: float, c: float, grid_n: int):
-    """The qubit witness (K, a, b, c) and the :func:`bloch_grid` coordinates
-    with its values and verdict mask on them; the grid is validated first."""
-    x, y, z = bloch_grid(grid_n)
+    """The qubit witness (K, a, b, c), the :func:`_ball_lattice` axis and
+    index arrays, and the witness's values and verdict mask on those points,
+    from one evaluation of the whole lattice; the grid is validated first."""
+    axis, ijk = _ball_lattice(grid_n)
     w = qubit_witness(K, a, b, c)
-    values, _, detected = w.evaluate_batch(_qubit_matrices(1.0, x, y, z))
-    return w, (x, y, z, values, detected)
+    values, _, detected = w.evaluate_batch(_qubit_matrices(1.0, *(axis[t] for t in ijk)))
+    return w, (axis, ijk, values, detected)
 
 
 def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) -> GeometryReport:
@@ -261,18 +273,18 @@ def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) ->
     buffer, so boundary-plane lattice points agree on NotDetected from both
     sides.  A lattice with no point in the ball (grid_n = 2) is rejected.
     """
-    w, (x, y, z, _, detected) = _qubit_lattice(K, a, b, c, grid_n)
-    if x.size == 0:
+    w, (axis, (i, j, k), _, detected) = _qubit_lattice(K, a, b, c, grid_n)
+    if i.size == 0:
         raise InvalidParameterError(f"a lattice of {grid_n}**3 points has no point in the ball")
     slack = float(_slack(w._bounds, 2)[0])
     # A quarter of each side: scaling by a power of two is exact, so this is
     # |ax + by + cz| > |c| + 2 (eps + slack), and the sum of three quarters stays finite.
-    plane = 0.25 * a * x + 0.25 * b * y + 0.25 * c * z
+    plane = 0.25 * a * axis[i] + 0.25 * b * axis[j] + 0.25 * c * axis[k]
     predicate = np.abs(plane) > 0.25 * abs(c) + 0.5 * (w.detect_eps + slack)
     n_mismatch = int(np.count_nonzero(detected != predicate))
     return GeometryReport(
         grid_n=grid_n,
-        n_points=int(x.size),
+        n_points=int(i.size),
         n_mismatch=n_mismatch,
         n_detected=int(np.count_nonzero(detected)),
         witness_params=(K, a, b, c),

@@ -20,6 +20,7 @@ from cohwit import (
     canonical_witness,
     finite_family,
     generator_witness,
+    qubit_witness,
     sample_ginibre,
     sample_hermitian,
 )
@@ -263,6 +264,14 @@ class TestVerify:
         assert rc in (0, 3)
         assert json.loads(capsys.readouterr().out)["detect_eps"] == [1e-9, 1e-3]
 
+    def test_threshold_zero_counts_only_the_coherent_states(self, capsys):
+        # Half the ensemble is diagonal; its l1 coherence is exactly 0, so at
+        # threshold 0 the coherent states are the 200 Ginibre ones.
+        assert run(["verify", "--d", "5", "--samples", "400", "--seed", "9", "--threshold", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["n_coherent"], report["n_detected"], report["n_false_alarm"]) == (200, 200, 0)
+        assert report["verdict"] == "PASS"
+
     def test_byte_identical_reports(self, capsys):
         argv = ["verify", "--d", "3", "--samples", "100", "--seed", "11"]
         assert run(argv) == 0
@@ -307,11 +316,13 @@ class TestBloch:
     def test_cloud_order_matches_grid_helper(self, capsys):
         assert run(["bloch", "--K", "0", "--a", "1", "--b", "0", "--c", "0", "--grid", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
-        from cohwit.verify import _qubit_lattice, bloch_grid
+        from cohwit.generators import _qubit_matrices
+        from cohwit.verify import bloch_grid
 
+        # The rows from a path the command does not share: the coordinate
+        # arrays, one evaluation of them all, and per-row f-strings.
         x, y, z = bloch_grid(5)
-        _, (lx, ly, lz, values, detected) = _qubit_lattice(0.0, 1.0, 0.0, 0.0, 5)
-        assert all(np.array_equal(p, q) for p, q in [(x, lx), (y, ly), (z, lz)])
+        values, _, detected = qubit_witness(0.0, 1.0, 0.0, 0.0).evaluate_batch(_qubit_matrices(1.0, x, y, z))
         verdicts = ["Detected" if hit else "NotDetected" for hit in detected.tolist()]
         rows = zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)
         assert lines == [f"{p!r},{q!r},{r!r},{v!r},{verdict}" for p, q, r, v, verdict in rows]

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from test_cli import document
 from test_family_stack import reference_matrix
 
-from cohwit import DocumentError, Witness, WitnessFamily, finite_family, sample_ginibre
+from cohwit import DocumentError, Witness, WitnessFamily, finite_family, qubit_witness, sample_ginibre
 from cohwit import cli
 from cohwit.cli import _read_stack, document_bytes, run, write_bloch_cloud
-from cohwit.verify import _qubit_lattice
+from cohwit.generators import _qubit_matrices
+from cohwit.verify import bloch_grid
 
 # --- writer ----------------------------------------------------------------
 
@@ -303,7 +304,10 @@ def test_unreadable_document_exits_2(tmp_path, data):
 
 
 def reference_csv(K, a, b, c, grid):
-    _, (x, y, z, values, detected) = _qubit_lattice(K, a, b, c, grid)
+    # The coordinate arrays, one evaluation of them all and per-row
+    # f-strings: no step of the command's index-addressed rendering.
+    x, y, z = bloch_grid(grid)
+    values, _, detected = qubit_witness(K, a, b, c).evaluate_batch(_qubit_matrices(1.0, x, y, z))
     verdicts = ["Detected" if hit else "NotDetected" for hit in detected.tolist()]
     rows = zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)
     return "x,y,z,value,verdict\n" + "".join(f"{x!r},{y!r},{z!r},{v!r},{verdict}\n" for x, y, z, v, verdict in rows)
@@ -332,12 +336,13 @@ def test_grid_2_is_header_only(tmp_path):
 
 
 def test_csv_keeps_zero_and_negative_zero_apart():
-    x = np.array([0.0, -0.0, 0.0, -0.0])
-    y = np.array([-0.0, 0.0, 0.5, 0.5])
+    axis = np.array([0.0, -0.0, 0.5])
+    i, j = np.array([0, 1, 0, 1]), np.array([1, 0, 2, 2])
+    x, y = axis[i], axis[j]  # [0.0, -0.0, 0.0, -0.0] and [-0.0, 0.0, 0.5, 0.5]
     values = np.array([-0.0, 0.0, 0.0, -0.0])
     detected = np.array([True, False, False, True])
     out = io.StringIO()
-    write_bloch_cloud(out, x, y, y, values, detected)
+    write_bloch_cloud(out, axis, (i, j, j), values, detected)
     verdicts = ["Detected" if hit else "NotDetected" for hit in detected]
     rows = zip(x.tolist(), y.tolist(), y.tolist(), values.tolist(), verdicts)
     assert out.getvalue() == "x,y,z,value,verdict\n" + "".join(f"{p!r},{q!r},{r!r},{v!r},{s}\n" for p, q, r, v, s in rows)
@@ -352,7 +357,8 @@ def test_csv_spans_several_write_chunks():
         def write(self, text):
             writes.append(text)
 
-    write_bloch_cloud(Stream(), x, -x, x * x, x / 3, x > 0)
+    ijk = (np.arange(n), n + np.arange(n), 2 * n + np.arange(n))
+    write_bloch_cloud(Stream(), np.concatenate([x, -x, x * x]), ijk, x / 3, x > 0)
     assert len(writes) == 4  # header and three chunks
     lines = "".join(writes).splitlines()
     assert len(lines) == n + 1

@@ -23,7 +23,7 @@ from cohwit import (
     trace_product,
 )
 from cohwit import linalg, verify
-from cohwit.generators import generator_bytes
+from cohwit.generators import _qubit_matrices, generator_bytes
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -232,3 +232,15 @@ def test_oversized_generator_is_refused(monkeypatch):
     assert generator(4, 1).shape == (4, 4)
     with pytest.raises(InvalidParameterError, match="generator 1 at d=5 needs about"):
         generator(5, 1)
+
+
+def test_pauli_matrices_do_not_depend_on_the_batch_length():
+    # numpy picks its complex-multiply loop by length and alignment, and
+    # some loops give a zero the other sign; the qubit witness and state are
+    # built one point at a time, the bloch lattice as one batch.
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, 1e308, -2.5]
+    K, a, b, c = (np.ravel(g) for g in np.meshgrid(edges, edges, edges, edges, indexing="ij"))
+    batch = _qubit_matrices(K, a, b, c)
+    single = np.concatenate([_qubit_matrices(*point) for point in zip(K.tolist(), a.tolist(), b.tolist(), c.tolist())])
+    assert batch.shape == (9**4, 2, 2)
+    assert np.array_equal(batch.view(np.int64), single.view(np.int64))

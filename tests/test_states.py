@@ -100,6 +100,43 @@ def test_l1_canonical_coherent(d):
     assert l1_coherence(canonical_coherent(d)) == pytest.approx(2.0 / d, abs=1e-15)
 
 
+# Diagonal entries that sit at the edges of what a state check accepts or of
+# the float range: zeros of both signs, subnormals, and eigenvalues and trace
+# errors just inside PSD_FLOOR and TRACE_DEV.
+DIAGONAL_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-16, 0.5, 1.0, -0.5e-9, 1.0 + 0.5e-9, 1e308, -1e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(2, 9), data=st.data())
+def test_l1_is_exactly_zero_on_diagonal_states(d, data):
+    entries = st.one_of(st.sampled_from(DIAGONAL_EDGES), st.floats(-1e300, 1e300))
+    diagonals = np.array(data.draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=1, max_size=6)))
+    stack = np.zeros((len(diagonals), d, d), dtype=np.complex128)
+    stack[:, range(d), range(d)] = diagonals
+    values = states.l1_coherence_batch(stack)
+    assert values.tolist() == [0.0] * len(diagonals)
+    assert not np.signbit(values).any()
+    # The same through a validated state: probabilities with edge entries,
+    # the last one carrying the trace.
+    edges = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16, 0.25, -0.5e-9])
+    probs = np.array(data.draw(st.lists(edges, min_size=d - 1, max_size=d - 1)))
+    probs = np.append(probs, 1.0 + data.draw(st.sampled_from([0.0, 0.5e-9, -0.5e-9])) - probs.sum())
+    value = l1_coherence(DensityMatrix(np.diag(probs).astype(np.complex128)))
+    assert value == 0.0 and not math.copysign(1.0, value) < 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 12, 28])
+def test_l1_of_coherent_states_agrees_with_the_total_minus_trace(d):
+    # The off-diagonal sum against sum(|rho|) - tr|rho|, the formula it
+    # replaced, within a few ulps of sum(|rho|); never negative.
+    stack = np.concatenate([sample_ginibre_batch(d, range(100, 140)), sample_ensemble(d, 40, 7)])
+    a = np.abs(stack)
+    total = a.sum(axis=(1, 2))
+    values = states.l1_coherence_batch(stack)
+    assert np.all(np.abs(values - (total - np.trace(a, axis1=1, axis2=2))) <= 4 * np.spacing(total))
+    assert np.all(values >= 0.0)
+
+
 def test_canonical_coherent_matrices():
     assert np.allclose(canonical_coherent(2).matrix, np.full((2, 2), 0.5))
     want = np.eye(3) / 3

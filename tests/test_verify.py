@@ -348,6 +348,16 @@ class TestCoverage:
         assert verify_coverage(fam, 2, 100, 55) == verify_coverage(fam, 2, 100, 55)
 
 
+@pytest.mark.parametrize("grid", [*range(2, 65), 91])
+def test_lattice_is_the_meshgrid_lattice_bit_for_bit(grid):
+    # The oracle is the meshgrid expression the lattice was first built with.
+    axis = np.linspace(-1.0, 1.0, grid)
+    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
+    mask = X * X + Y * Y + Z * Z <= 1.0
+    for got, want in zip(bloch_grid(grid), (X[mask], Y[mask], Z[mask])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestQubitGeometry:
     def test_diagonal_direction_witness(self):
         report = qubit_geometry_check(0.0, 1.0, 1.0, 1.0, 50)
