@@ -233,9 +233,9 @@ def verify_coverage(
 def _ball_lattice(grid_n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The axis ``np.linspace(-1, 1, grid_n)`` and the index arrays (i, j, k)
     of the lattice points (axis[i], axis[j], axis[k]) in the unit ball, in C
-    order.  The squared norm is summed (x² + y²) + z², as the meshgrid
-    expression ``X*X + Y*Y + Z*Z`` does, so the same points pass, and no
-    coordinate grid is built.  The grid is validated first."""
+    order.  The squared norm is summed (x² + y²) + z², left to right, which
+    fixes which points on the sphere pass; no coordinate grid is built.  The
+    grid is validated first."""
     if grid_n < 2:
         raise InvalidParameterError(f"grid_n must be >= 2, got {grid_n}")
     _require_bytes(bloch_bytes(grid_n), f"a lattice of {grid_n}**3 points")

@@ -559,7 +559,6 @@ def test_oversized_document_or_lattice_rejected_before_building(monkeypatch, tmp
     monkeypatch.setattr("cohwit.cli.canonical_witness", refuse)
     monkeypatch.setattr("cohwit.cli.finite_family", refuse)
     monkeypatch.setattr(np, "linspace", refuse)
-    monkeypatch.setattr(np, "meshgrid", refuse)
     out = tmp_path / "out.json"
     assert run([a.format(out=out) for a in argv]) == 2
     captured = capsys.readouterr()

@@ -122,7 +122,7 @@ def test_l1_is_exactly_zero_on_diagonal_states(d, data):
     probs = np.array(data.draw(st.lists(edges, min_size=d - 1, max_size=d - 1)))
     probs = np.append(probs, 1.0 + data.draw(st.sampled_from([0.0, 0.5e-9, -0.5e-9])) - probs.sum())
     value = l1_coherence(DensityMatrix(np.diag(probs).astype(np.complex128)))
-    assert value == 0.0 and not math.copysign(1.0, value) < 0
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 12, 28])

@@ -322,7 +322,6 @@ class TestCoverage:
             raise AssertionError("the lattice was allocated before the size check")
 
         monkeypatch.setattr(np, "linspace", refuse)
-        monkeypatch.setattr(np, "meshgrid", refuse)
         with pytest.raises(InvalidParameterError, match="bytes"):
             bloch_grid(2000)
         with pytest.raises(InvalidParameterError, match="bytes"):
