@@ -274,18 +274,17 @@ def sample_ensemble(d: int, n_states: int, seed: Seed) -> np.ndarray:
     return chunks[0] if chunks else np.zeros((0, d, d), np.complex128)
 
 
-def _ensemble_chunks(d: int, n_states: int, seed: Seed, step: int, n_ginibre: int | None = None) -> Iterator:
-    """The rows of :func:`sample_ensemble`'s stack, with its first
-    ``n_ginibre`` (default ``n_states // 2``) full-rank, as validated chunks
-    of ``step`` states, each sampled when it is asked for.  State t uses
-    sub-seed ``seed + t`` however the stack is chunked, so the rows are the
-    same bits.  A negative ``n_states`` is rejected at the call."""
+def _ensemble_chunks(d: int, n_states: int, seed: Seed, step: int) -> Iterator:
+    """The rows of :func:`sample_ensemble`'s stack, its first
+    ``n_states // 2`` full-rank, as validated chunks of ``step`` states, each
+    sampled when it is asked for.  State t uses sub-seed ``seed + t`` however
+    the stack is chunked, so the rows are the same bits.  A negative
+    ``n_states`` is rejected at the call."""
     if n_states < 0:
         raise InvalidParameterError(f"n_states must be >= 0, got {n_states}")
     _require_dim(d)
-    n_g = n_states // 2 if n_ginibre is None else n_ginibre
     # Each chunk is made by a call, so no frame here holds one while the next is made.
-    return (_ensemble_rows(d, seed, i, min(i + step, n_states), n_g) for i in range(0, n_states, step))
+    return (_ensemble_rows(d, seed, i, min(i + step, n_states), n_states // 2) for i in range(0, n_states, step))
 
 
 def _ensemble_rows(d: int, seed: Seed, start: int, stop: int, n_g: int) -> np.ndarray:

@@ -1,6 +1,13 @@
 """Ensemble-scale sweeps that turn the detection guarantees into pass/fail
 reports.
 
+Containment, that no diagonal state validation accepts is detected, needs no
+sweep: it is a theorem, proved for every witness by the slack of
+``witness._slack``.  :func:`verify_coverage` checks completeness, that a
+family detects every coherent state of an ensemble, and
+:func:`qubit_geometry_check` compares qubit verdicts with the plane
+predicate on a lattice.
+
 Every sweep is deterministic in (inputs, seed): state t of an ensemble uses
 sub-seed ``seed + t``, so runs can be partitioned or replayed from the report
 alone.  Reports carry their seed and tolerances for that reason.
@@ -21,15 +28,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
-from .linalg import DETECT_EPS, MAX_COVERAGE_BYTES, _require_bytes  # the cap, re-exported
+from .linalg import MAX_COVERAGE_BYTES, _require_bytes  # the cap, re-exported
 from .rng import Seed
 from .states import (
     _BLOCK_ENTRIES,
     DensityMatrix,
     _ensemble_chunks,
-    _require_dim,
     l1_coherence_batch,
-    sample_hermitian_batch,
 )
 from .generators import _qubit_matrices
 from .witness import WitnessFamily, _slack, is_effective_qubit, qubit_witness
@@ -38,25 +43,9 @@ from .witness import WitnessFamily, _slack, is_effective_qubit, qubit_witness
 # their witness margins sit below numerical resolution.
 COHERENCE_THRESHOLD = 1e-7
 
-# Interval containment slack for diagonal states (pure roundoff budget).
-CONTAINMENT_SLACK = 1e-12
-
 # A chunk of a sweep holds at most this many (member, state) pairs and state
 # matrix entries together, and at least one state.
 _CHUNK_ITEMS = 1 << 21
-
-
-@dataclass(frozen=True)
-class ContainmentReport:
-    """Worst interval violation of diagonal states over a random witness sweep."""
-
-    dim: int
-    n_witnesses: int
-    n_states: int
-    seed: Seed
-    worst_violation: float
-    slack: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -128,36 +117,6 @@ def bloch_bytes(grid_n: int) -> int:
     and 24 characters long, and 74 when few are.  Counting 128 bytes per
     point of the cube and 2 MiB covers that and the command's fixed costs."""
     return 128 * grid_n**3 + 2**21
-
-
-def verify_incoherent_containment(d: int, n_witnesses: int, n_states: int, seed: Seed) -> ContainmentReport:
-    """Check that diagonal states never leave random witnesses' intervals.
-
-    Witness j uses sub-seed ``seed + j``; state t uses ``seed + n_witnesses + t``.
-    The worst violation is the largest margin of any state on any witness.  A
-    sweep whose :func:`sweep_bytes` exceed ``MAX_COVERAGE_BYTES`` is rejected
-    before sampling.
-    """
-    if n_witnesses < 1 or n_states < 1:
-        raise InvalidParameterError(
-            f"counts must be >= 1, got {n_witnesses} witnesses, {n_states} states"
-        )
-    _require_dim(d)
-    _require_bytes(sweep_bytes(d, n_witnesses, True), f"a sweep of {n_witnesses} members at d={d}")
-    matrices = sample_hermitian_batch(d, range(seed, seed + n_witnesses))
-    family = WitnessFamily._from_stack(f"random-hermitian(d={d})", matrices, [DETECT_EPS] * n_witnesses)
-    chunks = _ensemble_chunks(d, n_states, seed + n_witnesses, _chunk_states(d, n_witnesses), n_ginibre=0)
-    # map holds no chunk between its calls, so one chunk is held at a time.
-    worst = max(map(lambda chunk: float(family.evaluate_batch(chunk)[1].max()), chunks))
-    return ContainmentReport(
-        dim=d,
-        n_witnesses=n_witnesses,
-        n_states=n_states,
-        seed=seed,
-        worst_violation=worst,
-        slack=CONTAINMENT_SLACK,
-        passed=worst <= CONTAINMENT_SLACK,
-    )
 
 
 def _tally(family: WitnessFamily, threshold: float, chunk: np.ndarray) -> tuple[np.ndarray, float]:

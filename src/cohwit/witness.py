@@ -33,7 +33,7 @@ from .errors import (
 )
 from .generators import OFFDIAG_TOL, _generator_matrix, _operator, _qubit_matrices, bloch_vector
 from .linalg import (
-    DETECT_EPS, PSD_FLOOR, TRACE_DEV, _as_stack, _require_bytes, _require_finite, _require_hermitian
+    DETECT_EPS, HERMITICITY_TOL, PSD_FLOOR, TRACE_DEV, _as_stack, _require_bytes, _require_finite, _require_hermitian
 )
 from .states import DensityMatrix, _blocks
 
@@ -79,17 +79,43 @@ def _table(stack: np.ndarray, detect_eps: Sequence[float]) -> np.ndarray:
 
 
 def _slack(bounds: np.ndarray, d: int) -> np.ndarray:
-    """How far the value of a diagonal state that validation accepts can
-    leave [lo, hi], for each member of a (3, members) bounds table at dim d.
+    """How far the computed value of a diagonal state that validation accepts
+    can leave [lo, hi], for each member of a (3, members) bounds table at dim d:
+    ``max(|lo|, |hi|) * (TRACE_DEV + d * 2**-51) + (d - 1) * (hi * PSD_FLOOR -
+    lo * PSD_FLOOR) + d * HERMITICITY_TOL**2 / 2``.
 
-    Its diagonal p has a trace within TRACE_DEV of 1 and entries down to
-    -PSD_FLOOR, so sum_k p_k W_kk exceeds hi (or falls below lo) by at most
-    ``max(|lo|, |hi|) * TRACE_DEV + (d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR)``.
-    Each endpoint is scaled before the difference is taken, so the slack is
-    finite and nonnegative for every finite interval and never overflows.
+    This is the containment theorem.  Let the member's diagonal be a_k + i b_k,
+    with lo <= a_k <= hi, and the state diag(p_k + i e_k).  Validation bounds
+    |b_k| and |e_k| by HERMITICITY_TOL / 2, the computed trace within
+    TRACE_DEV of 1 and each p_k below by -PSD_FLOOR; Tr(W rho) is
+    sum_k p_k a_k - sum_k b_k e_k.
+
+    - For p on the simplex, sum_k p_k a_k is a convex combination of the a_k,
+      so it lies in [lo, hi].  Its extremes are the vertices |k><k|, where
+      the kernel returns a_k exactly: a product with 1, then sums with zeros.
+    - A trace off 1 by t and entries down to -PSD_FLOOR move it past hi (or
+      lo) by at most max(|lo|, |hi|) * |t| + (d - 1) * (hi - lo) * PSD_FLOOR.
+    - The cross term sum_k b_k e_k is at most d * (HERMITICITY_TOL / 2)**2,
+      half of the last term.  The sum of those d products rounds above that
+      bound, so the term is twice it; what is left also covers every
+      subnormal rounding, each below 5e-324.
+    - The kernel's sum of d products and the trace check's sum of d entries
+      each round by at most about (d + 1) * 2**-53 * sum_k |p_k| *
+      max(|lo|, |hi|), and sum_k |p_k| < 1.03 for d up to 10**7.  With the
+      few roundings of the margin and of this slack, that is below
+      d * 2**-51 * max(|lo|, |hi|) for every d >= 2.  The TRACE_DEV term
+      cannot absorb it: a state whose computed trace sits at the edge uses
+      all of it.  At d = 8192, where one matrix takes 1 GiB, d * 2**-51 is
+      below 4e-12, 0.4% of TRACE_DEV.
+
+    So no accepted diagonal state's margin exceeds its slack, and none is
+    detected at any detect_eps >= 0.  Each endpoint is scaled before the
+    difference is taken, so the slack is finite and nonnegative for every
+    finite interval and never overflows.
     """
     lo, hi = bounds[:2]
-    return np.maximum(np.abs(lo), np.abs(hi)) * TRACE_DEV + (d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR)
+    big = np.maximum(np.abs(lo), np.abs(hi))
+    return big * (TRACE_DEV + d * 2.0**-51) + (d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR) + d * HERMITICITY_TOL**2 / 2
 
 
 def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,7 +128,8 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (members, n).  This is the one home of the margin rule
     ``max(lo - value, value - hi)`` and of the verdict ``margin > detect_eps +
     slack``, with the slack of :func:`_slack`, so no diagonal state that
-    validation accepts is ever detected.
+    validation accepts is ever detected, at any detect_eps >= 0, zero
+    included.
     A state with a NaN or infinite entry raises NonFiniteError naming the
     first such state, before any value is computed, and so does a value or
     margin that overflows finite inputs.
@@ -451,7 +478,8 @@ def qubit_witness(K: float, a: float, b: float, c: float) -> Witness:
     Interval [(K - |c|)/2, (K + |c|)/2]; on the qubit state with coordinates
     (x, y, z) the expectation is (K + ax + by + cz)/2, so detection is
     equivalent to |ax + by + cz| > |c| + 2 * (DETECT_EPS + slack), with
-    slack = max(|K - |c||, |K + |c||) * TRACE_DEV / 2 + |c| * PSD_FLOOR.
+    slack = max(|K - |c||, |K + |c||) * (TRACE_DEV + 2**-50) / 2 + |c| *
+    PSD_FLOOR + HERMITICITY_TOL**2, the :func:`_slack` of its interval.
     """
     if a == 0.0 and b == 0.0 and c == 0.0:
         raise ZeroOperatorError("qubit witness needs a, b, c not all zero")

@@ -167,6 +167,21 @@ class TestDetect:
         assert report["verdict"] == "NotDetected"
         assert report["detect_eps"] == 2.0
 
+    def test_imaginary_diagonals_within_tolerance_are_not_detected(self, tmp_path, capsys):
+        # Validation accepts imaginary diagonal parts up to HERMITICITY_TOL / 2
+        # on both documents; their cross term moves the value of this diagonal
+        # state off [-0, -0] by 5e-21, which the slack covers.
+        wfile = tmp_path / "w.json"
+        sfile = tmp_path / "rho.json"
+        wfile.write_text(json.dumps(document(Witness(np.diag([5e-11j, -5e-11j]), 0.0))))
+        sfile.write_text(json.dumps(document(np.diag([0.5 + 5e-11j, 0.5 - 5e-11j]))))
+        assert run(["detect", "--witness", str(wfile), "--state", str(sfile), "--eps", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["margin"] > report["detect_eps"] == 0.0
+        assert report["verdict"] == "NotDetected"
+        assert run(["oracle", "--state", str(sfile)]) == 0
+        assert json.loads(capsys.readouterr().out)["l1_coherence"] == 0.0
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_eps_exit_2(self, tmp_path, capsys, eps):
         wfile = tmp_path / "w.json"

@@ -1,10 +1,13 @@
 """One error budget: no diagonal state that validation accepts is Detected.
 
-``DensityMatrix`` accepts a trace within ``TRACE_DEV`` of 1 and eigenvalues
-down to ``-PSD_FLOOR``, so the value of such a diagonal state can leave a
-witness's interval by up to the slack ``max(|lo|, |hi|) * TRACE_DEV +
-(d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR)``.  The verdict requires a margin
-above ``detect_eps`` plus that slack.
+``DensityMatrix`` and ``Witness`` accept imaginary diagonal parts up to
+``HERMITICITY_TOL / 2``, and a state's trace within ``TRACE_DEV`` of 1 and
+eigenvalues down to ``-PSD_FLOOR``, so the computed value of such a diagonal
+state can leave a witness's interval by up to the slack ``max(|lo|, |hi|) *
+(TRACE_DEV + d * 2**-51) + (d - 1) * (hi * PSD_FLOOR - lo * PSD_FLOOR) + d *
+HERMITICITY_TOL**2 / 2`` (``witness._slack``).  The verdict requires a margin
+above ``detect_eps`` plus that slack, so none is Detected at any
+``detect_eps``, zero included.
 """
 
 import warnings
@@ -16,9 +19,11 @@ from hypothesis import strategies as st
 from test_finite_reports import tailored
 
 from cohwit import (
+    CohwitError,
     DensityMatrix,
     InvalidStateError,
     Witness,
+    WitnessFamily,
     canonical_coherent,
     canonical_witness,
     finite_family,
@@ -29,7 +34,7 @@ from cohwit import (
     sample_hermitian,
     witness_for_state,
 )
-from cohwit.linalg import DETECT_EPS, PSD_FLOOR, TRACE_DEV
+from cohwit.linalg import DETECT_EPS, HERMITICITY_TOL, PSD_FLOOR, TRACE_DEV
 from cohwit.witness import _slack
 
 
@@ -38,11 +43,15 @@ from cohwit.witness import _slack
     [
         (canonical_witness(2, 10, 20), [1 + 5e-10, -5e-10]),
         (canonical_witness(4, 10, 20), [0, 0, 1 + 9e-10, 0]),
+        # The computed trace is 1 - TRACE_DEV, which uses the whole TRACE_DEV
+        # term of the slack; the value's rounding, 4e-16 past it, is covered
+        # by the d * 2**-51 term.
+        (Witness(5 * np.eye(2), 0.0), [0.749999999, 0.25]),
     ],
 )
 def test_accepted_diagonal_state_on_the_interval_edge_is_not_detected(witness, diagonal):
     report = witness.evaluate(DensityMatrix(np.diag(diagonal)))
-    assert report.margin > DETECT_EPS  # outside the interval by more than detect_eps
+    assert report.margin > DETECT_EPS  # outside the interval by more than the default detect_eps
     assert not report.detected
 
 
@@ -102,22 +111,42 @@ EDGE_TRACES = st.one_of(
     st.floats(1 - TRACE_DEV, 1 + TRACE_DEV),
 )
 EDGE_ENTRIES = st.sampled_from([-PSD_FLOOR, -0.999 * PSD_FLOOR, -0.0, 0.0, 5e-324])
-BIG = st.one_of(st.sampled_from([-1e6, -1.0, -0.0, 0.0, 1e-9, 1.0, 1e6]), st.floats(-1e6, 1e6))
+# A witness's scale, from 1e-300 to 1e300, times its parameters drawn from UNIT.
+SCALES = st.one_of(
+    st.sampled_from([1e-300, 1e-9, 1.0, 1e6, 1e300]), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+)
+UNIT = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1e-9, 1.0]), st.floats(-1.0, 1.0))
+# Imaginary diagonal parts up to the HERMITICITY_TOL / 2 that validation accepts.
+HALF_TOL = HERMITICITY_TOL / 2
+IMAG = st.one_of(
+    st.sampled_from([-HALF_TOL, -0.999 * HALF_TOL, 0.0, 0.999 * HALF_TOL, HALF_TOL]), st.floats(-HALF_TOL, HALF_TOL)
+)
+EPS = st.one_of(st.sampled_from([0.0, DETECT_EPS]), st.floats(0.0, allow_infinity=False))
+
+
+def tiled(draw, values, n):
+    """n values: a drawn list of at most 8, repeated, so each is drawn
+    independently where n <= 8."""
+    return np.resize(draw(st.lists(values, min_size=1, max_size=min(n, 8))), n)
 
 
 @st.composite
 def accepted_diagonal_states(draw, d):
     """A diagonal state that validation accepts, with entries and trace at
     the validation edges: some entries pinned at or near -PSD_FLOOR, the
-    rest positive weights scaled to the drawn trace."""
-    pinned = draw(st.lists(st.one_of(st.none(), EDGE_ENTRIES), min_size=d, max_size=d))
+    rest positive weights scaled to the drawn trace.  Its imaginary diagonal
+    parts come in pairs (e, -e), so its trace stays within TRACE_DEV of 1."""
+    pinned = tiled(draw, st.one_of(st.none(), EDGE_ENTRIES), d)
     free = [k for k, p in enumerate(pinned) if p is None]
     assume(free)
-    weights = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=len(free), max_size=len(free))))
+    weights = tiled(draw, st.floats(1e-6, 1.0), len(free))
     p = np.array([0.0 if v is None else v for v in pinned])
     p[free] = weights / weights.sum() * (draw(EDGE_TRACES) - p.sum())
+    half = tiled(draw, IMAG, d // 2)
+    imag = np.zeros(d)
+    imag[: 2 * len(half)] = np.stack([half, -half], axis=1).ravel()
     try:
-        return DensityMatrix(np.diag(p))
+        return DensityMatrix(np.diag(p + 1j * imag))
     except InvalidStateError:
         assume(False)
 
@@ -136,39 +165,75 @@ CONSTRUCTORS = [
 
 @st.composite
 def witnesses(draw, kind, d):
-    """A witness or family of ``kind`` at dim d with an interval within about ±1e6."""
-    seed = draw(st.integers(0, 2**32))
-    if kind in ("canonical", "tailored"):
-        lo, hi = sorted((draw(BIG), draw(BIG)))
-        if kind == "canonical":
-            return canonical_witness(d, lo, hi)
-        return tailored(sample_ginibre(d, seed), lo, hi)
-    if kind == "generator":
-        coeffs = draw(st.lists(st.floats(-1e3, 1e3), min_size=d * d - 1, max_size=d * d - 1))
-        return generator_witness(d, draw(BIG), coeffs)
-    if kind == "for_state":
-        return witness_for_state(sample_ginibre(d, seed), draw(BIG))
-    if kind == "family":
-        nonzero = st.floats(-1e3, 1e3).filter(lambda c: c != 0.0)
-        coeffs = draw(st.lists(nonzero, min_size=d * (d - 1), max_size=d * (d - 1)))
-        return finite_family(d, draw(BIG), coeffs)
-    if kind == "qubit":
-        a, b, c = draw(BIG), draw(BIG), draw(BIG)
-        assume(a != 0.0 or b != 0.0 or c != 0.0)
-        return qubit_witness(draw(BIG), a, b, c)
-    if kind == "qubit_pair":
-        a1, b1, a2, b2 = (draw(BIG) for _ in range(4))
-        assume(a1 * b2 - a2 * b1 != 0.0)
-        return qubit_pair_family(draw(BIG), a1, b1, a2, b2)
-    return Witness(draw(st.floats(1e-3, 3e5)) * sample_hermitian(d, seed))
+    """A witness or family of ``kind`` at dim d, its parameters scaled by one
+    drawn scale; one that its constructor refuses is not drawn."""
+    s, seed = draw(SCALES), draw(st.integers(0, 2**32))
+
+    def big():
+        return s * draw(UNIT)
+
+    try:
+        if kind in ("canonical", "tailored"):
+            lo, hi = sorted((big(), big()))
+            if kind == "canonical":
+                return canonical_witness(d, lo, hi)
+            return tailored(sample_ginibre(d, seed), lo, hi)
+        if kind == "generator":
+            return generator_witness(d, big(), s * tiled(draw, UNIT, d * d - 1))
+        if kind == "for_state":
+            return witness_for_state(sample_ginibre(d, seed), big())
+        if kind == "family":
+            nonzero = UNIT.filter(lambda c: c != 0.0)
+            return finite_family(d, big(), s * tiled(draw, nonzero, d * (d - 1)))
+        if kind == "qubit":
+            return qubit_witness(big(), big(), big(), big())
+        if kind == "qubit_pair":
+            return qubit_pair_family(*(big() for _ in range(5)))
+        return Witness(s * sample_hermitian(d, seed))
+    except CohwitError:
+        assume(False)
+
+
+def held(source, imag, eps):
+    """``source`` with every margin ``eps`` and ``imag`` added to the
+    imaginary part of each member's diagonal, as one member table.  The
+    built-in family's closed form reads a real diagonal; it only takes eps."""
+    if not source._holds_matrices:
+        source._bounds[2] = eps
+        return source
+    stack = source._stack + 1j * np.diag(imag)
+    return WitnessFamily._from_stack("held", stack, [eps] * len(stack))
 
 
 @settings(deadline=None, max_examples=400)
 @given(data=st.data())
 def test_no_accepted_diagonal_state_is_detected(data):
     kind = data.draw(st.sampled_from(CONSTRUCTORS))
-    d = 2 if kind.startswith("qubit") else data.draw(st.integers(2, 8))
+    d = 2 if kind.startswith("qubit") else data.draw(st.integers(2, 8 if kind == "family" else 64))
     source = data.draw(witnesses(kind, d))
+    source = held(source, tiled(data.draw, IMAG, d), data.draw(EPS))
     state = data.draw(accepted_diagonal_states(d))
     _, _, detected = source.evaluate_batch(state.matrix[None])
     assert not detected.any()
+
+
+@pytest.mark.parametrize("d", [2, 5, 28, 200])
+@pytest.mark.parametrize("scale", [1e-300, 1e-9, 1.0, 3e5, 1e300])
+def test_every_vertex_evaluates_to_its_diagonal_entry_bit_for_bit(d, scale):
+    # |k><k| has the extreme values of the interval: a product with 1, then
+    # sums with zeros, so the kernel returns Re W_kk exactly.
+    diag_imag = np.resize([HALF_TOL, -HALF_TOL, 0.0], d)
+    dense = Witness(scale * sample_hermitian(d, 900 + d) + 1j * np.diag(diag_imag), 0.0)
+    families = [finite_family(d, K * scale, scale * np.ones(d * (d - 1))) for K in (0.0, 37.0, -2.5)]
+    for source in [dense, *families]:
+        if source._holds_matrices:
+            want = source._stack.diagonal(axis1=1, axis2=2).real
+        else:  # the built-in family, whose every diagonal entry is its interval's K/d
+            want = np.repeat(source._bounds[:1].T, d, axis=1)
+        for start in range(0, d, 16):
+            k = np.arange(start, min(start + 16, d))
+            vertices = np.zeros((len(k), d, d), dtype=np.complex128)
+            vertices[np.arange(len(k)), k, k] = 1.0
+            values, margins, detected = source.evaluate_batch(vertices)
+            assert values.tobytes() == want[:, k].tobytes()
+            assert (margins <= 0.0).all() and not detected.any()

@@ -20,10 +20,8 @@ from cohwit import (
     sample_ensemble,
     sample_ginibre,
     verify_coverage,
-    verify_incoherent_containment,
-    witness,
 )
-from cohwit import linalg, verify
+from cohwit import verify
 from cohwit.cli import document_bytes, run
 from cohwit.verify import MAX_COVERAGE_BYTES, bloch_bytes, bloch_grid, sweep_bytes
 
@@ -31,19 +29,6 @@ from cohwit.verify import MAX_COVERAGE_BYTES, bloch_bytes, bloch_grid, sweep_byt
 def chunked(monkeypatch, k: int, d: int, n_members: int) -> None:
     """Make a sweep of n_members members at dim d take k states a chunk."""
     monkeypatch.setattr(verify, "_CHUNK_ITEMS", k * (n_members + d * d))
-
-
-def narrowed(monkeypatch, shrink: float) -> None:
-    """Fault-inject the containment sweep: every family it builds has each
-    member's interval narrowed by ``shrink`` on both sides."""
-    build = WitnessFamily._from_stack
-
-    def narrow(*args, **kwargs):
-        family = build(*args, **kwargs)
-        family._bounds = family._bounds + np.array([[shrink], [-shrink], [0.0]])
-        return family
-
-    monkeypatch.setattr(WitnessFamily, "_from_stack", narrow)
 
 
 class TestMixedEnsemble:
@@ -54,72 +39,6 @@ class TestMixedEnsemble:
 
     def test_deterministic(self):
         assert np.array_equal(sample_ensemble(2, 10, 5), sample_ensemble(2, 10, 5))
-
-
-class TestIncoherentContainment:
-    def test_passes_on_valid_sweep(self):
-        report = verify_incoherent_containment(3, 100, 1000, 2024)
-        assert report.passed
-        assert report.worst_violation <= 1e-12
-
-    def test_minimal_sweep(self):
-        assert verify_incoherent_containment(2, 1, 1, 0).passed
-
-    def test_injected_fault_is_caught(self, monkeypatch):
-        narrowed(monkeypatch, 0.1)
-        report = verify_incoherent_containment(3, 20, 200, 2024)
-        assert not report.passed
-        assert report.worst_violation > 0.0
-
-    def test_deterministic_report(self):
-        assert verify_incoherent_containment(2, 5, 50, 9) == verify_incoherent_containment(
-            2, 5, 50, 9
-        )
-
-    def test_builds_no_witness(self, monkeypatch):
-        # The family is the sampled Hermitian stack itself, one row per member.
-        expected = verify_incoherent_containment(4, 20, 200, 11)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Witness was built")
-
-        monkeypatch.setattr(witness.Witness, "__init__", refuse)
-        assert verify_incoherent_containment(4, 20, 200, 11) == expected
-
-    def test_oversized_sweep_rejected_before_sampling(self, monkeypatch):
-        # A lowered cap refuses a small sweep, so no refused sweep is large.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the sweep sampled before its size check")
-
-        need = sweep_bytes(4, 20, True)
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "MAX_COVERAGE_BYTES", need - 1)
-            patch.setattr(verify, "sample_hermitian_batch", refuse)
-            patch.setattr(verify, "_ensemble_chunks", refuse)
-            with pytest.raises(InvalidParameterError, match=f"20 members at d=4 needs about {need} bytes"):
-                verify_incoherent_containment(4, 20, 200, 11)
-        monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", need)
-        assert verify_incoherent_containment(4, 20, 200, 11).passed
-
-    @pytest.mark.parametrize(
-        "d,n_witnesses,n_states", [(4, 50, 2000), (12, 300, 200), (30, 40, 500), (60, 10, 300), (2, 2000, 2000)]
-    )
-    def test_estimate_covers_the_traced_peak(self, d, n_witnesses, n_states):
-        tracemalloc.start()
-        try:
-            verify_incoherent_containment(d, n_witnesses, n_states, 7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= sweep_bytes(d, n_witnesses, True)
-
-    @pytest.mark.parametrize("d", range(2, 7))
-    def test_report_does_not_depend_on_the_chunk(self, monkeypatch, d):
-        narrowed(monkeypatch, 1e-3)
-        whole = verify_incoherent_containment(d, 5, 20, 3)
-        for k in (1, 3, 7):
-            chunked(monkeypatch, k, d, 5)
-            assert verify_incoherent_containment(d, 5, 20, 3) == whole
 
 
 class TestCoverage:
