@@ -428,9 +428,7 @@ def _cmd_verify(args) -> int:
             raise DocumentError(f"family dim {family.dim} does not match --d {args.d}")
     else:
         family = finite_family(args.d, args.K)
-    report = verify_coverage(
-        family, args.d, args.samples, args.seed, coherence_threshold=args.threshold
-    )
+    report = verify_coverage(family, args.samples, args.seed, coherence_threshold=args.threshold)
     print(
         json.dumps(
             {

@@ -8,9 +8,11 @@ family detects every coherent state of an ensemble, and
 :func:`qubit_geometry_check` compares qubit verdicts with the plane
 predicate on a lattice.
 
-Every sweep is deterministic in (inputs, seed): state t of an ensemble uses
-sub-seed ``seed + t``, so runs can be partitioned or replayed from the report
-alone.  Reports carry their seed and tolerances for that reason.
+Every sweep is deterministic in its inputs: state t of an ensemble uses
+sub-seed ``seed + t``, so runs can be partitioned.  A report carries every
+input of its sweep but the family's members: its dim, number of states,
+seed and tolerances, and the family's label.  So every report can be
+replayed from its own fields.
 
 A sweep samples, evaluates and tallies one chunk of states at a time, so
 :func:`sweep_bytes` bounds what it holds without its number of states.  Each
@@ -22,20 +24,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import InvalidParameterError
 from .linalg import MAX_COVERAGE_BYTES, _require_bytes  # the cap, re-exported
 from .rng import Seed
-from .states import (
-    _BLOCK_ENTRIES,
-    DensityMatrix,
-    _ensemble_chunks,
-    l1_coherence_batch,
-)
+from .states import _BLOCK_ENTRIES, _ensemble_chunks, l1_coherence_batch
 from .generators import _qubit_matrices
 from .witness import WitnessFamily, _slack, is_effective_qubit, qubit_witness
 
@@ -133,49 +128,44 @@ def _tally(family: WitnessFamily, threshold: float, chunk: np.ndarray) -> tuple[
 
 def verify_coverage(
     family: WitnessFamily,
-    d: int,
     n_states: int,
     seed: Seed,
     *,
     coherence_threshold: float = COHERENCE_THRESHOLD,
-    extra_states: Sequence[DensityMatrix] = (),
 ) -> CoverageReport:
-    """Evaluate every family member on a mixed ensemble and tally detection.
+    """Evaluate every family member on the mixed ensemble of ``n_states``
+    states at the family's dimension and tally detection.
 
-    ``extra_states`` are appended after the sampled ensemble; they make
-    targeted blind spots testable without changing the sampling contract.
-    Rejects a negative ``n_states``, a sweep of no state at all (no sampled
-    and no extra state), a negative or non-finite ``coherence_threshold``,
-    and a sweep whose :func:`sweep_bytes` exceed ``MAX_COVERAGE_BYTES``.
+    The report's dim, n_states, seed and coherence_threshold are, with the
+    family, all that the sweep reads, so ``verify_coverage(family,
+    report.n_states, report.seed,
+    coherence_threshold=report.coherence_threshold)`` gives the same report
+    again.  Rejects a sweep of no state, a negative ``n_states``, a negative
+    or non-finite ``coherence_threshold``, and a sweep whose
+    :func:`sweep_bytes` exceed ``MAX_COVERAGE_BYTES``.
     """
     if not (math.isfinite(coherence_threshold) and coherence_threshold >= 0.0):
         raise InvalidParameterError(
             f"coherence threshold must be finite and nonnegative, got {coherence_threshold}"
         )
-    if n_states == 0 and not extra_states:
-        raise InvalidParameterError("a coverage sweep needs at least one state, sampled or extra")
-    if family.dim != d:
-        raise DimensionMismatchError(f"family dim {family.dim} does not match d={d}")
-    for s in extra_states:
-        if s.dim != d:
-            raise DimensionMismatchError(f"extra state dim {s.dim} does not match d={d}")
+    if n_states == 0:
+        raise InvalidParameterError("a coverage sweep needs at least one state")
+    d = family.dim
     need = sweep_bytes(d, len(family), family._holds_matrices)
     _require_bytes(need, f"a sweep of {len(family)} members at d={d}")
-    step = _chunk_states(d, len(family))
-    starts = range(0, len(extra_states), step)
-    extra = (np.array([s.matrix for s in extra_states[i : i + step]]) for i in starts)
     totals = np.zeros(4 + len(family), dtype=np.int64)
     low = math.inf
     # map holds no chunk between its calls, so one chunk is held at a time.
     tally = functools.partial(_tally, family, coherence_threshold)
-    for counts, least in map(tally, chain(_ensemble_chunks(d, n_states, seed, step), extra)):
+    chunks = _ensemble_chunks(d, n_states, seed, _chunk_states(d, len(family)))
+    for counts, least in map(tally, chunks):
         totals += counts
         low = min(low, least)
     n_coherent, n_detected, n_false_alarm, n_missed = totals[:4].tolist()
     eps = family.detect_eps
     return CoverageReport(
         dim=d,
-        n_states=n_states + len(extra_states),
+        n_states=n_states,
         n_coherent=n_coherent,
         n_detected=n_detected,
         n_false_alarm=n_false_alarm,
@@ -201,17 +191,6 @@ def _ball_lattice(grid_n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray
     axis = np.linspace(-1.0, 1.0, grid_n)
     sq = axis * axis
     return axis, np.nonzero((sq[:, None] + sq)[:, :, None] + sq <= 1.0)
-
-
-def bloch_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """In-ball points of the grid_n**3 lattice over [-1, 1]^3.
-
-    Points are ordered by x, then y, then z ascending; the same order is used
-    by the CLI point-cloud output.  Rejects ``grid_n < 2`` and a lattice
-    whose :func:`bloch_bytes` exceed ``MAX_COVERAGE_BYTES``.
-    """
-    axis, (i, j, k) = _ball_lattice(grid_n)
-    return axis[i], axis[j], axis[k]
 
 
 def _qubit_lattice(K: float, a: float, b: float, c: float, grid_n: int):

@@ -321,10 +321,12 @@ class _GeneratorFamily(WitnessFamily):
 
     Member t (pair (j, k) of ``np.triu_indices(d, 1)``, U for t < d(d-1)/2,
     V after) is K/d on the diagonal plus ``_entries[:, t]`` at (j, k) and
-    (k, j), real for U and imaginary for V; ``_cols[:, t]`` are the columns
-    of a state's float view they multiply, Re or Im rho_kj and rho_jk, and
-    ``_coef[:, t]`` the factors, Re of the entries for U and -Im for V.  The
-    entries come from the matrix expression :func:`generator_witness`
+    (k, j), real for U and imaginary for V.  Every diagonal entry is ``_w``,
+    whose imaginary part is +0 for every finite K, so the closed form reads
+    only Re rho_ii of the diagonal.  ``_cols[:, t]`` are the columns of a
+    state's float view the pair entries multiply, Re or Im rho_kj and
+    rho_jk, and ``_coef[:, t]`` the factors, Re of the entries for U and -Im
+    for V.  The entries come from the matrix expression :func:`generator_witness`
     evaluates, so they carry its bits.  The member stack is built each time
     it is read, and the member objects from it on first access to
     ``members``.
@@ -365,18 +367,20 @@ class _GeneratorFamily(WitnessFamily):
         Member (j, k)'s einsum adds its row sums of W rho^T onto +0 in order:
         D_j + O_jk, O_kj + D_k and D_i at every other row i, with D_i =
         Re(w) Re(rho_ii) - Im(w) Im(rho_ii) for the diagonal entry w and O_jk
-        = Re(W_jk) Re(rho_kj) - Im(W_jk) Im(rho_kj).  Here D = sum_i D_i is
-        summed onto +0 once, in row order, and the value is (D + O_jk) + O_kj,
-        with one product per O: the other is a zero times a finite number,
-        and D is never -0, so no zero's sign reaches a value.  At K = 0 every
+        = Re(W_jk) Re(rho_kj) - Im(W_jk) Im(rho_kj).  Im(w) is +0, so each
+        D_i is Re(w) Re(rho_ii) up to the sign of a zero.  Here D is the sum
+        of the Re(w) Re(rho_ii) in row order, then added onto +0: the last
+        addition drops every zero's sign, so D has the bits of the sum of
+        the D_i onto +0 in row order.  The value is (D + O_jk) + O_kj, with one
+        product per O: the other is a zero times a finite number, and D is
+        never -0, so no zero's sign reaches a value.  At K = 0 every
         D_i is a zero, so the values are the einsum's bit for bit; at K != 0
         they can differ from them in the last bits.
         """
         n, d = len(stack), self._dim
         x = np.ascontiguousarray(stack).view(np.float64).reshape(n, 2 * d * d)
-        diag = np.zeros(n)
-        for i in range(0, 2 * d * d, 2 * d + 2):  # Re(rho_ii) at i, Im(rho_ii) at i + 1
-            diag += self._w.real * x[:, i] - self._w.imag * x[:, i + 1]
+        # Re(rho_ii) is column i (2d + 2) of the float view.
+        diag = 0.0 + np.cumsum(self._w.real * x[:, :: 2 * d + 2], axis=1)[:, -1]
         # Each column is scaled in its gather buffer: two floats per pair.
         values = np.take(x, self._cols[0], axis=1)
         values *= self._coef[0]
@@ -512,7 +516,10 @@ def qubit_pair_family(K: float, a1: float, b1: float, a2: float, b2: float) -> W
 
     Requires a1*b2 - a2*b1 != 0 in exact arithmetic: the two in-plane
     directions must not be proportional (this also rules out a zero pair).
-    Non-finite inputs are refused by :func:`qubit_witness`.
+    Non-finite inputs are refused by :func:`qubit_witness`.  A pair that
+    leaves a pure coherent state undetected, because its directions are too
+    short or too close for the tolerance and slack, is built, with a
+    NumericallyMarginalWarning.
     """
     if all(map(math.isfinite, (a1, b1, a2, b2))) and (
         Fraction(a1) * Fraction(b2) == Fraction(a2) * Fraction(b1)
@@ -521,7 +528,26 @@ def qubit_pair_family(K: float, a1: float, b1: float, a2: float, b2: float) -> W
             f"directions ({a1}, {b1}) and ({a2}, {b2}) are proportional or degenerate"
         )
     members = (qubit_witness(K, a1, b1, 0.0), qubit_witness(K, a2, b2, 0.0))
-    return WitnessFamily(label=f"qubit-pair(K={K}, ({a1},{b1}), ({a2},{b2}))", members=members)
+    family = WitnessFamily(label=f"qubit-pair(K={K}, ({a1},{b1}), ({a2},{b2}))", members=members)
+    # Both members have the interval [K/2, K/2], so one slack, and the pure
+    # in-plane states they see least are the unit v perpendicular to u1 - u2
+    # and to u1 + u2.  The directions are scaled by their largest magnitude,
+    # so nothing overflows.  A difference or sum that is zero once scaled is
+    # dropped: the directions are then equal or opposite, and the state from
+    # the other is perpendicular to both.
+    u = np.array([[a1, b1], [a2, b2]]) / max(map(abs, (a1, b1, a2, b2)))
+    w = np.array([u[0] - u[1], u[0] + u[1]])
+    w = w[w.any(axis=1)]
+    w /= np.abs(w).max(axis=1, keepdims=True)
+    v = np.array([-w[:, 1], w[:, 0]]) / np.hypot(w[:, 0], w[:, 1])
+    if not family.evaluate_batch(_qubit_matrices(1.0, *v, 0.0))[2].any(axis=0).all():
+        warnings.warn(
+            f"{family.label} leaves a pure coherent state undetected; "
+            "detection is numerically marginal",
+            NumericallyMarginalWarning,
+            stacklevel=2,
+        )
+    return family
 
 
 def generator_witness(d: int, K: float, coeffs) -> Witness:

@@ -183,7 +183,7 @@ def coverage_runs():
             detected = np.zeros((n, len(stack)), dtype=bool)
             for idx, w in enumerate(family.members):
                 values[idx], margins[idx], detected[idx] = w.evaluate_batch(stack)
-            report = verify_coverage(family, d, 1000, SEED_C5 + d)
+            report = verify_coverage(family, 1000, SEED_C5 + d)
             per_k[K] = {"values": values, "margins": margins, "detected": detected,
                         "report": report}
         runs[d] = {"l1": l1s, "per_k": per_k, "elapsed": time.perf_counter() - start}

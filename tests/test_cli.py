@@ -332,11 +332,11 @@ class TestBloch:
         assert run(["bloch", "--K", "0", "--a", "1", "--b", "0", "--c", "0", "--grid", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
         from cohwit.generators import _qubit_matrices
-        from cohwit.verify import bloch_grid
+        from test_verify import ball_points
 
-        # The rows from a path the command does not share: the coordinate
-        # arrays, one evaluation of them all, and per-row f-strings.
-        x, y, z = bloch_grid(5)
+        # The rows from a path the command does not share: the meshgrid
+        # coordinates, one evaluation of them all, and per-row f-strings.
+        x, y, z = ball_points(5)
         values, _, detected = qubit_witness(0.0, 1.0, 0.0, 0.0).evaluate_batch(_qubit_matrices(1.0, x, y, z))
         verdicts = ["Detected" if hit else "NotDetected" for hit in detected.tolist()]
         rows = zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)

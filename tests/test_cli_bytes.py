@@ -20,12 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import document
 from test_family_stack import reference_matrix
+from test_verify import ball_points
 
 from cohwit import DocumentError, Witness, WitnessFamily, finite_family, qubit_witness, sample_ginibre
 from cohwit import cli
 from cohwit.cli import _read_stack, document_bytes, run, write_bloch_cloud
 from cohwit.generators import _qubit_matrices
-from cohwit.verify import bloch_grid
 
 # --- writer ----------------------------------------------------------------
 
@@ -304,9 +304,10 @@ def test_unreadable_document_exits_2(tmp_path, data):
 
 
 def reference_csv(K, a, b, c, grid):
-    # The coordinate arrays, one evaluation of them all and per-row
-    # f-strings: no step of the command's index-addressed rendering.
-    x, y, z = bloch_grid(grid)
+    # The meshgrid coordinates, one evaluation of them all and per-row
+    # f-strings: no step of the command's lattice or its index-addressed
+    # rendering.
+    x, y, z = ball_points(grid)
     values, _, detected = qubit_witness(K, a, b, c).evaluate_batch(_qubit_matrices(1.0, x, y, z))
     verdicts = ["Detected" if hit else "NotDetected" for hit in detected.tolist()]
     rows = zip(x.tolist(), y.tolist(), z.tolist(), values.tolist(), verdicts)

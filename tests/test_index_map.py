@@ -34,7 +34,7 @@ from cohwit import (
     tailored_witness,
 )
 from cohwit.generators import _operator
-from cohwit.verify import verify_coverage
+from cohwit.verify import COHERENCE_THRESHOLD, _tally, verify_coverage
 
 DIMS = range(2, 13)
 
@@ -226,20 +226,26 @@ def test_generator_family_kernel_matches_member_kernel(d, K):
     materialized members.  At K = 0 they agree bit for bit.  At K != 0 the
     closed form sums the diagonal terms in another order, so each value is
     held to the recursive-summation bound, every verdict must agree and the
-    sweep reports may differ only in min_margin_detected."""
+    sweep reports, and the tallies of the targeted states, may differ only
+    in their least detected margin."""
     stack, extra = kernel_stack(d)
+    targeted = np.array([s.matrix for s in extra])
     for coeffs in kernel_coefficients(d):
         family = finite_family(d, K, coeffs)
         got = family.evaluate_batch(stack)
-        report = verify_coverage(family, d, 16, 900 + d, extra_states=extra)
+        report = verify_coverage(family, 16, 900 + d)
+        counts, low = _tally(family, COHERENCE_THRESHOLD, targeted)
         assert "members" not in vars(family)  # evaluation built no member
         oracle = WitnessFamily(label=family.label, members=family.members)
         want = oracle.evaluate_batch(stack)
-        expected = verify_coverage(oracle, d, 16, 900 + d, extra_states=extra)
+        expected = verify_coverage(oracle, 16, 900 + d)
+        expected_counts, expected_low = _tally(oracle, COHERENCE_THRESHOLD, targeted)
+        assert same_bits(counts, expected_counts)
         if K == 0.0:
             for a, b in zip(got, want):
                 assert same_bits(a, b)
             assert report == expected
+            assert same_bits(low, expected_low)
             continue
         bound = summation_bound(family, stack)
         assert np.all(np.abs(got[0] - want[0]) <= bound)

@@ -117,8 +117,10 @@ def test_l1_is_exactly_zero_on_diagonal_states(d, data):
     assert values.tolist() == [0.0] * len(diagonals)
     assert not np.signbit(values).any()
     # The same through a validated state: probabilities with edge entries,
-    # the last one carrying the trace.
-    edges = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16, 0.25, -0.5e-9])
+    # the last one carrying the trace.  The largest entry is 1/8, so the
+    # d - 1 <= 8 drawn entries sum to at most 1 and the last stays a
+    # probability.
+    edges = st.sampled_from([0.0, 5e-324, 1e-300, 1e-16, 0.125, -0.5e-9])
     probs = np.array(data.draw(st.lists(edges, min_size=d - 1, max_size=d - 1)))
     probs = np.append(probs, 1.0 + data.draw(st.sampled_from([0.0, 0.5e-9, -0.5e-9])) - probs.sum())
     value = l1_coherence(DensityMatrix(np.diag(probs).astype(np.complex128)))

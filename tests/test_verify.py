@@ -7,7 +7,6 @@ from test_generators import traced_peak
 from cohwit import (
     DETECT_EPS,
     DensityMatrix,
-    DimensionMismatchError,
     InvalidParameterError,
     WitnessFamily,
     ZeroOperatorError,
@@ -23,7 +22,17 @@ from cohwit import (
 )
 from cohwit import verify
 from cohwit.cli import document_bytes, run
-from cohwit.verify import MAX_COVERAGE_BYTES, bloch_bytes, bloch_grid, sweep_bytes
+from cohwit.verify import COHERENCE_THRESHOLD, MAX_COVERAGE_BYTES, _ball_lattice, _tally, bloch_bytes, sweep_bytes
+
+
+def ball_points(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The in-ball points of the grid**3 lattice over [-1, 1]^3, ordered by
+    x, then y, then z, from the meshgrid expression the lattice was first
+    built with: no lattice code of the library."""
+    axis = np.linspace(-1.0, 1.0, grid)
+    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
+    mask = X * X + Y * Y + Z * Z <= 1.0
+    return X[mask], Y[mask], Z[mask]
 
 
 def chunked(monkeypatch, k: int, d: int, n_members: int) -> None:
@@ -43,7 +52,7 @@ class TestMixedEnsemble:
 
 class TestCoverage:
     def test_full_family_passes(self):
-        report = verify_coverage(finite_family(3, 1.0), 3, 400, 777)
+        report = verify_coverage(finite_family(3, 1.0), 400, 777)
         assert type(report.passed) is bool and report.passed
         assert report.n_false_alarm == 0
         assert report.n_detected == report.n_coherent == 200
@@ -57,26 +66,21 @@ class TestCoverage:
             label="blind", members=(generator_witness(2, 0.0, [0.0, 1.0, 0.0]),)
         )
         blind_spot = DensityMatrix(np.array([[0.5, 0.3j], [-0.3j, 0.5]]))
-        report = verify_coverage(family, 2, 50, 101, extra_states=[blind_spot])
-        assert type(report.passed) is bool and not report.passed
-        assert report.n_states == 51
-        assert report.n_detected < report.n_coherent
+        counts, low = _tally(family, COHERENCE_THRESHOLD, blind_spot.matrix[None])
+        # coherent, detected, false alarms, misses, then the member's hits
+        assert counts.tolist() == [1, 0, 0, 1, 0]
+        assert low == float("inf")
 
     def test_sweep_of_no_state_rejected(self):
         # A sweep of no state would PASS vacuously.
         with pytest.raises(InvalidParameterError, match="at least one state"):
-            verify_coverage(finite_family(2), 2, 0, 0)
+            verify_coverage(finite_family(2), 0, 0)
         with pytest.raises(InvalidParameterError, match="at least one state"):
-            verify_coverage(finite_family(3), 3, 0, 1)
-        # Extra states alone make a sweep.
-        report = verify_coverage(finite_family(2), 2, 0, 0, extra_states=[sample_ginibre(2, 7)])
-        assert report.passed
-        assert report.n_states == report.n_coherent == report.n_detected == 1
-        assert report.seed == 0
+            verify_coverage(finite_family(3), 0, 1)
 
     def test_negative_sample_count_rejected(self):
         with pytest.raises(InvalidParameterError):
-            verify_coverage(finite_family(2), 2, -4, 0)
+            verify_coverage(finite_family(2), -4, 0)
         with pytest.raises(InvalidParameterError):
             sample_ensemble(2, -4, 0)
 
@@ -115,7 +119,7 @@ class TestCoverage:
         n, members = 40, 180 if d == 90 else d * (d - 1)
         tracemalloc.start()
         try:
-            verify_coverage(finite_family(d), d, n, 1)
+            verify_coverage(finite_family(d), n, 1)
             builtin = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -124,7 +128,7 @@ class TestCoverage:
         tracemalloc.start()
         try:
             family = WitnessFamily._from_stack("stacked", np.stack(matrices), [DETECT_EPS] * members)
-            verify_coverage(family, d, n, 1)
+            verify_coverage(family, n, 1)
             stacked = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -138,7 +142,7 @@ class TestCoverage:
         chunked(monkeypatch, k, d, m)
         tracemalloc.start()
         try:
-            verify_coverage(finite_family(d), d, k + 1, 1)
+            verify_coverage(finite_family(d), k + 1, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,7 +161,7 @@ class TestCoverage:
             del witnesses
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            verify_coverage(family, d, n, 1)
+            verify_coverage(family, n, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -169,7 +173,7 @@ class TestCoverage:
         d = 8
         family = finite_family(d)
         chunked(monkeypatch, 50, d, len(family))
-        small, large = (traced_peak(lambda: verify_coverage(family, d, n, 1)) for n in (100, 1000))
+        small, large = (traced_peak(lambda: verify_coverage(family, n, 1)) for n in (100, 1000))
         assert large <= 1.02 * small
 
     @pytest.mark.parametrize("d", range(2, 7))
@@ -178,31 +182,34 @@ class TestCoverage:
         # 30 states: chunks of 3 and 7 states straddle the boundary between
         # the full-rank half and the diagonal half.
         family = finite_family(d, K)
-        whole = verify_coverage(family, d, 30, 5)
+        whole = verify_coverage(family, 30, 5)
         for k in (1, 3, 7):
             chunked(monkeypatch, k, d, len(family))
-            assert verify_coverage(family, d, 30, 5) == whole
+            assert verify_coverage(family, 30, 5) == whole
 
     @pytest.mark.parametrize("k", [1, 3, 7])
-    def test_extra_states_across_chunk_boundaries(self, monkeypatch, k):
-        # A blind one-member family at d = 2, and twice the I/4 state with
-        # rho_01 = 2.5e-8, which the built-in family detects though its l1
-        # coherence is under the threshold: two false alarms.  The extra
-        # states fill one chunk of 3 and part of the next.
+    def test_extra_states_across_chunk_boundaries(self, k):
+        # Chosen states, tallied whole and in chunks of k, which split them
+        # at other boundaries: the counts sum to the whole's, and the least
+        # margin is the least of the chunks'.  A blind one-member family at
+        # d = 2 misses its blind spot; the built-in family at d = 4 detects
+        # twice the I/4 state with rho_01 = 2.5e-8 though its l1 coherence is
+        # under the threshold: two false alarms.
         blind = WitnessFamily("blind", [generator_witness(2, 0.0, [0.0, 1.0, 0.0])])
         spots = [DensityMatrix(np.array([[0.5, 0.3j], [-0.3j, 0.5]])), sample_ginibre(2, 4)] * 2 + [
             DensityMatrix(np.eye(2) / 2)
         ]
         mixed = np.eye(4, dtype=complex) / 4
         mixed[0, 1] = mixed[1, 0] = 2.5e-8
-        cases = [(blind, 2, spots), (finite_family(4), 4, [sample_ginibre(4, 9), DensityMatrix(mixed)] * 2)]
-        for family, d, extra in cases:
-            whole = verify_coverage(family, d, 5, 17, extra_states=extra)
-            with monkeypatch.context() as patch:
-                chunked(patch, k, d, len(family))
-                assert verify_coverage(family, d, 5, 17, extra_states=extra) == whole
-            assert not whole.passed
-        assert whole.n_false_alarm == 2
+        cases = [(blind, spots), (finite_family(4), [sample_ginibre(4, 9), DensityMatrix(mixed)] * 2)]
+        for family, states in cases:
+            stack = np.array([s.matrix for s in states])
+            counts, low = _tally(family, COHERENCE_THRESHOLD, stack)
+            parts = [_tally(family, COHERENCE_THRESHOLD, stack[i : i + k]) for i in range(0, len(stack), k)]
+            assert np.array_equal(sum(c for c, _ in parts), counts)
+            assert min(least for _, least in parts) == low
+            assert counts[2] + counts[3] > 0  # a false alarm or a miss: FAIL
+        assert counts[:4].tolist() == [2, 4, 2, 0]
 
     def test_lattice_and_document_estimates(self):
         # 128 B per lattice point plus 2 MiB; 144 B per member entry plus 64 B per entry.
@@ -242,38 +249,27 @@ class TestCoverage:
 
         monkeypatch.setattr(np, "linspace", refuse)
         with pytest.raises(InvalidParameterError, match="bytes"):
-            bloch_grid(2000)
+            _ball_lattice(2000)
         with pytest.raises(InvalidParameterError, match="bytes"):
             qubit_geometry_check(0.0, 1.0, 0.0, 0.0, 204)
 
     def test_monotone_in_members(self):
         full = finite_family(2, 0.0)
         partial = WitnessFamily(label="partial", members=full.members[:1])
-        small = verify_coverage(partial, 2, 200, 313)
-        big = verify_coverage(full, 2, 200, 313)
+        small = verify_coverage(partial, 200, 313)
+        big = verify_coverage(full, 200, 313)
         assert small.n_detected <= big.n_detected
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            verify_coverage(finite_family(2), 3, 10, 0)
-
-    def test_extra_state_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            verify_coverage(finite_family(2), 2, 10, 0, extra_states=[sample_ginibre(3, 1)])
 
     def test_deterministic_report(self):
         fam = finite_family(2, 1.0)
-        assert verify_coverage(fam, 2, 100, 55) == verify_coverage(fam, 2, 100, 55)
+        assert verify_coverage(fam, 100, 55) == verify_coverage(fam, 100, 55)
 
 
 @pytest.mark.parametrize("grid", [*range(2, 65), 91])
 def test_lattice_is_the_meshgrid_lattice_bit_for_bit(grid):
-    # The oracle is the meshgrid expression the lattice was first built with.
-    axis = np.linspace(-1.0, 1.0, grid)
-    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
-    mask = X * X + Y * Y + Z * Z <= 1.0
-    for got, want in zip(bloch_grid(grid), (X[mask], Y[mask], Z[mask])):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    axis, ijk = _ball_lattice(grid)
+    for t, want in zip(ijk, ball_points(grid)):
+        assert np.array_equal(axis[t].view(np.int64), want.view(np.int64))
 
 
 class TestQubitGeometry:
@@ -302,7 +298,7 @@ class TestQubitGeometry:
     def test_lattice_with_no_point_in_the_ball_rejected(self):
         # Every point of the 2**3 lattice is a corner of the cube, outside the
         # ball; a check of no point would PASS vacuously.
-        assert bloch_grid(2)[0].size == 0
+        assert _ball_lattice(2)[1][0].size == 0
         with pytest.raises(InvalidParameterError, match="no point in the ball"):
             qubit_geometry_check(0.0, 1.0, 1.0, 1.0, 2)
         assert qubit_geometry_check(0.0, 1.0, 1.0, 1.0, 3).n_points == 7

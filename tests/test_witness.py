@@ -355,10 +355,40 @@ class TestQubitPairFamily:
             qubit_pair_family(0.0, 1e200, 1e200, 1e200, 1e200)
 
     def test_perpendicular_directions_accepted_where_the_cross_product_underflows(self):
-        # a1*b2 - a2*b1 is 0 in floats, and 1e-340 exactly.
-        fam = qubit_pair_family(0.0, 1e-170, 0.0, 0.0, 1e-170)
+        # a1*b2 - a2*b1 is 0 in floats, and 1e-340 exactly.  Directions this
+        # short detect no state, which the family warns of.
+        with pytest.warns(NumericallyMarginalWarning, match="undetected"):
+            fam = qubit_pair_family(0.0, 1e-170, 0.0, 0.0, 1e-170)
         assert len(fam) == 2
         assert fam.members[0].matrix[0, 1] == 5e-171 and fam.members[1].matrix[0, 1] == -5e-171j
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (0.0, 2e-9, 0.0, 0.0, 2e-9),  # below the 2 (eps + slack) a margin must clear
+            (1e9, 1.0, 0.0, 0.0, 1.0),  # a slack of K/2 * TRACE_DEV
+            (0.0, 1.0, 0.0, 1.0, 1e-12),  # nearly proportional
+            (0.0, 1e200, 1e-200, 1e200, 2e-200),  # equal once scaled
+        ],
+    )
+    def test_pair_that_misses_a_pure_state_warns(self, params):
+        with pytest.warns(NumericallyMarginalWarning, match="leaves a pure coherent state undetected"):
+            fam = qubit_pair_family(*params)
+        _, a1, b1, a2, b2 = params
+        # The pure state perpendicular to u1 + u2 is missed by both members.
+        x, y = -(b1 + b2), a1 + a2
+        r = math.hypot(x, y)
+        assert not fam.detects(qubit_state(x / r, y / r, 0.0))
+
+    @pytest.mark.parametrize(
+        "params",
+        [(0.0, 3e-9, 0.0, 0.0, 3e-9), (0.0, 1.0, 0.0, 0.0, 1.0), (0.0, 1e200, 1e200, 1e200, -1e200)],
+    )
+    def test_pair_that_detects_every_pure_state_is_quiet(self, params):
+        # A NumericallyMarginalWarning fails the test (tests/conftest.py).
+        fam = qubit_pair_family(*params)
+        angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        assert all(fam.detects(qubit_state(math.cos(t), math.sin(t), 0.0)) for t in angles)
 
     def test_covers_all_coherent_qubit_states(self):
         fam = qubit_pair_family(1.0, 1.0, 1.0, 1.0, -1.0)
@@ -498,6 +528,32 @@ class TestFiniteFamily:
             va = [r.detected for r in fam_a.evaluate(rho)]
             vb = [r.detected for r in fam_b.evaluate(rho)]
             assert va == vb
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 12, 28])
+    @pytest.mark.parametrize("K", [0.0, -0.0, 37.0, -2.5, 1e-300, -1e300, 5e-324])
+    def test_closed_form_diagonal_is_the_row_loop_bit_for_bit(self, d, K):
+        # The closed form as it summed its diagonal first: row by row onto
+        # +0, Im(w) Im(rho_ii) term included.  The diagonals have imaginary
+        # parts, signed zeros and negative entries down to -1e-10; a quarter
+        # of the states have -0 off the diagonal, where a diagonal sum of -0
+        # would reach the value.
+        family = finite_family(d, K)
+        rng = np.random.default_rng(d)
+        n = 100
+        stack = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        stack[: n // 4, ~np.eye(d, dtype=bool)] = complex(-0.0, -0.0)
+        edges = np.array([0.0, -0.0, -1e-10, -3e-11, 5e-324, -5e-324])
+        diag = np.empty((n, d), dtype=np.complex128)
+        diag.real = np.where(rng.random((n, d)) < 0.5, rng.choice(edges, (n, d)), rng.random((n, d)))
+        diag.imag = rng.choice([0.0, -0.0, 5e-11, -5e-11, 0.25], (n, d))
+        stack[:, np.arange(d), np.arange(d)] = diag
+        x = stack.view(np.float64).reshape(n, 2 * d * d)
+        loop = np.zeros(n)
+        for i in range(0, 2 * d * d, 2 * d + 2):
+            loop += family._w.real * x[:, i] - family._w.imag * x[:, i + 1]
+        want = np.take(x, family._cols[0], axis=1) * family._coef[0] + loop[:, None]
+        want += np.take(x, family._cols[1], axis=1) * family._coef[1]
+        assert family._values(stack).tobytes() == want.T.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 12, 100])
     def test_estimate_covers_the_traced_peak(self, d):

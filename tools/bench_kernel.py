@@ -22,6 +22,10 @@ One run, on ``sample_ensemble(d, n, seed)`` and ``finite_family(d)``, times:
   same run, to set beside ``verify_coverage_s`` (each median comes from its
   own run, so the medians of the parts need not add up).
 
+Both trees are called as ``verify_coverage(family, n_states, seed)``, with
+the dimension read from the family, so a tree whose ``verify_coverage``
+still takes ``d`` cannot be timed with this tool.
+
 The file records the machine, every run, each side's median, the
 change/parent median ratios, and whether both sides produced the same
 kernel values and the same report on every run (the SHA-256 of each).
@@ -66,7 +70,7 @@ def worker(tree: str, d: int, n: int, seed: int) -> dict:
         return wrapped
 
     family = finite_family(d)
-    verify_coverage(family, d, 2, seed)  # imports, tables and caches, before timing
+    verify_coverage(family, 2, seed)  # imports, tables and caches, before timing
     validate_block = states._validate_block
     states._validate_block = spy("validate", validate_block)
     stack, sample = timed(sample_ensemble, d, n, seed)
@@ -78,7 +82,7 @@ def worker(tree: str, d: int, n: int, seed: int) -> dict:
     del stack
     states._ensemble_rows = spy("sample", states._ensemble_rows)  # the sweep samples one chunk a call
     family.evaluate_batch = spy("evaluate", family.evaluate_batch)
-    report, sweep = timed(verify_coverage, family, d, n, seed)
+    report, sweep = timed(verify_coverage, family, n, seed)
     reduce = sweep - inside["sample"] - inside["evaluate"]
     return {
         "sample_s": sample - inside["validate"],
