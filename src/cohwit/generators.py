@@ -30,7 +30,9 @@ only the indices >= d, which is what ``offdiag_support`` reads off.
 
 The d = 2 case written with the Pauli matrices, (K I + a sigma_x + b sigma_y
 + c sigma_z) / 2, is ``_qubit_matrices``: the qubit witness is its one-point
-case, the qubit state and the ``bloch`` lattice its K = 1 case.
+case and the qubit state its K = 1 case.  The ``bloch`` lattice reads the
+K = 1 case on its axis only, one point per axis value, and builds no matrix
+for a lattice point.
 """
 
 from __future__ import annotations

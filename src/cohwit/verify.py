@@ -32,7 +32,7 @@ from .linalg import MAX_COVERAGE_BYTES, _require_bytes  # the cap, re-exported
 from .rng import Seed
 from .states import _BLOCK_ENTRIES, _ensemble_chunks, l1_coherence_batch
 from .generators import _qubit_matrices
-from .witness import WitnessFamily, _slack, is_effective_qubit, qubit_witness
+from .witness import WitnessFamily, _slack, _verdicts, is_effective_qubit, qubit_witness
 
 # States with l1 coherence at or below this are exempt from detection demands:
 # their witness margins sit below numerical resolution.
@@ -104,13 +104,17 @@ def sweep_bytes(d: int, n_members: int, holds_matrices: bool) -> int:
 
 def bloch_bytes(grid_n: int) -> int:
     """Bytes the ``bloch`` command holds at once for a grid_n**3 lattice.
-    Per point in the ball it holds three axis indices, the point's 2 x 2
-    matrix while the lattice is evaluated, its value and verdict, and, while
-    the CSV is written, the value column's sorted bit patterns and indices
-    and a formatted string per distinct value.  At grid_n = 121 its traced
-    peak is about 85 bytes per point of the cube when every value is distinct
-    and 24 characters long, and 74 when few are.  Counting 128 bytes per
-    point of the cube and 2 MiB covers that and the command's fixed costs."""
+    Per point in the ball it holds three axis indices, the per-axis terms
+    gathered for it while the lattice is evaluated (no 2 x 2 matrix), its
+    value and verdict, and, while the CSV is written, the value column's
+    sorted bit patterns and indices and a formatted string per distinct
+    value.  At grid_n = 121 its traced peak is about 83 bytes per point of
+    the cube when every value is distinct and 24 characters long, set by the
+    writer's strings, and 30 when few are.  Counting 128 bytes per point of
+    the cube and 2 MiB covers that and the command's fixed costs.  The
+    charge stays at 128 because the peak it must cover is the writer's,
+    which evaluating from per-axis terms does not lower, and so the largest
+    grid the cap accepts stays 203."""
     return 128 * grid_n**3 + 2**21
 
 
@@ -196,17 +200,38 @@ def _ball_lattice(grid_n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray
 def _qubit_lattice(K: float, a: float, b: float, c: float, grid_n: int):
     """The qubit witness (K, a, b, c), the :func:`_ball_lattice` axis and
     index arrays, and the witness's values and verdict mask on those points,
-    from one evaluation of the whole lattice; the grid is validated first."""
-    axis, ijk = _ball_lattice(grid_n)
+    from tables over the axis; the grid is validated first.
+
+    The values are the kernel's, ``Witness.evaluate_batch`` of the points'
+    ``_qubit_matrices(1.0, x, y, z)``, bit for bit, with no point's matrix
+    built.  The kernel sums each row r of W rho^T onto +0, one term T_rs =
+    Re W_rs Re rho_sr - Im W_rs Im rho_sr at a time, and then the rows onto
+    +0.  Of a point's matrix, rho_00 and rho_11 read z only, Re rho_01 and
+    Re rho_10 x only, and Im rho_01 and Im rho_10 y only, each up to the
+    sign of a zero.  So T_00 and T_11 are tables over k and T_01 and T_10
+    tables over (i, j), all taken from the G points ``_qubit_matrices(1.0,
+    axis, axis, axis)``, and a value is 0 + ((T_00 + T_01) + (T_10 +
+    T_11)).  A zero term cannot change a sum that started from +0, and the
+    leading 0 + gives a zero total the kernel's sign, +0, so the sign of a
+    zero entry of rho never reaches a value.
+    """
+    axis, (i, j, k) = _ball_lattice(grid_n)
     w = qubit_witness(K, a, b, c)
-    values, _, detected = w.evaluate_batch(_qubit_matrices(1.0, *(axis[t] for t in ijk)))
-    return w, (axis, ijk, values, detected)
+    W, rho = w.matrix, _qubit_matrices(1.0, axis, axis, axis)
+    re, im = rho.real.T, rho.imag.T  # re[r, s] is Re rho_sr at every axis value
+    T00, T11 = (W[r, r].real * re[r, r] - W[r, r].imag * im[r, r] for r in (0, 1))
+    T01, T10 = (W[r, s].real * re[r, s][:, None] - W[r, s].imag * im[r, s] for r, s in ((0, 1), (1, 0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # _verdicts refuses a non-finite value
+        values = 0.0 + ((T00[k] + T01[i, j]) + (T10[i, j] + T11[k]))
+    _, detected = _verdicts(w, values[None])
+    return w, (axis, (i, j, k), values, detected[0])
 
 
 def qubit_geometry_check(K: float, a: float, b: float, c: float, grid_n: int) -> GeometryReport:
     """Compare witness verdicts against |ax + by + cz| > |c| on a ball lattice.
 
-    Verdicts come from the actual matrix evaluation; the predicate is computed
+    Verdicts come from the witness's matrix entries, computed in the
+    kernel's arithmetic (:func:`_qubit_lattice`); the predicate is computed
     independently from the coordinates with the same 2 * (detect_eps + slack)
     buffer, so boundary-plane lattice points agree on NotDetected from both
     sides.  A lattice with no point in the ball (grid_n = 2) is rejected.

@@ -125,14 +125,9 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``source`` is a member table (a Witness is its one-member case): its
     (3, members) ``_bounds`` of :func:`_table` and its members' values from
     ``_values``.  ``stack`` has shape (n, d, d); each result has shape
-    (members, n).  This is the one home of the margin rule
-    ``max(lo - value, value - hi)`` and of the verdict ``margin > detect_eps +
-    slack``, with the slack of :func:`_slack`, so no diagonal state that
-    validation accepts is ever detected, at any detect_eps >= 0, zero
-    included.
-    A state with a NaN or infinite entry raises NonFiniteError naming the
-    first such state, before any value is computed, and so does a value or
-    margin that overflows finite inputs.
+    (members, n).  A state with a NaN or infinite entry raises
+    NonFiniteError naming the first such state, before any value is
+    computed; the margins and verdicts are :func:`_verdicts`'.
     """
     d = source.dim
     stack = np.asarray(stack, dtype=np.complex128)
@@ -143,6 +138,20 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.isfinite(stack).all():  # one pass; the state is named only on failure
         _require_finite(stack, "state {t}")
     values = source._values(stack)
+    return values, *_verdicts(source, values)
+
+
+def _verdicts(source, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The margins and verdicts of the (members, n) values of the members of
+    ``source`` on n states.
+
+    This is the one home of the margin rule ``max(lo - value, value - hi)``
+    and of the verdict ``margin > detect_eps + slack``, with the slack of
+    :func:`_slack`, so no diagonal state that validation accepts is ever
+    detected, at any detect_eps >= 0, zero included.  A value or margin that
+    is not finite raises NonFiniteError naming the first such member and
+    state.
+    """
     lo, hi, eps = source._bounds[..., None]
     # Overflow is checked, not warned about: a side of the margin that
     # overflows loses to the other side in np.maximum, a margin that overflows
@@ -152,12 +161,12 @@ def _evaluate(source, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # max(lo - value, value - hi), with operands swapped because np.maximum
         # keeps its second operand on a tie of signed zeros, as max keeps its first.
         margins = np.maximum(values - hi, lo - values)
-        detected = margins > eps + _slack(source._bounds, d)[:, None]
+        detected = margins > eps + _slack(source._bounds, source.dim)[:, None]
     bad = ~np.isfinite(margins)  # NaN or inf values make NaN or inf margins
     if bad.any():
         i, t = np.unravel_index(np.argmax(bad), bad.shape)
         raise NonFiniteError(f"witness {i} on state {t}: value {values[i, t]} or its margin overflows")
-    return values, margins, detected
+    return margins, detected
 
 
 def _reports(source, state: DensityMatrix) -> tuple[DetectionReport, ...]:

@@ -1,3 +1,5 @@
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from cohwit import (
     DETECT_EPS,
     DensityMatrix,
     InvalidParameterError,
+    NonFiniteError,
     WitnessFamily,
     ZeroOperatorError,
     finite_family,
@@ -22,7 +25,10 @@ from cohwit import (
 )
 from cohwit import verify
 from cohwit.cli import document_bytes, run
-from cohwit.verify import COHERENCE_THRESHOLD, MAX_COVERAGE_BYTES, _ball_lattice, _tally, bloch_bytes, sweep_bytes
+from cohwit.generators import _qubit_matrices
+from cohwit.verify import (
+    COHERENCE_THRESHOLD, MAX_COVERAGE_BYTES, _ball_lattice, _qubit_lattice, _tally, bloch_bytes, sweep_bytes
+)
 
 
 def ball_points(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,6 +276,34 @@ def test_lattice_is_the_meshgrid_lattice_bit_for_bit(grid):
     axis, ijk = _ball_lattice(grid)
     for t, want in zip(ijk, ball_points(grid)):
         assert np.array_equal(axis[t].view(np.int64), want.view(np.int64))
+
+
+# Signed zeros, the least subnormal, tiny, unit and huge magnitudes.
+LATTICE_COEFFS = (0.0, -0.0, 5e-324, 1e-300, 1.0, -1.0, 0.5, 1e300)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 4, 41])
+def test_lattice_values_are_the_kernel_values_bit_for_bit(grid):
+    # Every (K, a, b, c) over LATTICE_COEFFS but the zero operators at grids
+    # 3 and 4, every 37th of them at grid 2 (no point) and 41, then one case
+    # near overflow: the values and verdicts of the lattice's per-axis tables
+    # are the einsum kernel's on the points' matrices.  Grids 3 and 4 tell
+    # the tables' grouping from ((T00 + T01) + T10) + T11 in over a thousand
+    # cases.
+    points = _qubit_matrices(1.0, *ball_points(grid))
+    cases = [p for p in itertools.product(LATTICE_COEFFS, repeat=4) if any(p[1:])]
+    for K, a, b, c in [*cases[:: 1 if grid in (3, 4) else 37], (1.5e308, 1e308, 1e308, 0.0)]:
+        values, _, detected = qubit_witness(K, a, b, c).evaluate_batch(points)
+        _, (_, _, got, hits) = _qubit_lattice(K, a, b, c, grid)
+        assert np.array_equal(got.view(np.int64), values.view(np.int64)), (K, a, b, c)
+        assert np.array_equal(hits, detected), (K, a, b, c)
+    if grid == 41:
+        # A sum past the float range at point 22222: both refuse it first.
+        args = (1.7e308, 1.7e308, 1.7e308, 0.0)
+        with pytest.raises(NonFiniteError, match="state 22222") as kernel:
+            qubit_witness(*args).evaluate_batch(points)
+        with pytest.raises(NonFiniteError, match=re.escape(str(kernel.value))):
+            _qubit_lattice(*args, grid)
 
 
 class TestQubitGeometry:
