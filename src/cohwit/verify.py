@@ -81,25 +81,36 @@ class GeometryReport:
     passed: bool
 
 
-def _chunk_states(d: int, n_members: int) -> int:
-    """States per chunk of a sweep of n_members members at dim d."""
-    return max(1, _CHUNK_ITEMS // (n_members + d * d))
+def _chunk_states(d: int, n_members: int, widest: int) -> int:
+    """States per chunk of a sweep of n_members members at dim d, whose
+    member table has ``widest`` slots in its widest row (0 for the built-in
+    family): a (member, state) pair counts once per slot."""
+    return max(1, _CHUNK_ITEMS // (n_members * max(1, widest) + d * d))
 
 
-def sweep_bytes(d: int, n_members: int, holds_matrices: bool) -> int:
+def sweep_bytes(d: int, n_members: int, widest: int) -> int:
     """Bytes a sweep of n_members members at dim d holds at once, whatever
     its number of states, since it holds one chunk (``_chunk_states``) at a
-    time.  Per state of the chunk: 24 bytes per matrix entry, the complex
-    chunk and the float copy the l1 oracle makes, and 41 bytes per member,
-    the kernel's complex values, float margins, two margin temporaries and
-    bool verdicts.  Then 128 bytes per entry of one sampling block, which
-    covers the sampler's temporaries and, with the chunk, the built-in
-    family's construction.  A family that holds member matrices (one built
-    from witnesses or read from a document, not the built-in family) adds 16
-    bytes per member matrix entry."""
+    time.  ``widest`` is the family's ``_widest``, the most nonzero entries
+    in one row of one member, for a family that holds member matrices (one
+    built from witnesses or read from a document), and 0 for the built-in
+    family, which holds none.
+
+    Per state of the chunk: 24 bytes per matrix entry, the complex chunk and
+    the float copy the l1 oracle makes, which also covers the member-table
+    kernel's copy of one column of the chunk, and per member the larger of
+    41 bytes, which covers the float values, float margins, two margin
+    temporaries and bool verdicts, and the member-table kernel's 16 + 16 *
+    widest: its values, a row's sum and the row's gathered slots, two floats
+    each.  Then 128 bytes per entry of one sampling block, which covers the
+    sampler's temporaries and, with the chunk, the built-in family's
+    construction.  A family that holds member matrices adds, per member, 16
+    bytes per matrix entry and 128 bytes per slot of its d rows, for the
+    slot tables the kernel builds on each call (``witness._slot_tables``)."""
     block = max(_BLOCK_ENTRIES, d * d)
-    held = 16 * d * d * n_members if holds_matrices else 0
-    return (24 * d * d + 41 * n_members) * _chunk_states(d, n_members) + 128 * block + held
+    pair = max(41, 16 + 16 * widest)
+    held = (16 * d * d + 128 * d * widest) * n_members if widest else 0
+    return (24 * d * d + pair * n_members) * _chunk_states(d, n_members, widest) + 128 * block + held
 
 
 def bloch_bytes(grid_n: int) -> int:
@@ -155,13 +166,13 @@ def verify_coverage(
     if n_states == 0:
         raise InvalidParameterError("a coverage sweep needs at least one state")
     d = family.dim
-    need = sweep_bytes(d, len(family), family._holds_matrices)
+    need = sweep_bytes(d, len(family), family._widest)
     _require_bytes(need, f"a sweep of {len(family)} members at d={d}")
     totals = np.zeros(4 + len(family), dtype=np.int64)
     low = math.inf
     # map holds no chunk between its calls, so one chunk is held at a time.
     tally = functools.partial(_tally, family, coherence_threshold)
-    chunks = _ensemble_chunks(d, n_states, seed, _chunk_states(d, len(family)))
+    chunks = _ensemble_chunks(d, n_states, seed, _chunk_states(d, len(family), family._widest))
     for counts, least in map(tally, chunks):
         totals += counts
         low = min(low, least)
@@ -204,11 +215,12 @@ def _qubit_lattice(K: float, a: float, b: float, c: float, grid_n: int):
 
     The values are the kernel's, ``Witness.evaluate_batch`` of the points'
     ``_qubit_matrices(1.0, x, y, z)``, bit for bit, with no point's matrix
-    built.  The kernel sums each row r of W rho^T onto +0, one term T_rs =
-    Re W_rs Re rho_sr - Im W_rs Im rho_sr at a time, and then the rows onto
-    +0.  Of a point's matrix, rho_00 and rho_11 read z only, Re rho_01 and
-    Re rho_10 x only, and Im rho_01 and Im rho_10 y only, each up to the
-    sign of a zero.  So T_00 and T_11 are tables over k and T_01 and T_10
+    built.  The member-table kernel (``witness._MemberTable._values``) sums
+    each row r of W rho^T in column order, one term T_rs = Re W_rs Re rho_sr
+    - Im W_rs Im rho_sr at a time, and then the row sums in order onto +0.
+    Of a point's matrix, rho_00 and rho_11 read z only, Re rho_01 and Re
+    rho_10 x only, and Im rho_01 and Im rho_10 y only, each up to the sign
+    of a zero.  So T_00 and T_11 are tables over k and T_01 and T_10
     tables over (i, j), all taken from the G points ``_qubit_matrices(1.0,
     axis, axis, axis)``, and a value is 0 + ((T_00 + T_01) + (T_10 +
     T_11)).  A zero term cannot change a sum that started from +0, and the

@@ -92,7 +92,8 @@ def _slack(bounds: np.ndarray, d: int) -> np.ndarray:
 
     - For p on the simplex, sum_k p_k a_k is a convex combination of the a_k,
       so it lies in [lo, hi].  Its extremes are the vertices |k><k|, where
-      the kernel returns a_k exactly: a product with 1, then sums with zeros.
+      the kernel returns a_k exactly: a product with 1, to which the term of
+      Im W_kk adds a zero, then sums with zeros.
     - A trace off 1 by t and entries down to -PSD_FLOOR move it past hi (or
       lo) by at most max(|lo|, |hi|) * |t| + (d - 1) * (hi - lo) * PSD_FLOOR.
     - The cross term sum_k b_k e_k is at most d * (HERMITICITY_TOL / 2)**2,
@@ -179,18 +180,62 @@ def _reports(source, state: DensityMatrix) -> tuple[DetectionReport, ...]:
     )
 
 
+def _slot_tables(stack: np.ndarray, slots: int):
+    """The gather and factor tables of the member-table kernel for a
+    (members, d, d) stack whose members hold at most ``slots`` nonzero
+    entries in one row: (2, d, slots, members) columns, (2, d, slots,
+    members, 1) factors and the (d,) rows that need two parts.
+
+    Member t's nonzero columns j in row i fill slots (i, 0, t), (i, 1, t),
+    ... in ascending order, and its other slots in the row carry a zero
+    factor.  The columns index row i's (2d, n) column table, Re rho_ji of
+    every state and then Im rho_ji.  A slot's term is part 0 times its
+    factor, plus part 1 times its factor in a row where some entry has a
+    nonzero real and imaginary part: Re W_ij Re rho_ji - Im W_ij Im rho_ji,
+    with the one product that is not a zero where W_ij is real or
+    imaginary.  That term is the einsum's up to the sign of a zero.  The
+    build holds up to about 113 bytes per slot at its peak, on a dense
+    stack (``verify.sweep_bytes`` charges 128)."""
+    m, d = stack.shape[:2]
+    stack = np.ascontiguousarray(stack)
+    # A pair of bools read as one int16 is nonzero where Re or Im W is.
+    k = np.flatnonzero((stack.view(np.float64) != 0).view(np.int16))  # by member, row, column
+    w = stack.reshape(-1)[k]
+    g, j = np.divmod(k, d)
+    del k  # each index array is dropped when spent, to keep the peak charged per slot
+    slot = np.arange(g.size) - np.searchsorted(g, g)  # rank within its member's row
+    t, i = np.divmod(g, d)
+    del g
+    real = w.real != 0
+    both = real & (w.imag != 0)
+    cols = np.zeros((2, d, slots, m), dtype=np.intp)
+    coef = np.zeros((2, d, slots, m, 1))
+    cols[0, i, slot, t] = np.where(real, j, j + d)
+    cols[1, i, slot, t] = j + d
+    coef[0, i, slot, t, 0] = np.where(real, w.real, -w.imag)
+    coef[1, i[both], slot[both], t[both], 0] = -w.imag[both]
+    two = np.zeros(d, dtype=bool)
+    two[i[both]] = True
+    return cols, coef, two
+
+
 class _MemberTable:
-    """A read-only (members, d, d) matrix stack ``_stack`` and the
-    (3, members) table ``_bounds`` that :func:`_table` builds from it: all
-    that :func:`_evaluate` reads of a Witness or a WitnessFamily."""
+    """A read-only (members, d, d) matrix stack ``_stack``, the (3, members)
+    table ``_bounds`` that :func:`_table` builds from it and ``_widest``, the
+    most nonzero entries in one row of one member, at least 1 so that a table
+    of zeros still reads as holding its stack (the built-in family, which
+    holds none, has 0): all that :func:`_evaluate` and ``verify.sweep_bytes``
+    read of a Witness or a WitnessFamily."""
 
     def _hold(self, stack: np.ndarray, detect_eps: Sequence[float], what: str) -> None:
         """Hold ``stack`` read-only with its table once it passes the
         Hermiticity check (member t named as ``what.format(t=t)``), run one
         sampling block at a time so it fits the block ``verify.sweep_bytes``
         charges."""
+        self._widest = 1
         for b in _blocks(len(stack), stack.shape[1]):
             _require_hermitian(stack[b], what, b.start)
+            self._widest = max(self._widest, int(np.count_nonzero(stack[b], axis=2).max()))
         self._bounds = _table(stack, detect_eps)
         self._dim = stack.shape[1]
         self._stack = stack
@@ -200,19 +245,47 @@ class _MemberTable:
     def dim(self) -> int:
         return self._dim
 
-    # Whether the member stack is in memory; the built-in family builds it
-    # each time it is read.
-    _holds_matrices = True
+    @property
+    def _holds_matrices(self) -> bool:
+        # Whether the member stack is in memory; the built-in family, whose
+        # _widest is 0, builds it each time it is read.
+        return self._widest > 0
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
-        # (members, n) expectation values on an (n, d, d) stack, one
-        # contraction per member: a single three-index einsum over the whole
-        # stack sums in a different order and changes last bits.  Each writes
-        # its row of one complex buffer, whose real part needs no copy.
-        values = np.empty((len(self._stack), len(stack)), dtype=np.complex128)
-        for W, row in zip(self._stack, values):
-            np.einsum("ij,nji->n", W, stack, out=row)
-        return values.real
+        """The members' (members, n) values on a finite (n, d, d) stack, from
+        their nonzero entries, one row of every member at a time.
+
+        Tr(W rho) is summed as ``np.einsum("ij,nji->n", W, rho)`` sums it:
+        each row's terms T_j = Re W_ij Re rho_ji - Im W_ij Im rho_ji in
+        column order, then the row sums in row order onto +0.  Row i's terms
+        are gathered from the slots of :func:`_slot_tables` into (slot,
+        member, state) order, and the slots added in order: numpy adds along
+        the outer axis in order, except pairwise where it is the only axis
+        left (one member on one state), where a running sum is in order.
+        The terms the einsum has and the slots do not are zeros, and so are
+        the padding slots; a sum with zero terms left out or added, or with
+        the signs of zero terms changed, changes at most the sign of a zero
+        result, and a zero of either sign added to +0 gives +0.  So the
+        values are the einsum's bit for bit.  Row i costs O(_widest) per
+        (member, state) and a few numpy calls; ``verify.sweep_bytes``
+        charges the tables and the temporaries.
+        """
+        W, (n, d) = self._stack, stack.shape[:2]
+        cols, coef, two = _slot_tables(W, self._widest)
+        x = np.ascontiguousarray(stack).view(np.float64).reshape(n, d, d, 2)
+        values = np.zeros((len(W), n))
+        gathered = np.empty((2 if two.any() else 1, *cols.shape[2:], n))  # one row's (part, slot, member, state)
+        with np.errstate(over="ignore", invalid="ignore"):  # _verdicts refuses a non-finite value
+            for i in range(d):
+                parts = 2 if two[i] else 1
+                column = x[:, :, i].transpose(2, 1, 0).reshape(2 * d, n)
+                # Every column is in range; under mode="raise" take would buffer out.
+                terms = np.take(column, cols[:parts, i], axis=0, out=gathered[:parts], mode="clip")
+                terms *= coef[:parts, i]
+                if parts == 2:
+                    terms[0] += terms[1]
+                values += np.add.reduce(terms[0]) if terms[0, 0].size > 1 else np.cumsum(terms[0], axis=0)[-1]
+        return values
 
 
 class Witness(_MemberTable):
@@ -358,7 +431,7 @@ class _GeneratorFamily(WitnessFamily):
         self._w = U[0, 0]  # every diagonal entry of every member, K/d
         self._bounds = np.repeat(_table(U[None], [DETECT_EPS]), len(coeffs), axis=1)
 
-    _holds_matrices = False
+    _widest = 0
 
     @property
     def _stack(self) -> np.ndarray:
@@ -373,18 +446,19 @@ class _GeneratorFamily(WitnessFamily):
     def _values(self, stack: np.ndarray) -> np.ndarray:
         """The members' values on a finite (n, d, d) stack, two entries each.
 
-        Member (j, k)'s einsum adds its row sums of W rho^T onto +0 in order:
-        D_j + O_jk, O_kj + D_k and D_i at every other row i, with D_i =
-        Re(w) Re(rho_ii) - Im(w) Im(rho_ii) for the diagonal entry w and O_jk
-        = Re(W_jk) Re(rho_kj) - Im(W_jk) Im(rho_kj).  Im(w) is +0, so each
-        D_i is Re(w) Re(rho_ii) up to the sign of a zero.  Here D is the sum
-        of the Re(w) Re(rho_ii) in row order, then added onto +0: the last
-        addition drops every zero's sign, so D has the bits of the sum of
-        the D_i onto +0 in row order.  The value is (D + O_jk) + O_kj, with one
-        product per O: the other is a zero times a finite number, and D is
-        never -0, so no zero's sign reaches a value.  At K = 0 every
-        D_i is a zero, so the values are the einsum's bit for bit; at K != 0
-        they can differ from them in the last bits.
+        The member-table kernel (``_MemberTable._values``, which sums as the
+        per-member einsum does) adds member (j, k)'s row sums of W rho^T onto
+        +0 in order: D_j + O_jk, O_kj + D_k and D_i at every other row i,
+        with D_i = Re(w) Re(rho_ii) - Im(w) Im(rho_ii) for the diagonal entry
+        w and O_jk = Re(W_jk) Re(rho_kj) - Im(W_jk) Im(rho_kj).  Im(w) is +0,
+        so each D_i is Re(w) Re(rho_ii) up to the sign of a zero.  Here D is
+        the sum of the Re(w) Re(rho_ii) in row order, then added onto +0: the
+        last addition drops every zero's sign, so D has the bits of the sum
+        of the D_i onto +0 in row order.  The value is (D + O_jk) + O_kj,
+        with one product per O: the other is a zero times a finite number,
+        and D is never -0, so no zero's sign reaches a value.  At K = 0 every D_i is a
+        zero, so the values are the member-table kernel's bit for bit; at
+        K != 0 they can differ from them in the last bits.
         """
         n, d = len(stack), self._dim
         x = np.ascontiguousarray(stack).view(np.float64).reshape(n, 2 * d * d)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -24,9 +25,9 @@ from cohwit import (
     sample_ginibre,
     sample_hermitian,
 )
-from cohwit import cli, linalg
+from cohwit import cli, linalg, verify
 from cohwit.cli import _read_stack, family_from_document, run, witness_from_document
-from cohwit.verify import sweep_bytes
+from cohwit.verify import sweep_bytes, verify_coverage
 from cohwit.witness import finite_family_bytes
 
 
@@ -528,23 +529,51 @@ def refused_before_sampling(monkeypatch, capsys, argv, cap):
 
 
 def test_family_document_is_charged_for_its_own_members(monkeypatch, tmp_path, capsys):
-    # Two member matrices at d = 91: charged as 8190 they make 1.15 GB.
+    # Two member matrices at d = 91: charged as 8190 they make 1.15 GB.  A
+    # canonical witness's widest rows, 0 and 1, hold a diagonal and a pair entry.
     path = tmp_path / "two.json"
     members = [document(canonical_witness(91, lo, 1.0)) for lo in (0.0, -1.0)]
     path.write_text(json.dumps({"label": "two", "members": members}))
     argv = ["verify", "--d", "91", "--samples", "40", "--seed", "0", "--family", str(path)]
-    need = sweep_bytes(91, 2, True)
-    assert need < 0.1 * sweep_bytes(91, 91 * 90, True)
+    need = sweep_bytes(91, 2, 2)
+    assert need < 0.1 * sweep_bytes(91, 91 * 90, 1)
     monkeypatch.setattr(linalg, "MAX_COVERAGE_BYTES", need)
     assert run(argv) == 3  # two members cannot cover d = 91
     assert json.loads(capsys.readouterr().out)["verdict"] == "FAIL"
     refused_before_sampling(monkeypatch, capsys, argv, need - 1)
 
 
+@pytest.mark.parametrize("kind", ["generator", "dense"])
+def test_document_family_sweep_stays_within_its_charge(kind, tmp_path):
+    # A gen --kind family document at K = 1, whose widest rows hold the
+    # diagonal and a pair entry, and a family of dense eta members, whose
+    # rows hold d slots, each read as verify --family reads it.  The sweep
+    # takes one full chunk and then one state; the member stack was held
+    # before the trace started.
+    d = 12 if kind == "generator" else 10
+    path = tmp_path / "family.json"
+    if kind == "generator":
+        assert run(["gen", "--kind", "family", "--d", str(d), "--K", "1.0", "--out", str(path)]) == 0
+    else:
+        coeffs = np.random.default_rng(d).standard_normal((40, d * d - 1))
+        members = [document(generator_witness(d, 1.0, eta), "eta", {"d": d, "K": 1.0}) for eta in coeffs]
+        path.write_text(json.dumps({"label": "dense", "members": members}))
+    family = cli._read_document(str(path), family_from_document)
+    assert family._widest == (2 if kind == "generator" else d)
+    k = verify._chunk_states(d, len(family), family._widest)
+    tracemalloc.start()
+    try:
+        verify_coverage(family, k + 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family._stack.nbytes + peak <= sweep_bytes(d, len(family), family._widest)
+
+
 def test_builtin_family_is_charged_before_sampling(monkeypatch, capsys):
     # The family is built within its own charge, then its sweep is refused.
     argv = ["verify", "--d", "91", "--samples", "40", "--seed", "1"]
-    need = sweep_bytes(91, 91 * 90, False)
+    need = sweep_bytes(91, 91 * 90, 0)
     assert finite_family_bytes(91) < need
     refused_before_sampling(monkeypatch, capsys, argv, need - 1)
 

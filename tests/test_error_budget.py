@@ -10,6 +10,7 @@ above ``detect_eps`` plus that slack, so none is Detected at any
 ``detect_eps``, zero included.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -117,6 +118,7 @@ SCALES = st.one_of(
     st.sampled_from([1e-300, 1e-9, 1.0, 1e6, 1e300]), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 )
 UNIT = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1e-9, 1.0]), st.floats(-1.0, 1.0))
+NONZERO_UNIT = UNIT.filter(lambda c: c != 0.0)
 # Imaginary diagonal parts up to the HERMITICITY_TOL / 2 that validation accepts.
 HALF_TOL = HERMITICITY_TOL / 2
 IMAG = st.one_of(
@@ -125,30 +127,44 @@ IMAG = st.one_of(
 EPS = st.one_of(st.sampled_from([0.0, DETECT_EPS]), st.floats(0.0, allow_infinity=False))
 
 
+@functools.cache
+def short_lists(values, size):
+    # Built once each: hypothesis validates a strategy when it is first drawn from.
+    return st.lists(values, min_size=1, max_size=size)
+
+
 def tiled(draw, values, n):
     """n values: a drawn list of at most 8, repeated, so each is drawn
-    independently where n <= 8."""
-    return np.resize(draw(st.lists(values, min_size=1, max_size=min(n, 8))), n)
+    independently where n <= 8.  A list of tuples gives n rows."""
+    drawn = np.array(draw(short_lists(values, min(n, 8))))
+    return np.resize(drawn, (n, *drawn.shape[1:]))
 
 
-@st.composite
-def accepted_diagonal_states(draw, d):
+# What one diagonal index holds: the state's entry pinned at or near
+# -PSD_FLOOR (None: free), its weight if free, its imaginary part and the
+# witness's imaginary diagonal part.  One list of these is drawn per example.
+DIAGONAL = st.tuples(st.one_of(st.none(), EDGE_ENTRIES), st.floats(1e-6, 1.0), IMAG, IMAG)
+
+
+def accepted_diagonal_state(draw, pinned, weights, imag):
     """A diagonal state that validation accepts, with entries and trace at
-    the validation edges: some entries pinned at or near -PSD_FLOOR, the
-    rest, one drawn index at least, positive weights scaled to the drawn
-    trace: an all-pinned diagonal cannot reach it.  Its imaginary diagonal
-    parts come in pairs (e, -e), so its trace stays within TRACE_DEV of 1."""
-    pinned = tiled(draw, st.one_of(st.none(), EDGE_ENTRIES), d).astype(object)
+    the validation edges: the ``pinned`` entries, other than one drawn
+    index, at their values, the rest, that index at least, their
+    ``weights`` scaled to the drawn trace: an all-pinned diagonal cannot
+    reach it.  Its imaginary diagonal parts come in pairs (e, -e), e from
+    the first half of ``imag``, so its trace stays within TRACE_DEV of 1."""
+    d = len(pinned)
+    pinned = pinned.astype(object)
     pinned[draw(st.integers(0, d - 1))] = None
     free = [k for k, p in enumerate(pinned) if p is None]
-    weights = tiled(draw, st.floats(1e-6, 1.0), len(free))
     p = np.array([0.0 if v is None else v for v in pinned])
-    p[free] = weights / weights.sum() * (draw(EDGE_TRACES) - p.sum())
-    half = tiled(draw, IMAG, d // 2)
-    imag = np.zeros(d)
-    imag[: 2 * len(half)] = np.stack([half, -half], axis=1).ravel()
+    w = weights[free].astype(float)
+    p[free] = w / w.sum() * (draw(EDGE_TRACES) - p.sum())
+    half = imag[: d // 2].astype(float)
+    parts = np.zeros(d)
+    parts[: 2 * len(half)] = np.stack([half, -half], axis=1).ravel()
     try:
-        return DensityMatrix(np.diag(p + 1j * imag))
+        return DensityMatrix(np.diag(p + 1j * parts))
     except InvalidStateError:
         assume(False)
 
@@ -185,8 +201,7 @@ def witnesses(draw, kind, d):
         if kind == "for_state":
             return witness_for_state(sample_ginibre(d, seed), big())
         if kind == "family":
-            nonzero = UNIT.filter(lambda c: c != 0.0)
-            return finite_family(d, big(), s * tiled(draw, nonzero, d * (d - 1)))
+            return finite_family(d, big(), s * tiled(draw, NONZERO_UNIT, d * (d - 1)))
         if kind == "qubit":
             return qubit_witness(big(), big(), big(), big())
         if kind == "qubit_pair":
@@ -217,8 +232,9 @@ def test_no_accepted_diagonal_state_is_detected(data):
     kind = data.draw(st.sampled_from(CONSTRUCTORS))
     d = 2 if kind.startswith("qubit") else data.draw(st.integers(2, 8 if kind == "family" else 64))
     source = data.draw(witnesses(kind, d))
-    source = held(source, tiled(data.draw, IMAG, d), data.draw(EPS))
-    state = data.draw(accepted_diagonal_states(d))
+    pinned, weights, imag, member_imag = tiled(data.draw, DIAGONAL, d).T
+    source = held(source, member_imag.astype(float), data.draw(EPS))
+    state = accepted_diagonal_state(data.draw, pinned, weights, imag)
     _, _, detected = source.evaluate_batch(state.matrix[None])
     assert not detected.any()
 

@@ -2,10 +2,12 @@
 
 The reference is the dense path: the generators written out entry by entry
 and stacked into a (d**2 - 1, d, d) tensor, then contracted with einsum.  The
-library no longer evaluates anything that way; it lives on here only, and
-every comparison is bit for bit (array bytes, so signs of zeros count too),
-except the built-in family's closed-form values at K != 0, which are held to
-a stated rounding bound.
+library no longer evaluates anything that way; it lives on here only.  The
+built-in family's closed form is checked against the member-table kernel on
+its materialized members, itself held to one einsum per member in
+tests/test_member_kernel.py.  Every comparison is bit for bit (array bytes,
+so signs of zeros count too), except the built-in family's closed-form
+values at K != 0, which are held to a stated rounding bound.
 """
 
 import dataclasses
@@ -222,8 +224,9 @@ def summation_bound(family, stack):
 @pytest.mark.parametrize("d", [*DIMS, 18])
 def test_generator_family_kernel_matches_member_kernel(d, K):
     """finite_family evaluates in closed form, two entries per member, with
-    no member object; the oracle is the one-einsum-per-member path over its
-    materialized members.  At K = 0 they agree bit for bit.  At K != 0 the
+    no member object; the oracle is the member-table kernel over its
+    materialized members, which sums as one einsum per member does
+    (tests/test_member_kernel.py).  At K = 0 they agree bit for bit.  At K != 0 the
     closed form sums the diagonal terms in another order, so each value is
     held to the recursive-summation bound, every verdict must agree and the
     sweep reports, and the tallies of the targeted states, may differ only

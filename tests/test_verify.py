@@ -27,7 +27,7 @@ from cohwit import verify
 from cohwit.cli import document_bytes, run
 from cohwit.generators import _qubit_matrices
 from cohwit.verify import (
-    COHERENCE_THRESHOLD, MAX_COVERAGE_BYTES, _ball_lattice, _qubit_lattice, _tally, bloch_bytes, sweep_bytes
+    COHERENCE_THRESHOLD, MAX_COVERAGE_BYTES, _ball_lattice, _chunk_states, _qubit_lattice, _tally, bloch_bytes, sweep_bytes
 )
 
 
@@ -91,30 +91,50 @@ class TestCoverage:
             sample_ensemble(2, -4, 0)
 
     def test_working_set_estimate(self):
-        # A chunk of 2**21 // (members + d * d) states, at least one, at 24 B
-        # per state matrix entry and 41 B per (member, state) pair; member
-        # matrices at 16 B per entry; and 128 B per entry of one sampling
-        # block (4096 entries, or one state).  No state count enters.
+        # A chunk of 2**21 // (members * widest + d * d) states, at least one,
+        # at 24 B per state matrix entry and, per (member, state) pair, the
+        # larger of 41 B and 16 + 16 * widest; member matrices at 16 B per
+        # entry and slot tables at 128 B per member per slot of its d rows;
+        # and 128 B per entry of one sampling block (4096 entries, or one
+        # state).  No state count enters.
         k = 2**21 // (12 + 16)
-        assert sweep_bytes(4, 12, True) == (24 * 16 + 41 * 12) * k + 128 * 4096 + 16 * 16 * 12
+        assert sweep_bytes(4, 12, 1) == (24 * 16 + 41 * 12) * k + 128 * 4096 + (16 * 16 + 128 * 4) * 12
         k = 2**21 // (2 + 8281)
-        assert sweep_bytes(91, 2, True) == (24 * 8281 + 41 * 2) * k + 128 * 8281 + 16 * 8281 * 2
-        assert sweep_bytes(4, 12, True) < MAX_COVERAGE_BYTES
-        # A document of all d(d - 1) generator members; one of two members.
-        assert sweep_bytes(89, 89 * 88, True) <= MAX_COVERAGE_BYTES < sweep_bytes(90, 90 * 89, True)
-        assert sweep_bytes(2415, 2, True) <= MAX_COVERAGE_BYTES < sweep_bytes(2416, 2, True)
-        assert sweep_bytes(10**5, 10**5 * (10**5 - 1), True) > MAX_COVERAGE_BYTES
+        assert sweep_bytes(91, 2, 1) == (24 * 8281 + 41 * 2) * k + 128 * 8281 + (16 * 8281 + 128 * 91) * 2
+        k = 2**21 // (12 * 2 + 16)
+        assert sweep_bytes(4, 12, 2) == (24 * 16 + 48 * 12) * k + 128 * 4096 + (16 * 16 + 128 * 8) * 12
+        k = 2**21 // (12 * 4 + 16)
+        assert sweep_bytes(4, 12, 4) == (24 * 16 + 80 * 12) * k + 128 * 4096 + (16 * 16 + 128 * 16) * 12
+        assert sweep_bytes(4, 12, 4) < MAX_COVERAGE_BYTES
+        # A document of all d(d - 1) members: generator members at K = 0
+        # (widest 1) and K != 0 (widest 2), and dense ones.  Then two members.
+        for widest, last in ((1, 87), (2, 85), (None, 52)):
+            low, high = widest or last, widest or last + 1
+            assert sweep_bytes(last, last * (last - 1), low) <= MAX_COVERAGE_BYTES
+            assert MAX_COVERAGE_BYTES < sweep_bytes(last + 1, (last + 1) * last, high)
+        for widest, last in ((1, 2414), (2, 2414), (None, 1562)):
+            low, high = widest or last, widest or last + 1
+            assert sweep_bytes(last, 2, low) <= MAX_COVERAGE_BYTES < sweep_bytes(last + 1, 2, high)
+        assert sweep_bytes(10**5, 10**5 * (10**5 - 1), 1) > MAX_COVERAGE_BYTES
+
+    def test_dense_member_table_is_charged_for_its_slots(self):
+        # A dense table gathers d slots per (member, state) pair in a row and
+        # builds d slots per row of each member, so a chunk counts each pair
+        # d times and its slot tables outweigh its member matrices.
+        d, m = 30, 870
+        assert sweep_bytes(d, m, d) > (16 + 128) * d * d * m
+        assert _chunk_states(d, m, d) * (m * d + d * d) <= 2**21 < (_chunk_states(d, m, d) + 1) * (m * d + d * d)
 
     def test_builtin_family_estimate_holds_no_member_matrix(self):
         # A chunk at 24 B per state entry and 41 B per (member, state) pair
         # and 128 B per entry of one sampling block (4096 entries, or one state).
-        assert sweep_bytes(4, 12, False) == (24 * 16 + 41 * 12) * (2**21 // 28) + 128 * 4096
-        assert sweep_bytes(90, 1, False) == (24 * 8100 + 41) * (2**21 // 8101) + 128 * 8100
+        assert sweep_bytes(4, 12, 0) == (24 * 16 + 41 * 12) * (2**21 // 28) + 128 * 4096
+        assert sweep_bytes(90, 1, 0) == (24 * 8100 + 41) * (2**21 // 8101) + 128 * 8100
         # At d = 1500 a chunk is one state.
-        assert sweep_bytes(1500, 1500 * 1499, False) == 24 * 1500**2 + 41 * 1500 * 1499 + 128 * 1500**2
-        assert sweep_bytes(91, 91 * 90, False) < MAX_COVERAGE_BYTES < sweep_bytes(91, 91 * 90, True)
-        assert sweep_bytes(2358, 2358 * 2357, False) <= MAX_COVERAGE_BYTES < sweep_bytes(2359, 2359 * 2358, False)
-        assert sweep_bytes(10**5, 10**5 * (10**5 - 1), False) > MAX_COVERAGE_BYTES
+        assert sweep_bytes(1500, 1500 * 1499, 0) == 24 * 1500**2 + 41 * 1500 * 1499 + 128 * 1500**2
+        assert sweep_bytes(91, 91 * 90, 0) < MAX_COVERAGE_BYTES < sweep_bytes(91, 91 * 90, 1)
+        assert sweep_bytes(2358, 2358 * 2357, 0) <= MAX_COVERAGE_BYTES < sweep_bytes(2359, 2359 * 2358, 0)
+        assert sweep_bytes(10**5, 10**5 * (10**5 - 1), 0) > MAX_COVERAGE_BYTES
 
     @pytest.mark.parametrize("d", [12, 40, 90])
     def test_estimates_cover_the_traced_peak_of_a_sweep(self, d):
@@ -129,7 +149,7 @@ class TestCoverage:
             builtin = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert builtin <= sweep_bytes(d, d * (d - 1), False)
+        assert builtin <= sweep_bytes(d, d * (d - 1), 0)
         matrices = [generator_witness(d, 0.0, eta).matrix for eta in np.eye(members, d * d - 1, d - 1)]
         tracemalloc.start()
         try:
@@ -138,7 +158,7 @@ class TestCoverage:
             stacked = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert stacked <= sweep_bytes(d, members, True)
+        assert stacked <= sweep_bytes(d, members, family._widest)
 
     def test_builtin_estimate_covers_the_traced_peak_where_pairs_dominate(self, monkeypatch):
         # At d = 12 and 4000 states a chunk, the 41 B per (member, state) pair
@@ -152,8 +172,8 @@ class TestCoverage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 41 * m * k > 0.6 * sweep_bytes(d, m, False)
-        assert peak <= sweep_bytes(d, m, False)
+        assert 41 * m * k > 0.6 * sweep_bytes(d, m, 0)
+        assert peak <= sweep_bytes(d, m, 0)
 
     def test_witness_built_family_holds_one_member_table(self):
         # A family built from Witness objects keeps their stacked matrices, not
@@ -172,7 +192,7 @@ class TestCoverage:
         finally:
             tracemalloc.stop()
         assert held <= 1.1 * family._stack.nbytes
-        assert peak <= sweep_bytes(d, members, True)
+        assert peak <= sweep_bytes(d, members, family._widest)
 
     def test_traced_peak_does_not_grow_with_the_states(self, monkeypatch):
         # Chunks of 50 states: a sweep of 20 chunks holds what one of 2 does.
@@ -287,7 +307,7 @@ def test_lattice_values_are_the_kernel_values_bit_for_bit(grid):
     # Every (K, a, b, c) over LATTICE_COEFFS but the zero operators at grids
     # 3 and 4, every 37th of them at grid 2 (no point) and 41, then one case
     # near overflow: the values and verdicts of the lattice's per-axis tables
-    # are the einsum kernel's on the points' matrices.  Grids 3 and 4 tell
+    # are the member-table kernel's on the points' matrices.  Grids 3 and 4 tell
     # the tables' grouping from ((T00 + T01) + T10) + T11 in over a thousand
     # cases.
     points = _qubit_matrices(1.0, *ball_points(grid))

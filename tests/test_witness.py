@@ -564,7 +564,7 @@ class TestFiniteFamily:
         # The family is refused above d = 2442; its sweep's charge, which
         # covers the family's construction too, refuses it above d = 2358.
         assert finite_family_bytes(2442) <= linalg.MAX_COVERAGE_BYTES < finite_family_bytes(2443)
-        assert all(finite_family_bytes(d) <= sweep_bytes(d, d * (d - 1), False) for d in range(2, 3000))
+        assert all(finite_family_bytes(d) <= sweep_bytes(d, d * (d - 1), 0) for d in range(2, 3000))
 
     def test_members_are_charged_before_they_are_built(self, monkeypatch):
         # 9900 member witnesses of 10**4 entries, and the stack they are

@@ -1,11 +1,15 @@
-"""Time the built-in family's evaluation kernel in two checkouts and write a BENCH_<topic>.json.
+"""Time a family's evaluation kernel in two checkouts and write a BENCH_<topic>.json.
 
     python3 tools/bench_kernel.py --parent DIR --change DIR --out BENCH_closed_form.json
+    python3 tools/bench_kernel.py --parent DIR --change DIR --family family.json --out BENCH_doc.json
 
 Each checkout is a full tree (for example ``git archive`` of a commit) whose
 ``src/`` holds the library.  Run i of each side is a fresh process that
 imports the library from that tree; the sides alternate which runs first.
-One run, on ``sample_ensemble(d, n, seed)`` and ``finite_family(d)``, times:
+The family is the built-in ``finite_family(d)`` or, with ``--family FILE``,
+the family document FILE (written by ``cohwit gen --kind family``), read by
+each tree's own ``cli.family_from_document``; d is then the document's.
+One run, on ``sample_ensemble(d, n, seed)`` and the family, times:
 
 - ``sample_s``: ``sample_ensemble`` less ``validate_s``;
 - ``validate_s``: the state checks inside that ``sample_ensemble`` call,
@@ -48,11 +52,11 @@ SIDES = ("parent", "change")
 TIMINGS = ("sample_s", "validate_s", "kernel_s", "evaluate_s", "reduce_s", "verify_coverage_s", "parts_s")
 
 
-def worker(tree: str, d: int, n: int, seed: int) -> dict:
+def worker(tree: str, d: int, n: int, seed: int, family_path: str | None = None) -> dict:
     """One run's timings and output digests, with the library from ``tree``."""
     sys.path.insert(0, os.path.join(tree, "src"))
     import numpy as np
-    from cohwit import finite_family, sample_ensemble, states, verify_coverage
+    from cohwit import cli, finite_family, sample_ensemble, states, verify_coverage
 
     def timed(fn, *args, **kwargs):
         start = time.perf_counter()
@@ -69,7 +73,12 @@ def worker(tree: str, d: int, n: int, seed: int) -> dict:
 
         return wrapped
 
-    family = finite_family(d)
+    if family_path is None:
+        family = finite_family(d)
+    else:
+        with open(family_path, encoding="utf-8") as fh:
+            family = cli.family_from_document(json.load(fh))
+        d = family.dim
     verify_coverage(family, 2, seed)  # imports, tables and caches, before timing
     validate_block = states._validate_block
     states._validate_block = spy("validate", validate_block)
@@ -94,6 +103,7 @@ def worker(tree: str, d: int, n: int, seed: int) -> dict:
         "parts_s": sample + evaluate + reduce,
         "kernel_values_sha256": digest,
         "report_sha256": hashlib.sha256(repr(report).encode()).hexdigest(),
+        "d": d,
         "numpy": np.__version__,
     }
 
@@ -113,9 +123,11 @@ def machine() -> dict:
     }
 
 
-def run_side(tree: str, d: int, n: int, seed: int) -> dict:
+def run_side(tree: str, d: int, n: int, seed: int, family_path: str | None) -> dict:
     argv = [sys.executable, os.path.abspath(__file__), "--worker", tree,
             "--d", str(d), "--n", str(n), "--seed", str(seed)]
+    if family_path is not None:
+        argv += ["--family", family_path]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: run failed:\n{proc.stderr[-2000:]}")
@@ -130,11 +142,12 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--runs", type=int, default=5, help="runs per side")
+    parser.add_argument("--family", help="a family document to time in place of finite_family(d); sets d")
     parser.add_argument("--out", help="where to write the JSON")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker(args.worker, args.d, args.n, args.seed)))
+        print(json.dumps(worker(args.worker, args.d, args.n, args.seed, args.family)))
         return 0
     if not (args.parent and args.change and args.out):
         parser.error("--parent, --change and --out are required")
@@ -142,16 +155,21 @@ def main(argv=None) -> int:
         parser.error(f"--runs must be >= 1, got {args.runs}")
 
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    family_path = os.path.abspath(args.family) if args.family else None
     runs = {side: [] for side in SIDES}
     for i in range(args.runs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_side(trees[side], args.d, args.n, args.seed))
+            runs[side].append(run_side(trees[side], args.d, args.n, args.seed, family_path))
             print(f"run {i + 1} {side}: kernel_s {runs[side][-1]['kernel_s']:.4g}", file=sys.stderr)
     median = {side: {k: statistics.median(r[k] for r in runs[side]) for k in TIMINGS} for side in SIDES}
     digests = {k: {r[k] for side in SIDES for r in runs[side]} for k in ("kernel_values_sha256", "report_sha256")}
+    d = runs["change"][0]["d"]
+    name = os.path.basename(args.family) if args.family else None
+    family = f"the family document {name}" if name else f"finite_family({d})"
+    option = f"--family {name}" if name else f"--d {d}"
     report = {
-        "topic": f"finite_family({args.d}) evaluation on sample_ensemble({args.d}, {args.n}, {args.seed})",
-        "command": f"python3 tools/bench_kernel.py --d {args.d} --n {args.n} --seed {args.seed} --runs {args.runs} "
+        "topic": f"{family} evaluation on sample_ensemble({d}, {args.n}, {args.seed})",
+        "command": f"python3 tools/bench_kernel.py {option} --n {args.n} --seed {args.seed} --runs {args.runs} "
         "(parent and change checkouts, one fresh process per run, alternating which runs first)",
         "machine": {**machine(), "numpy": runs["change"][0]["numpy"]},
         "median": median,
