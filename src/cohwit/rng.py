@@ -26,22 +26,32 @@ of their first m ``normal_pair()`` draws, and ``exponentials(seeds, m)`` is
 the ``-ln u`` table of their first m ``uniform()`` draws.  Row i of each
 table equals the scalar draws of ``SplitMix64(seeds[i])`` bit for
 bit.  The integer stages, ``sqrt``, ``*`` and ``/`` (correctly rounded in
-IEEE 754) and ``cos`` and ``sin`` run in numpy: numpy's float64 ``cos`` and
-``sin`` return libm's bits at each x86-64 dispatch level (X86_V4, X86_V3 and
-baseline), which ``tests/test_rng.py`` checks against ``math`` and CI reruns
-with the two wider levels disabled.
-``log`` goes through ``math`` one element at a time, because numpy's AVX-512
-``log`` differs from libm in the last bit on some inputs, and so would change
-seeded ensembles from one CPU to another.  :class:`SplitMix64` stays the
-scalar recurrence the tables are tested against.
+IEEE 754) and ``cos``, ``sin`` and ``log`` run in numpy.  numpy's float64
+``cos`` and ``sin`` return libm's bits at each x86-64 dispatch level
+(X86_V4, X86_V3 and baseline).  Its SIMD ``log`` loops do not: the AVX-512
+one differs from libm in the last bit on some inputs, and so would change
+seeded ensembles from one CPU to another.  ``_log`` therefore hands numpy
+partially overlapping operands, which its SIMD loops refuse, so numpy runs
+its scalar loop, which calls libm's ``log``, the function that
+:class:`SplitMix64` reaches through ``math``.  ``tests/test_rng.py`` checks
+all three functions against ``math``, and CI reruns it with the two wider
+levels disabled.  :class:`SplitMix64` stays the scalar recurrence the tables
+are tested against.
+
+Seeds are integers: anything ``operator.index`` refuses, such as ``1.5`` or
+``np.float64(2.0)``, raises :class:`~cohwit.errors.InvalidParameterError`
+rather than being truncated to another seed's stream.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
+
+from .errors import InvalidParameterError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,11 +62,19 @@ _MIX2 = 0x94D049BB133111EB
 Seed = int
 
 
+def _seed(seed: Seed) -> int:
+    """``seed`` as a Python int; a seed that is not an integer is refused."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}") from None
+
+
 class SplitMix64:
     """splitmix64 stream seeded by a 64-bit integer."""
 
     def __init__(self, seed: Seed):
-        self._state = seed & _MASK64
+        self._state = _seed(seed) & _MASK64
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -87,7 +105,7 @@ class SplitMix64:
 
 def uniforms(seeds: Sequence[Seed], m: int) -> np.ndarray:
     """(len(seeds), m) table; row i is the first m ``SplitMix64(seeds[i]).uniform()`` draws."""
-    s = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    s = np.array([_seed(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
     k = np.arange(1, m + 1, dtype=np.uint64)
     z = s[:, None] + k * np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -97,8 +115,14 @@ def uniforms(seeds: Sequence[Seed], m: int) -> np.ndarray:
 
 
 def _log(a: np.ndarray) -> np.ndarray:
-    # math.log on every element through Python floats (libm, not numpy SIMD).
-    return np.fromiter(map(math.log, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+    # libm's log of every element, in C.  The output sits one element behind
+    # the input in one buffer.  numpy's SIMD log loops refuse such partially
+    # overlapping operands, so it runs its scalar loop, which calls libm's log
+    # as SplitMix64 does through math; and since forward iteration reads each
+    # element before it is overwritten, numpy does not copy the input first.
+    buf = np.empty(a.size + 1)
+    buf[1:] = a.ravel()
+    return np.log(buf[1:], out=buf[:-1]).reshape(a.shape)
 
 
 def normal_pairs(seeds: Sequence[Seed], m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,5 +135,5 @@ def normal_pairs(seeds: Sequence[Seed], m: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def exponentials(seeds: Sequence[Seed], m: int) -> np.ndarray:
-    """(len(seeds), m) table of ``-math.log(u)`` over ``uniforms(seeds, m)``."""
+    """(len(seeds), m) table of ``-ln u`` over ``uniforms(seeds, m)``."""
     return -_log(uniforms(seeds, m))

@@ -44,7 +44,7 @@ from .linalg import (
     _require_hermitian,
     min_eigenvalue,
 )
-from .rng import Seed, exponentials, normal_pairs
+from .rng import Seed, _seed, exponentials, normal_pairs
 
 if TYPE_CHECKING:
     from .witness import Witness
@@ -279,10 +279,11 @@ def _ensemble_chunks(d: int, n_states: int, seed: Seed, step: int) -> Iterator:
     ``n_states // 2`` full-rank, as validated chunks of ``step`` states, each
     sampled when it is asked for.  State t uses sub-seed ``seed + t`` however
     the stack is chunked, so the rows are the same bits.  A negative
-    ``n_states`` is rejected at the call."""
+    ``n_states`` and a seed that is not an integer are rejected at the call."""
     if n_states < 0:
         raise InvalidParameterError(f"n_states must be >= 0, got {n_states}")
     _require_dim(d)
+    seed = _seed(seed)
     # Each chunk is made by a call, so no frame here holds one while the next is made.
     return (_ensemble_rows(d, seed, i, min(i + step, n_states), n_states // 2) for i in range(0, n_states, step))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.introspect import opt_func_info
 
-from cohwit.rng import SplitMix64, exponentials, normal_pairs, uniforms
+from cohwit.rng import SplitMix64, _log, exponentials, normal_pairs, uniforms
 
 
 def reference_stream(seed, n):
@@ -134,6 +134,24 @@ def test_numpy_trig_gives_libm_bits(f):
         f"(first: {float(angles[bad[0]])!r}) under {dispatch(f)}; every seeded "
         "ensemble moves on this platform"
     )
+
+
+def test_numpy_log_gives_libm_bits():
+    # normal_pairs and exponentials run rng._log where SplitMix64 runs math.log;
+    # normal_pairs passes a strided 2-D view, u[:, 0::2].
+    u = np.concatenate([uniforms(range(16), 2**16).ravel(), EDGE_UNIFORMS])  # 2**20 stream draws
+    kept = u.copy()
+    for a in (u, u[: 2**20].reshape(16, 2**16)[:, 0::2], u[:0]):
+        got = _log(a)
+        want = np.fromiter(map(math.log, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+        assert got.shape == a.shape
+        bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert bad.size == 0, (
+            f"rng._log differs from math.log on {bad.size} of the {a.shape} table's {a.size} "
+            f"draws (first: {float(a.ravel()[bad[0]])!r}) under {dispatch('log')}; every "
+            "seeded ensemble moves on this platform"
+        )
+    assert np.array_equal(u.view(np.uint64), kept.view(np.uint64))  # the input is left unchanged
 
 
 def test_empty_tables():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cohwit import (
     Witness,
     canonical_coherent,
     canonical_witness,
+    finite_family,
     generator_witness,
     incoherent_with_value,
     is_hermitian,
@@ -32,6 +34,7 @@ from cohwit import (
     sample_incoherent_batch,
     trace_product,
     validate_states,
+    verify_coverage,
 )
 from cohwit import states
 from cohwit.states import _BLOCK_ENTRIES
@@ -369,6 +372,39 @@ def test_ensemble_validates_each_state_once(d, n, seed, data):
 def test_ensemble_rejects_negative_count():
     with pytest.raises(InvalidParameterError):
         sample_ensemble(2, -4, 0)
+
+
+def coverage_values(seed):
+    report = verify_coverage(finite_family(3), 6, seed)
+    return np.array([report.n_detected, report.min_margin_detected, *report.per_witness_hits])
+
+
+# Every public entry point that takes a seed, as a function of it.
+SEEDED = {
+    "SplitMix64": lambda seed: np.array(SplitMix64(seed).normals(4)),
+    "sample_ginibre": lambda seed: sample_ginibre(3, seed).matrix,
+    "sample_incoherent": lambda seed: sample_incoherent(3, seed).probs,
+    "sample_hermitian": lambda seed: sample_hermitian(3, seed),
+    "sample_ginibre_batch": lambda seed: sample_ginibre_batch(3, [4, seed]),
+    "sample_incoherent_batch": lambda seed: sample_incoherent_batch(3, [4, seed]),
+    "sample_hermitian_batch": lambda seed: sample_hermitian_batch(3, [4, seed]),
+    "sample_ensemble": lambda seed: sample_ensemble(3, 6, seed),
+    "verify_coverage": coverage_values,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+@pytest.mark.parametrize("seed", [1.7, np.float64(2.9), 2.0, "3", None])
+def test_a_seed_that_is_not_an_integer_is_refused(name, seed):
+    # int() would truncate 1.7 to seed 1 and give seed 1's stream.
+    with pytest.raises(InvalidParameterError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+@pytest.mark.parametrize("seed", [np.int64(-5), np.uint64(2**64 - 1), np.int32(7), np.uint8(200)])
+def test_a_numpy_integer_seed_gives_the_int_seeds_rows(name, seed):
+    assert same_bits(SEEDED[name](seed), SEEDED[name](int(seed)))
 
 
 BAD_STATES = {
