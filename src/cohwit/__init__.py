@@ -26,18 +26,10 @@ from .errors import (
     ZeroCoefficientError,
     ZeroOperatorError,
 )
-from .generators import (
-    OFFDIAG_TOL,
-    bloch_vector,
-    generator,
-    offdiag_support,
-    state_from_bloch,
-)
-from .linalg import DETECT_EPS, ComplexMatrix, is_hermitian, min_eigenvalue, trace_product
-from .rng import Seed, SplitMix64
+from .generators import bloch_vector, generator, state_from_bloch
+from .linalg import DETECT_EPS, is_hermitian, min_eigenvalue
 from .states import (
     DensityMatrix,
-    IncoherentState,
     canonical_coherent,
     incoherent_with_value,
     l1_coherence,
@@ -45,11 +37,8 @@ from .states import (
     qubit_state,
     sample_ensemble,
     sample_ginibre,
-    sample_ginibre_batch,
     sample_hermitian,
-    sample_hermitian_batch,
     sample_incoherent,
-    sample_incoherent_batch,
     validate_states,
 )
 from .verify import (
@@ -93,20 +82,13 @@ __all__ = [
     "OutOfIntervalError",
     "ZeroCoefficientError",
     "ZeroOperatorError",
-    "OFFDIAG_TOL",
     "bloch_vector",
     "generator",
-    "offdiag_support",
     "state_from_bloch",
     "DETECT_EPS",
-    "ComplexMatrix",
     "is_hermitian",
     "min_eigenvalue",
-    "trace_product",
-    "Seed",
-    "SplitMix64",
     "DensityMatrix",
-    "IncoherentState",
     "canonical_coherent",
     "incoherent_with_value",
     "l1_coherence",
@@ -114,11 +96,8 @@ __all__ = [
     "qubit_state",
     "sample_ensemble",
     "sample_ginibre",
-    "sample_ginibre_batch",
     "sample_hermitian",
-    "sample_hermitian_batch",
     "sample_incoherent",
-    "sample_incoherent_batch",
     "validate_states",
     "COHERENCE_THRESHOLD",
     "CoverageReport",

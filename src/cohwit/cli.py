@@ -56,7 +56,6 @@ import numpy as np
 
 from .errors import CohwitError, DimensionMismatchError, DocumentError, NotHermitianError
 from .linalg import DETECT_EPS, _require_bytes
-from .rng import Seed
 from .states import DensityMatrix, _blocks, l1_coherence
 from .verify import COHERENCE_THRESHOLD, _qubit_lattice, verify_coverage
 from .witness import (

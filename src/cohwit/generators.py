@@ -26,7 +26,7 @@ indices (1, 2, 3) give (sigma_z, sigma_x, sigma_y).
 
 A density matrix expands as ``rho = (I + sum_i r_i g_i) / d`` with real
 coefficients ``r_i = (d/2) Tr(rho g_i)``; off-diagonal entries of rho load
-only the indices >= d, which is what ``offdiag_support`` reads off.
+only the indices >= d.
 
 The d = 2 case written with the Pauli matrices, (K I + a sigma_x + b sigma_y
 + c sigma_z) / 2, is ``_qubit_matrices``: the qubit witness is its one-point
@@ -42,12 +42,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, LengthMismatchError
-from .linalg import ComplexMatrix, _require_bytes
+from .linalg import _require_bytes
 
 if TYPE_CHECKING:
     from .states import DensityMatrix
 
-# |r_i| above this counts as off-diagonal support.
+# |r_i| above this counts as off-diagonal support (``witness_for_state``).
 OFFDIAG_TOL = 1e-9
 
 
@@ -89,7 +89,7 @@ def generator_bytes(d: int) -> int:
     return 96 * d * d + 8192
 
 
-def generator(d: int, i: int) -> ComplexMatrix:
+def generator(d: int, i: int) -> np.ndarray:
     """The i-th basis generator (1-based, ordering per module docstring),
     read-only and bit-identical to the matrix written out entry by entry;
     d > 3344 is refused.  The whole stack is
@@ -149,7 +149,7 @@ def _qubit_matrices(K, a, b, c) -> np.ndarray:
     return M
 
 
-def state_from_bloch(d: int, r) -> ComplexMatrix:
+def state_from_bloch(d: int, r) -> np.ndarray:
     """(1/d)(I + sum_i r_i g_i): Hermitian with unit trace by construction,
     the K = 1 case of the generator witnesses' (K I + sum_i s_i g_i) / d.
 
@@ -158,13 +158,3 @@ def state_from_bloch(d: int, r) -> ComplexMatrix:
     """
     return _generator_matrix(d, 1.0, r)
 
-
-def offdiag_support(state: "DensityMatrix") -> set[int]:
-    """1-based generator indices i >= d where |r_i| exceeds OFFDIAG_TOL.
-
-    Empty exactly when the state is diagonal within tolerance, because the
-    off-diagonal entries of the state load only these indices.
-    """
-    r = bloch_vector(state)
-    d = state.dim
-    return {i for i in range(d, d * d) if abs(r[i - 1]) > OFFDIAG_TOL}

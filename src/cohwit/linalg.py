@@ -19,10 +19,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, NonFiniteError, NotHermitianError
 
-# Alias for readability in signatures; any square complex128 array qualifies.
-ComplexMatrix = np.ndarray
-
-
 # Fixed numeric slack.  Validation accepts a deviation from Hermiticity up to
 # HERMITICITY_TOL, eigenvalues down to -PSD_FLOOR (clamped to 0 for reporting)
 # and a trace within TRACE_DEV of 1.  DETECT_EPS is the default margin a
@@ -134,28 +130,14 @@ def _psd_certified(H: np.ndarray) -> bool:
     return True
 
 
-def as_complex_matrix(matrix, *, what: str = "matrix") -> ComplexMatrix:
-    """Coerce to a square complex128 array with dim >= 2 and finite entries."""
-    S = _as_stack(matrix, what)
-    _require_finite(S, what)
-    return S[0]
-
-
-def is_hermitian(matrix: ComplexMatrix) -> bool:
+def is_hermitian(matrix) -> bool:
     """True iff the matrix equals its conjugate transpose within ``HERMITICITY_TOL``."""
-    return bool(_deviations(as_complex_matrix(matrix)[None])[0] <= HERMITICITY_TOL)
+    S = _as_stack(matrix, "matrix")
+    _require_finite(S, "matrix")
+    return bool(_deviations(S)[0] <= HERMITICITY_TOL)
 
 
-def trace_product(a: ComplexMatrix, b: ComplexMatrix) -> complex:
-    """Tr(a @ b) as sum_ij a_ij b_ji, without forming the product matrix."""
-    A = as_complex_matrix(a, what="left operand")
-    B = as_complex_matrix(b, what="right operand")
-    if A.shape != B.shape:
-        raise DimensionMismatchError(f"trace_product dims differ: {A.shape} vs {B.shape}")
-    return complex(np.einsum("ij,ji->", A, B))
-
-
-def min_eigenvalue(matrix: ComplexMatrix) -> float:
+def min_eigenvalue(matrix) -> float:
     """Smallest eigenvalue of the Hermitian part (A + A†)/2.
 
     Raises NotHermitianError when the input is not Hermitian within

@@ -3,13 +3,16 @@ samplers, and the l1-norm coherence oracle.
 
 All sampling is driven by the splitmix64 stream in :mod:`cohwit.rng`; a given
 (dimension, seed) pair always produces the same state, bit for bit.  Each
-sampler exists once, in batched form over a sequence of seeds (state i from
-seed i); the one-seed samplers are views of it.  Batches are generated
+sampler is written once, as a private block function over a sequence of
+seeds (state i from seed i).  The one-seed samplers call it with one seed;
+:func:`sample_ensemble`, the one public sampler over many seeds, calls it
 ``_BLOCK_ENTRIES`` matrix entries at a time, so temporaries stay bounded
-however many seeds are asked for.  Every sampled state is checked once: a
-matrix by :func:`validate_states`' checks, a probability vector by
-``_check_probabilities``, whose checks imply all of :func:`validate_states`'
-on the diagonal matrix ``diag(p)``.
+however many states are asked for.  A diagonal (incoherent) state is a
+:class:`DensityMatrix` like any other.  Every sampled state is checked once:
+a one-seed state by :class:`DensityMatrix`, an ensemble's full-rank rows by
+:func:`validate_states`' checks, and its diagonal rows ``diag(p)`` by
+``_check_probabilities`` on p, whose checks imply all of
+:func:`validate_states`' on ``diag(p)``.
 
 Every state check (:func:`validate_states`, :class:`DensityMatrix` and the
 samplers) runs one path, a block of states at a time: finite entries,
@@ -25,7 +28,6 @@ one is asked for (:attr:`DensityMatrix.min_eigenvalue`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -44,7 +46,7 @@ from .linalg import (
     _require_hermitian,
     min_eigenvalue,
 )
-from .rng import Seed, _seed, exponentials, normal_pairs
+from .rng import _seed, exponentials, normal_pairs
 
 if TYPE_CHECKING:
     from .witness import Witness
@@ -144,30 +146,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class IncoherentState:
-    """A probability vector over the reference basis, i.e. a diagonal state."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size < 2:
-            raise InvalidStateError(f"probability vector must be 1-d with length >= 2, got {p.shape}")
-        _check_probabilities(p[None], "")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def dim(self) -> int:
-        return self.probs.size
-
-    def as_density_matrix(self) -> DensityMatrix:
-        """Embed as a diagonal DensityMatrix."""
-        return DensityMatrix(np.diag(self.probs.astype(np.complex128)))
-
-
 def l1_coherence_batch(stack: np.ndarray) -> np.ndarray:
     """Sum of |rho_ij| over i != j for every matrix of an (n, d, d) stack:
     the off-diagonal moduli alone are summed, so a diagonal matrix gives
@@ -188,81 +166,70 @@ def _require_dim(d: int) -> None:
         raise DimensionMismatchError(f"dimension must be >= 2, got {d}")
 
 
-def _fill(out: np.ndarray, block: Callable, d: int, seeds: Sequence[Seed]) -> np.ndarray:
+def _fill(out: np.ndarray, block: Callable, d: int, seeds: Sequence[int]) -> np.ndarray:
     # out[i] is row i of block(d, seeds), computed one block of seeds at a time.
     for b in _blocks(len(seeds), d):
         out[b] = block(d, seeds[b])
     return out
 
 
-def _complex_normals(d: int, seeds: Sequence[Seed]) -> np.ndarray:
+def _complex_normals(d: int, seeds: Sequence[int]) -> np.ndarray:
     # Entries filled row-major; each consumes one Box-Muller pair (re, im).
     re, im = normal_pairs(seeds, d * d)
     return (re + 1j * im).reshape(-1, d, d) / math.sqrt(2.0)
 
 
-def _ginibre_block(d: int, seeds: Sequence[Seed]) -> np.ndarray:
+def _ginibre_block(d: int, seeds: Sequence[int]) -> np.ndarray:
     G = _complex_normals(d, seeds)
     M = _hermitian_part(G @ _dagger(G))  # exact Hermitian symmetry despite roundoff
     return M / np.trace(M, axis1=1, axis2=2).real[:, None, None]
 
 
-def _incoherent_block(d: int, seeds: Sequence[Seed]) -> np.ndarray:
+def _incoherent_block(d: int, seeds: Sequence[int]) -> np.ndarray:
     e = exponentials(seeds, d)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _hermitian_block(d: int, seeds: Sequence[Seed]) -> np.ndarray:
+def _hermitian_block(d: int, seeds: Sequence[int]) -> np.ndarray:
     return _hermitian_part(_complex_normals(d, seeds))
 
 
-def sample_ginibre_batch(d: int, seeds: Sequence[Seed]) -> np.ndarray:
-    """Validated (len(seeds), d, d) stack of random full-rank states
-    G G† / Tr(G G†) with standard complex normal G; state i from ``seeds[i]``.
-
-    Such states carry off-diagonal content with probability 1, which makes
-    them a natural stress source for detection sweeps.
-    """
-    _require_dim(d)
-    stack = _fill(np.empty((len(seeds), d, d), np.complex128), _ginibre_block, d, seeds)
-    _validate(stack, "Ginibre state {t}")
-    return stack
-
-
-def sample_incoherent_batch(d: int, seeds: Sequence[Seed]) -> np.ndarray:
-    """(len(seeds), d) probability vectors drawn uniformly from the simplex
-    (normalized exponentials); row i from ``seeds[i]``."""
-    _require_dim(d)
+def _sample_incoherent_batch(d: int, seeds: Sequence[int]) -> np.ndarray:
+    # (len(seeds), d) probability vectors drawn uniformly from the simplex
+    # (normalized exponentials), row i from seeds[i], each checked.
     probs = _fill(np.empty((len(seeds), d)), _incoherent_block, d, seeds)
     _check_probabilities(probs, "sampled probability vector {t}: ")
     return probs
 
 
-def sample_hermitian_batch(d: int, seeds: Sequence[Seed]) -> np.ndarray:
-    """(len(seeds), d, d) random Hermitian matrices (G + G†)/2 with standard
-    complex normal G; matrix i from ``seeds[i]``."""
-    _require_dim(d)
-    return _fill(np.empty((len(seeds), d, d), np.complex128), _hermitian_block, d, seeds)
+def _diagonal_state(p: np.ndarray) -> DensityMatrix:
+    return DensityMatrix(np.diag(p.astype(np.complex128)))
 
 
-def sample_ginibre(d: int, seed: Seed) -> DensityMatrix:
-    """The state of :func:`sample_ginibre_batch` for one seed."""
+def sample_ginibre(d: int, seed: int) -> DensityMatrix:
+    """Random full-rank state G G† / Tr(G G†) with standard complex normal G.
+
+    Such states carry off-diagonal content with probability 1, which makes
+    them a natural stress source for detection sweeps.
+    """
     _require_dim(d)
     return DensityMatrix(_ginibre_block(d, [seed])[0])  # validated once, here
 
 
-def sample_incoherent(d: int, seed: Seed) -> IncoherentState:
-    """The probability vector of :func:`sample_incoherent_batch` for one seed."""
+def sample_incoherent(d: int, seed: int) -> DensityMatrix:
+    """Diagonal state diag(p), p drawn uniformly from the simplex
+    (normalized exponentials)."""
     _require_dim(d)
-    return IncoherentState(_incoherent_block(d, [seed])[0])  # checked once, here
+    return _diagonal_state(_incoherent_block(d, [seed])[0])  # validated once, here
 
 
-def sample_hermitian(d: int, seed: Seed) -> np.ndarray:
-    """The matrix of :func:`sample_hermitian_batch` for one seed."""
-    return sample_hermitian_batch(d, [seed])[0]
+def sample_hermitian(d: int, seed: int) -> np.ndarray:
+    """Random Hermitian matrix (G + G†)/2 with standard complex normal G."""
+    _require_dim(d)
+    return _hermitian_block(d, [seed])[0]
 
 
-def sample_ensemble(d: int, n_states: int, seed: Seed) -> np.ndarray:
+def sample_ensemble(d: int, n_states: int, seed: int) -> np.ndarray:
     """Validated (n_states, d, d) stack: half random full-rank states
     (coherent a.s.), half diagonal states.
 
@@ -274,7 +241,7 @@ def sample_ensemble(d: int, n_states: int, seed: Seed) -> np.ndarray:
     return chunks[0] if chunks else np.zeros((0, d, d), np.complex128)
 
 
-def _ensemble_chunks(d: int, n_states: int, seed: Seed, step: int) -> Iterator:
+def _ensemble_chunks(d: int, n_states: int, seed: int, step: int) -> Iterator:
     """The rows of :func:`sample_ensemble`'s stack, its first
     ``n_states // 2`` full-rank, as validated chunks of ``step`` states, each
     sampled when it is asked for.  State t uses sub-seed ``seed + t`` however
@@ -288,18 +255,18 @@ def _ensemble_chunks(d: int, n_states: int, seed: Seed, step: int) -> Iterator:
     return (_ensemble_rows(d, seed, i, min(i + step, n_states), n_states // 2) for i in range(0, n_states, step))
 
 
-def _ensemble_rows(d: int, seed: Seed, start: int, stop: int, n_g: int) -> np.ndarray:
+def _ensemble_rows(d: int, seed: int, start: int, stop: int, n_g: int) -> np.ndarray:
     # Rows start .. stop - 1 of an ensemble whose first n_g rows are full-rank.
     # Only those go through validate_states' checks, and a failing one is
     # named by its index in the whole ensemble.  A diagonal row diag(p) passed
-    # sample_incoherent_batch's check (finite p >= 0 summing to 1 within
+    # _sample_incoherent_batch's check (finite p >= 0 summing to 1 within
     # 1e-12), which implies every matrix check.
     g = max(0, min(n_g, stop) - start)
     rows = np.zeros((stop - start, d, d), np.complex128)
     _fill(rows[:g], _ginibre_block, d, range(seed + start, seed + start + g))
     _validate(rows[:g], "ensemble state {t}", start)
     idx = np.arange(d)
-    rows[g:, idx, idx] = sample_incoherent_batch(d, range(seed + start + g, seed + stop))
+    rows[g:, idx, idx] = _sample_incoherent_batch(d, range(seed + start + g, seed + stop))
     return rows
 
 
@@ -322,7 +289,7 @@ def qubit_state(x: float, y: float, z: float) -> DensityMatrix:
     return DensityMatrix(_qubit_matrices(1.0, x, y, z)[0])
 
 
-def incoherent_with_value(witness: "Witness", target: float) -> IncoherentState:
+def incoherent_with_value(witness: "Witness", target: float) -> DensityMatrix:
     """A diagonal state whose witness expectation equals ``target``.
 
     For a degenerate interval (all diagonals equal) the uniform distribution
@@ -336,11 +303,11 @@ def incoherent_with_value(witness: "Witness", target: float) -> IncoherentState:
         raise OutOfIntervalError(f"target {target} outside witness interval [{lo}, {hi}]")
     d = witness.dim
     if lo == hi:
-        return IncoherentState(np.full(d, 1.0 / d))
+        return _diagonal_state(np.full(d, 1.0 / d))
     if not math.isfinite(hi - lo):  # then |lo|, |hi| >= 2**970: halving them is exact
         lo, hi, target = lo / 2, hi / 2, target / 2
     diag = np.real(np.diagonal(witness.matrix))
     p = np.zeros(d)
     p[int(np.argmin(diag))] = (hi - target) / (hi - lo)
     p[int(np.argmax(diag))] = (target - lo) / (hi - lo)
-    return IncoherentState(p)
+    return _diagonal_state(p)

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .linalg import MAX_COVERAGE_BYTES, _require_bytes  # the cap, re-exported
-from .rng import Seed
 from .states import _BLOCK_ENTRIES, _ensemble_chunks, l1_coherence_batch
 from .generators import _qubit_matrices
 from .witness import WitnessFamily, _slack, _verdicts, is_effective_qubit, qubit_witness
@@ -60,7 +59,7 @@ class CoverageReport:
     n_false_alarm: int
     min_margin_detected: float | None
     per_witness_hits: tuple[int, ...]
-    seed: Seed
+    seed: int
     coherence_threshold: float
     detect_eps: float | tuple[float, ...]
     family_label: str
@@ -144,7 +143,7 @@ def _tally(family: WitnessFamily, threshold: float, chunk: np.ndarray) -> tuple[
 def verify_coverage(
     family: WitnessFamily,
     n_states: int,
-    seed: Seed,
+    seed: int,
     *,
     coherence_threshold: float = COHERENCE_THRESHOLD,
 ) -> CoverageReport:

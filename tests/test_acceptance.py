@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 import pytest
+from splitmix64 import SplitMix64
 from test_cli import document
 
 from cohwit import (
     DETECT_EPS,
-    SplitMix64,
     Witness,
     WitnessFamily,
     canonical_coherent,
@@ -28,10 +28,8 @@ from cohwit import (
     sample_ensemble,
     sample_ginibre,
     sample_hermitian,
-    sample_hermitian_batch,
-    sample_incoherent_batch,
+    sample_incoherent,
     tailored_witness,
-    trace_product,
     verify_coverage,
 )
 from cohwit.cli import run
@@ -78,7 +76,7 @@ def test_c1_generators():
                 failures.append(f"d={d} i={i + 1}: not traceless")
             for j, gj in enumerate(basis):
                 want = 2.0 if i == j else 0.0
-                if abs(trace_product(gi, gj) - want) > 1e-12:
+                if abs(np.trace(gi @ gj) - want) > 1e-12:
                     failures.append(f"d={d}: Tr(g_{i + 1} g_{j + 1}) != {want}")
         diag = [g for g in basis if np.count_nonzero(g - np.diag(np.diagonal(g))) == 0]
         sym = [g for g in basis[d - 1 :] if np.max(np.abs(g.imag)) == 0]
@@ -96,11 +94,10 @@ def containment_sweep(d, n_witnesses, n_states, seed):
     """The family of n_witnesses sampled Hermitian witnesses (sub-seeds
     seed + j) and its (margins, verdicts) on n_states diagonal states drawn
     from the simplex (sub-seeds seed + n_witnesses + t), from one kernel call."""
-    matrices = sample_hermitian_batch(d, range(seed, seed + n_witnesses))
+    matrices = np.stack([sample_hermitian(d, s) for s in range(seed, seed + n_witnesses)])
     family = WitnessFamily._from_stack("random-hermitian", matrices, [DETECT_EPS] * n_witnesses)
-    states = np.zeros((n_states, d, d), dtype=np.complex128)
-    probs = sample_incoherent_batch(d, range(seed + n_witnesses, seed + n_witnesses + n_states))
-    states[:, range(d), range(d)] = probs
+    seeds = range(seed + n_witnesses, seed + n_witnesses + n_states)
+    states = np.stack([sample_incoherent(d, s).matrix for s in seeds])
     return family, family.evaluate_batch(states)[1:]
 
 
@@ -253,7 +250,7 @@ def test_c7_target_value_states():
         for f in np.linspace(0.0, 1.0, 10):
             target = min(lo + f * (hi - lo), hi)
             delta = incoherent_with_value(w, target)
-            value = trace_product(w.matrix, delta.as_density_matrix().matrix).real
+            value = w.evaluate(delta).value
             if abs(value - target) > 1e-12:
                 failures.append(f"t={t} target={target}: value {value}")
     # degenerate-interval branch: every family member has a point interval
@@ -261,9 +258,9 @@ def test_c7_target_value_states():
         for w in finite_family(d, 2.0).members:
             target = w.interval[0]
             delta = incoherent_with_value(w, target)
-            if not np.allclose(delta.probs, 1.0 / d, atol=0):
+            if not np.allclose(delta.matrix.diagonal().real, 1.0 / d, atol=0):
                 failures.append(f"d={d}: point-interval branch not uniform")
-            value = trace_product(w.matrix, delta.as_density_matrix().matrix).real
+            value = w.evaluate(delta).value
             if abs(value - target) > 1e-12:
                 failures.append(f"d={d}: point-interval value {value} vs {target}")
     _finish("C7", "target-value diagonal states hit Tr within 1e-12 (incl. uniform branch)",

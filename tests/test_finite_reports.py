@@ -5,7 +5,7 @@ targets near the edges of the float range (±1e308, the largest double, the
 subnormal 5e-324 and -0.0) as well as arbitrary finite floats.  Each call
 either raises a ``CohwitError`` or returns objects whose every number is
 finite: a witness's matrix, interval and margin, its reports on probe states,
-a diagonal state's probabilities and every field of a sweep report.  The
+a state's matrix and every field of a sweep report.  The
 calls run under this suite's ``error::RuntimeWarning`` filter, so a call that
 warns on its way to either outcome fails too.  The qubit geometry check's
 warnings are recorded: it warns once, with NumericallyMarginalWarning,
@@ -59,6 +59,8 @@ def finite(value) -> bool:
         return bool(np.isfinite(value).all())
     if isinstance(value, (tuple, list)):
         return all(map(finite, value))
+    if isinstance(value, DensityMatrix):
+        return finite(value.matrix)
     if isinstance(value, Witness):
         return finite((value.matrix, value.interval, value.detect_eps))
     if isinstance(value, WitnessFamily):
@@ -175,5 +177,5 @@ def test_edge_values_reach_every_constructor():
     wide = Witness(np.diag([1e308, -1e308]))
     for target, probs in [(0.0, [0.5, 0.5]), (1e308, [1.0, 0.0]), (-1e308, [0.0, 1.0])]:
         state = incoherent_with_value(wide, target)
-        assert state.probs.tolist() == probs
-        assert wide.evaluate(state.as_density_matrix()).value == target
+        assert state.matrix.diagonal().real.tolist() == probs
+        assert wide.evaluate(state).value == target

@@ -10,10 +10,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from splitmix64 import SplitMix64
 from test_acceptance import containment_sweep
 
 from cohwit import (
-    SplitMix64,
     bloch_vector,
     sample_ensemble,
     sample_ginibre,

@@ -77,7 +77,7 @@ def coefficient_vectors(d):
 
 
 def states(d):
-    return [sample_ginibre(d, 500 + d), sample_incoherent(d, 600 + d).as_density_matrix()]
+    return [sample_ginibre(d, 500 + d), sample_incoherent(d, 600 + d)]
 
 
 def same_bits(a, b):

@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohwit import (
-    DimensionMismatchError,
     NotHermitianError,
     is_hermitian,
     min_eigenvalue,
-    sample_ginibre,
     sample_hermitian,
-    trace_product,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
 def test_is_hermitian_real_symmetric():
@@ -33,39 +29,6 @@ def test_is_hermitian_deviation_below_tol():
     assert is_hermitian(A)
     # HERMITICITY_TOL is 1e-10: a deviation of 1e-9 is past it.
     assert not is_hermitian(np.array([[0, 1 + 1e-9j], [1, 0]]))
-
-
-def test_trace_product_generator_normalization():
-    assert trace_product(SX, SX) == pytest.approx(2)
-    assert trace_product(SX, SY) == pytest.approx(0)
-
-
-def test_trace_product_identity_times_state():
-    rho = sample_ginibre(3, 11)
-    assert trace_product(np.eye(3), rho.matrix) == pytest.approx(1, abs=1e-12)
-
-
-def test_trace_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        trace_product(np.eye(2), np.eye(3))
-
-
-def test_trace_product_symmetry():
-    for seed in range(20):
-        d = 2 + seed % 5
-        A = sample_hermitian(d, seed) + 1j * sample_hermitian(d, seed + 1000)
-        B = sample_hermitian(d, seed + 2000) + 1j * sample_hermitian(d, seed + 3000)
-        ab = trace_product(A, B)
-        ba = trace_product(B, A)
-        assert abs(ab - ba) <= 1e-12 * (1 + abs(ab))
-
-
-def test_trace_product_hermitian_state_is_real():
-    for seed in range(50):
-        d = 2 + seed % 4
-        A = sample_hermitian(d, seed)
-        rho = sample_ginibre(d, seed + 500)
-        assert abs(trace_product(A, rho.matrix).imag) <= 1e-10
 
 
 def test_min_eigenvalue_diagonal():

@@ -17,7 +17,6 @@ from cohwit import (
     InvalidStateError,
     sample_ensemble,
     sample_ginibre,
-    sample_ginibre_batch,
     validate_states,
 )
 from cohwit.linalg import PSD_FLOOR, TRACE_DEV, _hermitian_part, _min_eigenvalues, _psd_certified
@@ -162,7 +161,7 @@ def test_samplers_run_no_eigvalsh_on_certified_blocks(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     for seed in (0, 1, 2024):
         sample_ensemble(4, 1000, seed)
-        sample_ginibre_batch(28, range(seed, seed + 20))
+        sample_ensemble(28, 40, seed)
         validate_states(sample_ensemble(4, 10, seed))
         rho = DensityMatrix(sample_ginibre(5, seed).matrix)
     assert calls == []

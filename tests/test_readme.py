@@ -1,4 +1,5 @@
-"""The README's code runs as written, and every exported name exists."""
+"""The README's code runs as written, and every exported name exists and is
+named in it."""
 
 import re
 from pathlib import Path
@@ -20,3 +21,9 @@ def test_every_exported_name_resolves():
     missing = [name for name in cohwit.__all__ if not hasattr(cohwit, name)]
     assert not missing
     assert len(set(cohwit.__all__)) == len(cohwit.__all__)
+
+
+def test_readme_names_every_exported_name():
+    text = README.read_text(encoding="utf-8")
+    unnamed = [name for name in cohwit.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert not unnamed, f"exported but not named in README.md: {unnamed}"

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from splitmix64 import SplitMix64
 
 from cohwit import (
     CohwitError,
     DensityMatrix,
-    IncoherentState,
     InvalidParameterError,
     InvalidStateError,
+    NonFiniteError,
     NotHermitianError,
     OutOfIntervalError,
-    SplitMix64,
     Witness,
     canonical_coherent,
     canonical_witness,
@@ -27,12 +27,8 @@ from cohwit import (
     qubit_state,
     sample_ensemble,
     sample_ginibre,
-    sample_ginibre_batch,
     sample_hermitian,
-    sample_hermitian_batch,
     sample_incoherent,
-    sample_incoherent_batch,
-    trace_product,
     validate_states,
     verify_coverage,
 )
@@ -69,24 +65,31 @@ class TestDensityMatrix:
 
 
 class TestIncoherentState:
+    # An incoherent (diagonal) state is a DensityMatrix: sample_incoherent's
+    # diag(p) goes through DensityMatrix's own check, so a bad p is refused.
+    def sample(self, p):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(states, "_incoherent_block", lambda d, seeds: np.array([p]))
+            return sample_incoherent(len(p), 0)
+
     def test_valid(self):
-        delta = IncoherentState(np.array([0.25, 0.75]))
+        delta = self.sample([0.25, 0.75])
         assert delta.dim == 2
-        assert l1_coherence(delta.as_density_matrix()) == 0.0
+        assert same_bits(delta.matrix, np.diag([0.25, 0.75]).astype(np.complex128))
+        assert l1_coherence(delta) == 0.0
 
     def test_rejects_negative(self):
-        with pytest.raises(InvalidStateError):
-            IncoherentState(np.array([1.2, -0.2]))
+        with pytest.raises(InvalidStateError, match="^density matrix is not PSD"):
+            self.sample([1.2, -0.2])
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(InvalidStateError):
-            IncoherentState(np.array([0.5, 0.6]))
+        with pytest.raises(InvalidStateError, match="^density matrix trace must be 1"):
+            self.sample([0.5, 0.6])
 
     @pytest.mark.parametrize("probs", [[math.nan, math.nan], [1.0, math.nan], [math.nan, 0.0, 1.0]])
     def test_rejects_nan(self, probs):
-        # NaN compares False both ways, so each check must be written to fail on it.
-        with pytest.raises(InvalidStateError):
-            IncoherentState(np.array(probs))
+        with pytest.raises(NonFiniteError):
+            self.sample(probs)
 
 
 def test_l1_maximally_mixed_is_zero():
@@ -134,7 +137,7 @@ def test_l1_is_exactly_zero_on_diagonal_states(d, data):
 def test_l1_of_coherent_states_agrees_with_the_total_minus_trace(d):
     # The off-diagonal sum against sum(|rho|) - tr|rho|, the formula it
     # replaced, within a few ulps of sum(|rho|); never negative.
-    stack = np.concatenate([sample_ginibre_batch(d, range(100, 140)), sample_ensemble(d, 40, 7)])
+    stack = np.concatenate([sample_ensemble(d, 80, 100)[:40], sample_ensemble(d, 40, 7)])  # 40 + 20 full-rank
     a = np.abs(stack)
     total = a.sum(axis=(1, 2))
     values = states.l1_coherence_batch(stack)
@@ -174,15 +177,15 @@ class TestGinibre:
 class TestSampleIncoherent:
     def test_simplex(self):
         for t in range(50):
-            delta = sample_incoherent(4, t)
-            assert abs(delta.probs.sum() - 1.0) <= 1e-12
-            assert np.all(delta.probs >= 0)
+            p = sample_incoherent(4, t).matrix.diagonal().real
+            assert abs(p.sum() - 1.0) <= 1e-12
+            assert np.all(p >= 0)
 
     def test_deterministic_per_seed(self):
-        assert np.array_equal(sample_incoherent(5, 9).probs, sample_incoherent(5, 9).probs)
+        assert same_bits(sample_incoherent(5, 9).matrix, sample_incoherent(5, 9).matrix)
 
     def test_diagonal_embedding_has_zero_l1(self):
-        assert l1_coherence(sample_incoherent(3, 1).as_density_matrix()) == 0.0
+        assert l1_coherence(sample_incoherent(3, 1)) == 0.0
 
 
 class TestIncoherentWithValue:
@@ -190,22 +193,21 @@ class TestIncoherentWithValue:
         w = canonical_witness(2, 0.0, 1.0)
         delta = incoherent_with_value(w, 0.25)
         # diagonal of the witness is (1, 0): minimizer at index 1, maximizer at 0
-        assert delta.probs[1] == pytest.approx(0.75)
-        assert delta.probs[0] == pytest.approx(0.25)
-        value = trace_product(w.matrix, delta.as_density_matrix().matrix).real
-        assert value == pytest.approx(0.25, abs=1e-12)
+        assert delta.matrix[1, 1] == pytest.approx(0.75)
+        assert delta.matrix[0, 0] == pytest.approx(0.25)
+        assert l1_coherence(delta) == 0.0
+        assert w.evaluate(delta).value == pytest.approx(0.25, abs=1e-12)
 
     def test_degenerate_interval_uses_uniform(self):
         w = generator_witness(4, 2.0, [0.0] * 15)  # all diagonals K/d = 0.5
         delta = incoherent_with_value(w, 0.5)
-        assert np.allclose(delta.probs, 0.25)
-        value = trace_product(w.matrix, delta.as_density_matrix().matrix).real
-        assert value == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(delta.matrix, np.eye(4) / 4)
+        assert w.evaluate(delta).value == pytest.approx(0.5, abs=1e-12)
 
     def test_endpoint_target_concentrates_on_maximizer(self):
         w = Witness(np.diag([3.0, -2.0, 5.0]).astype(complex))
         delta = incoherent_with_value(w, 5.0)
-        assert np.array_equal(delta.probs, [0.0, 0.0, 1.0])
+        assert np.array_equal(delta.matrix, np.diag([0.0, 0.0, 1.0]))
 
     def test_out_of_interval_rejected(self):
         w = canonical_witness(2, 0.0, 1.0)
@@ -220,8 +222,7 @@ class TestIncoherentWithValue:
             for f in np.linspace(0.0, 1.0, 10):
                 target = min(lo + f * (hi - lo), hi)  # guard the f=1 ulp overshoot
                 delta = incoherent_with_value(w, target)
-                value = trace_product(w.matrix, delta.as_density_matrix().matrix).real
-                assert abs(value - target) <= 1e-12
+                assert abs(w.evaluate(delta).value - target) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,8 +236,7 @@ def test_incoherent_with_value_property(seed, f):
     lo, hi = w.interval
     target = min(lo + f * (hi - lo), hi)
     delta = incoherent_with_value(w, target)
-    value = trace_product(w.matrix, delta.as_density_matrix().matrix).real
-    assert abs(value - target) <= 1e-12
+    assert abs(w.evaluate(delta).value - target) <= 1e-12
 
 
 # The samplers as first written: one SplitMix64 stream and one state at a time.
@@ -272,21 +272,24 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def assert_rows_are_the_one_seed_states(stack, d, seed):
+    # Row t of sample_ensemble(d, len(stack), seed) is the one-seed state of
+    # sub-seed seed + t: full-rank in the first half, diagonal after.
+    n_g = len(stack) // 2
+    for t, row in enumerate(stack):
+        one_seed = sample_ginibre if t < n_g else sample_incoherent
+        assert same_bits(row, one_seed(d, seed + t).matrix), t
+
+
 @settings(max_examples=60, deadline=None)
-@given(d=st.integers(2, 6), seeds=st.lists(st.integers(), max_size=40))
-def test_batched_samplers_match_one_seed_and_reference(d, seeds):
-    ginibre = sample_ginibre_batch(d, seeds)
-    probs = sample_incoherent_batch(d, seeds)
-    hermitian = sample_hermitian_batch(d, seeds)
-    assert ginibre.shape == hermitian.shape == (len(seeds), d, d)
-    assert probs.shape == (len(seeds), d)
-    for i, seed in enumerate(seeds):
-        assert same_bits(ginibre[i], sample_ginibre(d, seed).matrix)
-        assert same_bits(ginibre[i], reference_ginibre(d, seed))
-        assert same_bits(probs[i], sample_incoherent(d, seed).probs)
-        assert same_bits(probs[i], reference_incoherent(d, seed))
-        assert same_bits(hermitian[i], sample_hermitian(d, seed))
-        assert same_bits(hermitian[i], reference_hermitian(d, seed))
+@given(d=st.integers(2, 6), n=st.integers(0, 40), seed=st.integers())
+def test_batched_samplers_match_one_seed_and_reference(d, n, seed):
+    # sample_ensemble, the one sampler over many seeds, against the one-seed
+    # samplers, and those against the samplers as first written.
+    assert_rows_are_the_one_seed_states(sample_ensemble(d, n, seed), d, seed)
+    assert same_bits(sample_ginibre(d, seed).matrix, reference_ginibre(d, seed))
+    assert same_bits(sample_incoherent(d, seed).matrix.diagonal().real, reference_incoherent(d, seed))
+    assert same_bits(sample_hermitian(d, seed), reference_hermitian(d, seed))
 
 
 # The first uniform of this seed is exactly 1.0: its first Box-Muller pair is
@@ -296,15 +299,18 @@ UNIT_FIRST = 0xF56E309E96A04737
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_batched_samplers_match_one_seed_at_a_unit_uniform(d):
-    seeds = [UNIT_FIRST, 7, UNIT_FIRST]
-    ginibre = sample_ginibre_batch(d, seeds)
-    probs = sample_incoherent_batch(d, seeds)
-    for i, seed in enumerate(seeds):
-        assert same_bits(ginibre[i], sample_ginibre(d, seed).matrix)
-        assert same_bits(ginibre[i], reference_ginibre(d, seed))
-        assert same_bits(probs[i], sample_incoherent(d, seed).probs)
-        assert same_bits(probs[i], reference_incoherent(d, seed))
-    assert same_bits(sample_incoherent(d, UNIT_FIRST).probs[0], -0.0)
+    # Each half of the ensemble spans two sampling blocks, and UNIT_FIRST is
+    # the sub-seed of the first row of the second block of one half.
+    step = _BLOCK_ENTRIES // (d * d)
+    assert [b.start for b in states._blocks(step + 2, d)] == [0, step]
+    n = 2 * (step + 2)
+    for t in (step, n // 2 + step):
+        stack = sample_ensemble(d, n, UNIT_FIRST - t)
+        assert_rows_are_the_one_seed_states(stack, d, UNIT_FIRST - t)
+    assert same_bits(sample_ginibre(d, UNIT_FIRST).matrix, reference_ginibre(d, UNIT_FIRST))
+    p = sample_incoherent(d, UNIT_FIRST).matrix.diagonal().real
+    assert same_bits(p, reference_incoherent(d, UNIT_FIRST))
+    assert same_bits(p[0], -0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -346,7 +352,7 @@ def test_ensemble_validates_each_state_once(d, n, seed, data):
     stack = sample_ensemble(d, n, seed)
     validate_states(stack)
     want = np.zeros((n - n_g, d, d), dtype=np.complex128)
-    want[:, np.arange(d), np.arange(d)] = sample_incoherent_batch(d, range(seed + n_g, seed + n))
+    want[:, np.arange(d), np.arange(d)] = states._sample_incoherent_batch(d, range(seed + n_g, seed + n))
     assert same_bits(stack[n_g:], want)
     if n_g == 0:
         return
@@ -379,15 +385,13 @@ def coverage_values(seed):
     return np.array([report.n_detected, report.min_margin_detected, *report.per_witness_hits])
 
 
-# Every public entry point that takes a seed, as a function of it.
+# Every public entry point that takes a seed, and the scalar oracle of the
+# stream, as a function of it.
 SEEDED = {
     "SplitMix64": lambda seed: np.array(SplitMix64(seed).normals(4)),
     "sample_ginibre": lambda seed: sample_ginibre(3, seed).matrix,
-    "sample_incoherent": lambda seed: sample_incoherent(3, seed).probs,
+    "sample_incoherent": lambda seed: sample_incoherent(3, seed).matrix,
     "sample_hermitian": lambda seed: sample_hermitian(3, seed),
-    "sample_ginibre_batch": lambda seed: sample_ginibre_batch(3, [4, seed]),
-    "sample_incoherent_batch": lambda seed: sample_incoherent_batch(3, [4, seed]),
-    "sample_hermitian_batch": lambda seed: sample_hermitian_batch(3, [4, seed]),
     "sample_ensemble": lambda seed: sample_ensemble(3, 6, seed),
     "verify_coverage": coverage_values,
 }
@@ -444,8 +448,6 @@ VALIDATING_CALLERS = {
     "Witness": Witness,
     "min_eigenvalue": min_eigenvalue,
     "is_hermitian": is_hermitian,
-    "trace_product left": lambda x: trace_product(x, np.eye(2)),
-    "trace_product right": lambda x: trace_product(np.eye(2), x),
     "validate_states": lambda x: validate_states([x]),
 }
 
@@ -457,90 +459,70 @@ PINNED_OUTCOMES = {
         "Witness": "NotHermitianError: witness matrix is not Hermitian within 1e-10: deviation 0.5",
         "min_eigenvalue": "NotHermitianError: matrix is not Hermitian within 1e-10: deviation 0.5",
         "is_hermitian": "False",
-        "trace_product left": "(1+0j)",
-        "trace_product right": "(1+0j)",
-        "validate_states": "NotHermitianError: state 0 is not Hermitian within 1e-10: deviation 0.5",
+                "validate_states": "NotHermitianError: state 0 is not Hermitian within 1e-10: deviation 0.5",
     },
     "trace 1.1": {
         "DensityMatrix": "InvalidStateError: density matrix trace must be 1, got (1.1+0j)",
         "Witness": "Witness(dim=2, interval=[0.55, 0.55], eps=1e-09)",
         "min_eigenvalue": "0.55",
         "is_hermitian": "True",
-        "trace_product left": "(1.1+0j)",
-        "trace_product right": "(1.1+0j)",
-        "validate_states": "InvalidStateError: state 0 trace must be 1, got (1.1+0j)",
+                "validate_states": "InvalidStateError: state 0 trace must be 1, got (1.1+0j)",
     },
     "negative eigenvalue": {
         "DensityMatrix": "InvalidStateError: density matrix is not PSD: min eigenvalue -0.5",
         "Witness": "Witness(dim=2, interval=[-0.5, 1.5], eps=1e-09)",
         "min_eigenvalue": "-0.5",
         "is_hermitian": "True",
-        "trace_product left": "(1+0j)",
-        "trace_product right": "(1+0j)",
-        "validate_states": "InvalidStateError: state 0 is not PSD: min eigenvalue -0.5",
+                "validate_states": "InvalidStateError: state 0 is not PSD: min eigenvalue -0.5",
     },
     "NaN": {
         "DensityMatrix": "NonFiniteError: density matrix contains non-finite entries",
         "Witness": "NonFiniteError: witness matrix contains non-finite entries",
         "min_eigenvalue": "NonFiniteError: matrix contains non-finite entries",
         "is_hermitian": "NonFiniteError: matrix contains non-finite entries",
-        "trace_product left": "NonFiniteError: left operand contains non-finite entries",
-        "trace_product right": "NonFiniteError: right operand contains non-finite entries",
-        "validate_states": "NonFiniteError: state 0 contains non-finite entries",
+                "validate_states": "NonFiniteError: state 0 contains non-finite entries",
     },
     "+inf": {
         "DensityMatrix": "NonFiniteError: density matrix contains non-finite entries",
         "Witness": "NonFiniteError: witness matrix contains non-finite entries",
         "min_eigenvalue": "NonFiniteError: matrix contains non-finite entries",
         "is_hermitian": "NonFiniteError: matrix contains non-finite entries",
-        "trace_product left": "NonFiniteError: left operand contains non-finite entries",
-        "trace_product right": "NonFiniteError: right operand contains non-finite entries",
-        "validate_states": "NonFiniteError: state 0 contains non-finite entries",
+                "validate_states": "NonFiniteError: state 0 contains non-finite entries",
     },
     "-inf": {
         "DensityMatrix": "NonFiniteError: density matrix contains non-finite entries",
         "Witness": "NonFiniteError: witness matrix contains non-finite entries",
         "min_eigenvalue": "NonFiniteError: matrix contains non-finite entries",
         "is_hermitian": "NonFiniteError: matrix contains non-finite entries",
-        "trace_product left": "NonFiniteError: left operand contains non-finite entries",
-        "trace_product right": "NonFiniteError: right operand contains non-finite entries",
-        "validate_states": "NonFiniteError: state 0 contains non-finite entries",
+                "validate_states": "NonFiniteError: state 0 contains non-finite entries",
     },
     "non-square": {
         "DensityMatrix": "DimensionMismatchError: density matrix must be square, got shape (2, 3)",
         "Witness": "DimensionMismatchError: witness matrix must be square, got shape (2, 3)",
         "min_eigenvalue": "DimensionMismatchError: matrix must be square, got shape (2, 3)",
         "is_hermitian": "DimensionMismatchError: matrix must be square, got shape (2, 3)",
-        "trace_product left": "DimensionMismatchError: left operand must be square, got shape (2, 3)",
-        "trace_product right": "DimensionMismatchError: right operand must be square, got shape (2, 3)",
-        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 2, 3)",
+                "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 2, 3)",
     },
     "1x1": {
         "DensityMatrix": "DimensionMismatchError: density matrix must have dim >= 2, got 1",
         "Witness": "DimensionMismatchError: witness matrix must have dim >= 2, got 1",
         "min_eigenvalue": "DimensionMismatchError: matrix must have dim >= 2, got 1",
         "is_hermitian": "DimensionMismatchError: matrix must have dim >= 2, got 1",
-        "trace_product left": "DimensionMismatchError: left operand must have dim >= 2, got 1",
-        "trace_product right": "DimensionMismatchError: right operand must have dim >= 2, got 1",
-        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 1, 1)",
+                "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 1, 1)",
     },
     "1-D": {
         "DensityMatrix": "DimensionMismatchError: density matrix must be square, got shape (2,)",
         "Witness": "DimensionMismatchError: witness matrix must be square, got shape (2,)",
         "min_eigenvalue": "DimensionMismatchError: matrix must be square, got shape (2,)",
         "is_hermitian": "DimensionMismatchError: matrix must be square, got shape (2,)",
-        "trace_product left": "DimensionMismatchError: left operand must be square, got shape (2,)",
-        "trace_product right": "DimensionMismatchError: right operand must be square, got shape (2,)",
-        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 2)",
+                "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 2)",
     },
     "3-D": {
         "DensityMatrix": "DimensionMismatchError: density matrix must be square, got shape (1, 2, 2)",
         "Witness": "DimensionMismatchError: witness matrix must be square, got shape (1, 2, 2)",
         "min_eigenvalue": "DimensionMismatchError: matrix must be square, got shape (1, 2, 2)",
         "is_hermitian": "DimensionMismatchError: matrix must be square, got shape (1, 2, 2)",
-        "trace_product left": "DimensionMismatchError: left operand must be square, got shape (1, 2, 2)",
-        "trace_product right": "DimensionMismatchError: right operand must be square, got shape (1, 2, 2)",
-        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 1, 2, 2)",
+                "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 1, 2, 2)",
     },
 }
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from splitmix64 import SplitMix64
 from test_generators import traced_peak
 
 from cohwit import (
@@ -18,7 +19,6 @@ from cohwit import (
     NotCoherentError,
     NotHermitianError,
     NumericallyMarginalWarning,
-    SplitMix64,
     Verdict,
     Witness,
     WitnessFamily,
@@ -92,10 +92,14 @@ class TestEvaluate:
         assert report.margin == pytest.approx(0.5)
         assert report.verdict is Verdict.DETECTED
 
+    def test_identity_witness_value_is_the_trace(self):
+        rho = sample_ginibre(3, 11)
+        assert Witness(np.eye(3)).evaluate(rho).value == pytest.approx(1, abs=1e-12)
+
     def test_incoherent_states_never_detected(self):
         w = Witness(sample_hermitian(3, 77))
         for t in range(50):
-            delta = sample_incoherent(3, 300 + t).as_density_matrix()
+            delta = sample_incoherent(3, 300 + t)
             report = w.evaluate(delta)
             assert report.verdict is Verdict.NOT_DETECTED
 
@@ -107,7 +111,7 @@ class TestEvaluate:
         w = canonical_witness(3, -1.0, 2.0)
         for target in (-1.0, 0.3, 2.0):
             delta = incoherent_with_value(w, target)
-            report = w.evaluate(delta.as_density_matrix())
+            report = w.evaluate(delta)
             assert report.value == pytest.approx(target, abs=1e-12)
             assert report.verdict is Verdict.NOT_DETECTED
 
@@ -153,7 +157,7 @@ class TestContainment:
             w = Witness(sample_hermitian(d, 1000 + j))
             lo, hi = w.interval
             for t in range(20):
-                delta = sample_incoherent(d, 2000 + 100 * j + t).as_density_matrix()
+                delta = sample_incoherent(d, 2000 + 100 * j + t)
                 value = w.evaluate(delta).value
                 assert lo - 1e-12 <= value <= hi + 1e-12
 
@@ -172,7 +176,7 @@ class TestContainment:
         for w in witnesses:
             lo, hi = w.interval
             for t in range(30):
-                delta = sample_incoherent(w.dim, 5000 + t).as_density_matrix()
+                delta = sample_incoherent(w.dim, 5000 + t)
                 value = w.evaluate(delta).value
                 assert lo - 1e-12 <= value <= hi + 1e-12
                 assert not w.evaluate(delta).detected
@@ -502,7 +506,7 @@ class TestFiniteFamily:
             rho = sample_ginibre(3, 120_000 + t)
             assert fam.detects(rho)
         for t in range(100):
-            delta = sample_incoherent(3, 121_000 + t).as_density_matrix()
+            delta = sample_incoherent(3, 121_000 + t)
             assert not fam.detects(delta)
 
     def test_detected_values_stay_in_closing_bound(self):
@@ -524,7 +528,7 @@ class TestFiniteFamily:
             if t < 150:
                 rho = sample_ginibre(2, 140_000 + t)
             else:
-                rho = sample_incoherent(2, 140_000 + t).as_density_matrix()
+                rho = sample_incoherent(2, 140_000 + t)
             va = [r.detected for r in fam_a.evaluate(rho)]
             vb = [r.detected for r in fam_b.evaluate(rho)]
             assert va == vb
