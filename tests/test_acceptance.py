@@ -28,11 +28,11 @@ from cohwit import (
     sample_ensemble,
     sample_ginibre,
     sample_hermitian,
-    sample_incoherent,
     tailored_witness,
     verify_coverage,
 )
 from cohwit.cli import run
+from cohwit.states import _sample_incoherent_batch
 from cohwit.witness import _slack
 
 SEED_C2 = 874_001
@@ -96,8 +96,9 @@ def containment_sweep(d, n_witnesses, n_states, seed):
     from the simplex (sub-seeds seed + n_witnesses + t), from one kernel call."""
     matrices = np.stack([sample_hermitian(d, s) for s in range(seed, seed + n_witnesses)])
     family = WitnessFamily._from_stack("random-hermitian", matrices, [DETECT_EPS] * n_witnesses)
-    seeds = range(seed + n_witnesses, seed + n_witnesses + n_states)
-    states = np.stack([sample_incoherent(d, s).matrix for s in seeds])
+    states = np.zeros((n_states, d, d), dtype=np.complex128)
+    probs = _sample_incoherent_batch(d, range(seed + n_witnesses, seed + n_witnesses + n_states))
+    states[:, range(d), range(d)] = probs
     return family, family.evaluate_batch(states)[1:]
 
 

@@ -91,6 +91,33 @@ class TestIncoherentState:
         with pytest.raises(NonFiniteError):
             self.sample(probs)
 
+    # An ensemble's diagonal rows are checked on p alone, by
+    # _check_probabilities: sample_ensemble(d, 1, 0) has no full-rank row, so
+    # its one row is the vector p drawn from seed 0.
+    def sample_row(self, p):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(states, "_incoherent_block", lambda d, seeds: np.array([p]))
+            return sample_ensemble(len(p), 1, 0)
+
+    def test_ensemble_row_is_diag_p(self):
+        row = self.sample_row([0.25, 0.75])
+        assert same_bits(row, np.diag([0.25, 0.75]).astype(np.complex128)[None])
+
+    def test_ensemble_rejects_negative(self):
+        with pytest.raises(InvalidStateError, match="^sampled probability vector 0: negative probability"):
+            self.sample_row([1.2, -0.2])
+
+    def test_ensemble_rejects_bad_sum(self):
+        with pytest.raises(InvalidStateError, match="^sampled probability vector 0: probabilities must sum to 1"):
+            self.sample_row([0.5, 0.6])
+
+    @pytest.mark.parametrize("probs", [[math.nan, math.nan], [1.0, math.nan], [math.nan, 0.0, 1.0]])
+    def test_ensemble_rejects_nan(self, probs):
+        # NaN compares False both ways, so each check must be written to fail
+        # on it; a NaN entry fails the first one.
+        with pytest.raises(InvalidStateError, match="^sampled probability vector 0: negative probability: min nan$"):
+            self.sample_row(probs)
+
 
 def test_l1_maximally_mixed_is_zero():
     for d in (2, 3, 5):
@@ -459,70 +486,70 @@ PINNED_OUTCOMES = {
         "Witness": "NotHermitianError: witness matrix is not Hermitian within 1e-10: deviation 0.5",
         "min_eigenvalue": "NotHermitianError: matrix is not Hermitian within 1e-10: deviation 0.5",
         "is_hermitian": "False",
-                "validate_states": "NotHermitianError: state 0 is not Hermitian within 1e-10: deviation 0.5",
+        "validate_states": "NotHermitianError: state 0 is not Hermitian within 1e-10: deviation 0.5",
     },
     "trace 1.1": {
         "DensityMatrix": "InvalidStateError: density matrix trace must be 1, got (1.1+0j)",
         "Witness": "Witness(dim=2, interval=[0.55, 0.55], eps=1e-09)",
         "min_eigenvalue": "0.55",
         "is_hermitian": "True",
-                "validate_states": "InvalidStateError: state 0 trace must be 1, got (1.1+0j)",
+        "validate_states": "InvalidStateError: state 0 trace must be 1, got (1.1+0j)",
     },
     "negative eigenvalue": {
         "DensityMatrix": "InvalidStateError: density matrix is not PSD: min eigenvalue -0.5",
         "Witness": "Witness(dim=2, interval=[-0.5, 1.5], eps=1e-09)",
         "min_eigenvalue": "-0.5",
         "is_hermitian": "True",
-                "validate_states": "InvalidStateError: state 0 is not PSD: min eigenvalue -0.5",
+        "validate_states": "InvalidStateError: state 0 is not PSD: min eigenvalue -0.5",
     },
     "NaN": {
         "DensityMatrix": "NonFiniteError: density matrix contains non-finite entries",
         "Witness": "NonFiniteError: witness matrix contains non-finite entries",
         "min_eigenvalue": "NonFiniteError: matrix contains non-finite entries",
         "is_hermitian": "NonFiniteError: matrix contains non-finite entries",
-                "validate_states": "NonFiniteError: state 0 contains non-finite entries",
+        "validate_states": "NonFiniteError: state 0 contains non-finite entries",
     },
     "+inf": {
         "DensityMatrix": "NonFiniteError: density matrix contains non-finite entries",
         "Witness": "NonFiniteError: witness matrix contains non-finite entries",
         "min_eigenvalue": "NonFiniteError: matrix contains non-finite entries",
         "is_hermitian": "NonFiniteError: matrix contains non-finite entries",
-                "validate_states": "NonFiniteError: state 0 contains non-finite entries",
+        "validate_states": "NonFiniteError: state 0 contains non-finite entries",
     },
     "-inf": {
         "DensityMatrix": "NonFiniteError: density matrix contains non-finite entries",
         "Witness": "NonFiniteError: witness matrix contains non-finite entries",
         "min_eigenvalue": "NonFiniteError: matrix contains non-finite entries",
         "is_hermitian": "NonFiniteError: matrix contains non-finite entries",
-                "validate_states": "NonFiniteError: state 0 contains non-finite entries",
+        "validate_states": "NonFiniteError: state 0 contains non-finite entries",
     },
     "non-square": {
         "DensityMatrix": "DimensionMismatchError: density matrix must be square, got shape (2, 3)",
         "Witness": "DimensionMismatchError: witness matrix must be square, got shape (2, 3)",
         "min_eigenvalue": "DimensionMismatchError: matrix must be square, got shape (2, 3)",
         "is_hermitian": "DimensionMismatchError: matrix must be square, got shape (2, 3)",
-                "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 2, 3)",
+        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 2, 3)",
     },
     "1x1": {
         "DensityMatrix": "DimensionMismatchError: density matrix must have dim >= 2, got 1",
         "Witness": "DimensionMismatchError: witness matrix must have dim >= 2, got 1",
         "min_eigenvalue": "DimensionMismatchError: matrix must have dim >= 2, got 1",
         "is_hermitian": "DimensionMismatchError: matrix must have dim >= 2, got 1",
-                "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 1, 1)",
+        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 1, 1)",
     },
     "1-D": {
         "DensityMatrix": "DimensionMismatchError: density matrix must be square, got shape (2,)",
         "Witness": "DimensionMismatchError: witness matrix must be square, got shape (2,)",
         "min_eigenvalue": "DimensionMismatchError: matrix must be square, got shape (2,)",
         "is_hermitian": "DimensionMismatchError: matrix must be square, got shape (2,)",
-                "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 2)",
+        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 2)",
     },
     "3-D": {
         "DensityMatrix": "DimensionMismatchError: density matrix must be square, got shape (1, 2, 2)",
         "Witness": "DimensionMismatchError: witness matrix must be square, got shape (1, 2, 2)",
         "min_eigenvalue": "DimensionMismatchError: matrix must be square, got shape (1, 2, 2)",
         "is_hermitian": "DimensionMismatchError: matrix must be square, got shape (1, 2, 2)",
-                "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 1, 2, 2)",
+        "validate_states": "DimensionMismatchError: state stack must have shape (n, d, d), d >= 2, got (1, 1, 2, 2)",
     },
 }
 
