@@ -4,6 +4,10 @@ import io
 import json
 import math
 import os
+import signal
+import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -457,27 +461,27 @@ class TestArgparse:
         capsys.readouterr()
 
 
+INVALID_ARGVS = [
+    ["verify", "--d", "1", "--samples", "10", "--seed", "0"],
+    ["gen", "--kind", "family", "--d", "1", "--out", "{out}"],
+    ["gen", "--kind", "lemma2", "--d", "2", "--m", "0", "--M", "nan", "--out", "{out}"],
+    ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "-2"],
+    ["verify", "--d", "2", "--samples", "0", "--seed", "0"],
+    ["verify", "--d", "2", "--samples", "-4", "--seed", "0"],
+    ["verify", "--d", "2", "--samples", "10", "--seed", "0", "--threshold", "nan"],
+    ["verify", "--d", "2", "--samples", "10", "--seed", "0", "--threshold", "inf"],
+    ["verify", "--d", "2", "--samples", "10", "--seed", "0", "--threshold=-1"],
+    ["gen", "--kind", "qubit", "--K", "1e308", "--a", "1e308", "--b", "1e308", "--c", "1e308",
+     "--out", "{out}"],
+    ["gen", "--kind", "eta", "--d", "2", "--K", "1e308", "--eta", "1e308,1e308,1e308",
+     "--out", "{out}"],
+    ["gen", "--kind", "eta", "--d", "-1", "--eta", "1", "--out", "{out}"],
+    ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "1", "--out", "{out}"],
+]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--d", "1", "--samples", "10", "--seed", "0"],
-        ["gen", "--kind", "family", "--d", "1", "--out", "{out}"],
-        ["gen", "--kind", "lemma2", "--d", "2", "--m", "0", "--M", "nan", "--out", "{out}"],
-        ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "-2"],
-        ["verify", "--d", "2", "--samples", "0", "--seed", "0"],
-        ["verify", "--d", "2", "--samples", "-4", "--seed", "0"],
-        ["verify", "--d", "2", "--samples", "10", "--seed", "0", "--threshold", "nan"],
-        ["verify", "--d", "2", "--samples", "10", "--seed", "0", "--threshold", "inf"],
-        ["verify", "--d", "2", "--samples", "10", "--seed", "0", "--threshold=-1"],
-        ["gen", "--kind", "qubit", "--K", "1e308", "--a", "1e308", "--b", "1e308", "--c", "1e308",
-         "--out", "{out}"],
-        ["gen", "--kind", "eta", "--d", "2", "--K", "1e308", "--eta", "1e308,1e308,1e308",
-         "--out", "{out}"],
-        ["gen", "--kind", "eta", "--d", "-1", "--eta", "1", "--out", "{out}"],
-        ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "1", "--out", "{out}"],
-    ],
-)
+@pytest.mark.parametrize("argv", INVALID_ARGVS)
 def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert run([a.format(out=out) for a in argv]) == 2
@@ -486,6 +490,130 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
     assert captured.out == ""  # no CSV header, no vacuous PASS report
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [argv for argv in INVALID_ARGVS if "{out}" in argv])
+def test_invalid_input_leaves_an_existing_output_file_as_it_was(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    out.write_bytes(b"kept\n" * 1000)
+    before = out.stat()
+    assert run([a.format(out=out) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_bytes() == b"kept\n" * 1000
+    assert out.stat().st_ino == before.st_ino
+
+
+# The commands that write --out, each with the path left to append.
+WRITERS = {
+    "bloch": ["bloch", "--K", "0.3", "--a", "1", "--b", "-0.5", "--c", "0.2", "--grid", "12", "--out"],
+    "family": ["gen", "--kind", "family", "--d", "3", "--K", "0.5", "--out"],
+    "lemma2": ["gen", "--kind", "lemma2", "--d", "3", "--m", "0", "--M", "1", "--out"],
+}
+
+
+def written(tmp_path, command):
+    """The bytes ``command`` writes to a fresh path."""
+    fresh = tmp_path / f"fresh-{command}"
+    assert run(WRITERS[command] + [str(fresh)]) == 0
+    return fresh.read_bytes()
+
+
+class TestOutputFile:
+    """gen and bloch overwrite an existing --out file in place and cut it to
+    the length written, also when the write fails part-way; a target that is
+    not a regular file is never cut."""
+
+    @pytest.mark.parametrize("old", ["longer", "shorter"])
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_rerun_onto_an_existing_file_writes_the_fresh_bytes(self, tmp_path, capsys, command, old):
+        expected = written(tmp_path, command)
+        out = tmp_path / "out"
+        out.write_bytes(b"stale\n" * 500_000 if old == "longer" else b"#" * (len(expected) // 3))
+        assert run(WRITERS[command] + [str(out)]) == 0
+        assert out.read_bytes() == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_bloch_to_dev_null(self, capsys):
+        assert run(WRITERS["bloch"] + ["/dev/null"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_failed_write_leaves_exactly_the_bytes_written(self, tmp_path, monkeypatch, capsys, command):
+        expected = written(tmp_path, command)
+        if command == "bloch":
+            def fail(stream, *cloud):
+                stream.write("x,y,z,value,verdict\n")
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(cli, "write_bloch_cloud", fail)
+            prefix = b"x,y,z,value,verdict\n"
+        else:
+            def fail(block, ind):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(cli, "_render_pairs", fail)
+            # The text before the first member's entries, without the line
+            # break and indentation that open its "entries" key.
+            prefix = expected[: expected.index(b'"entries": ')].rstrip(b" ")[:-1]
+        assert prefix and expected.startswith(prefix)
+        out = tmp_path / "out"
+        out.write_bytes(b"stale\n" * 500_000)
+        capsys.readouterr()
+        assert run(WRITERS[command] + [str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert out.read_bytes() == prefix
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Chunks larger than the stream's buffer, and pieces that the
+            # stream gathers and flushes.
+            ["bloch", "--K", "0", "--a", "1", "--b", "1", "--c", "1", "--grid", "21", "--out"],
+            ["gen", "--kind", "family", "--d", "8", "--out"],
+        ],
+        ids=["bloch", "family"],
+    )
+    def test_refused_write_leaves_exactly_the_bytes_that_reached_the_file(self, tmp_path, argv):
+        # A file size limit makes the kernel refuse writes past 64 KiB, within
+        # a write or a flush; the file must hold the first 64 KiB of the
+        # output and nothing of the old file.
+        resource = pytest.importorskip("resource")
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert run(argv + [str(fresh)]) == 0
+        expected = fresh.read_bytes()
+        limit = 1 << 16
+        assert len(expected) > limit
+        out.write_bytes(b"stale\n" * 500_000)
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        code = "import sys; from cohwit.cli import run; sys.exit(run(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, str(out)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+            preexec_fn=limit_file_size, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert out.read_bytes() == expected[:limit]
+
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_existing_file_keeps_its_inode_and_a_new_one_gets_the_umask_mode(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        umask = os.umask(0o027)
+        try:
+            assert run(WRITERS[command] + [str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+        inode = out.stat().st_ino
+        out.write_bytes(b"stale\n" * 1000)
+        assert run(WRITERS[command] + [str(out)]) == 0
+        assert out.stat().st_ino == inode
 
 
 @pytest.mark.parametrize(
