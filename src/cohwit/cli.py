@@ -25,11 +25,16 @@ d = 52, the largest ``document_bytes`` allows).
 
 ``gen`` and ``bloch`` write ``--out`` through :class:`_Output`: an existing
 file is overwritten in place and cut to the length written at the end, also
-when a write fails part-way, so it holds exactly the bytes that reached it.
-Truncating it on open instead freed its cached pages first, 1.1-1.3 ms for
-``bloch --grid 41``'s 2.4 MB CSV (ext4, 2 vCPUs).  A target that is not a
-regular file is never cut.  Input is checked before ``--out`` is opened, so
-an exit 2 for malformed input leaves an existing file as it was.
+when a write fails part-way (exit 2), so it holds exactly the bytes that
+reached it.  Truncating it on open instead freed its cached pages first,
+1.1-1.3 ms for ``bloch --grid 41``'s 2.4 MB CSV (ext4, 2 vCPUs).  A target
+that is not a regular file is never cut.  A process killed before it can
+exit (SIGKILL, SIGTERM, the OOM killer) is never cut either, so it can leave
+the new bytes followed by the old file's tail; its exit status tells it
+apart.  A file size limit is not such a kill: Python ignores SIGXFSZ, so the
+refused write fails with EFBIG and exits 2.  Input is checked before
+``--out`` is opened, so an exit 2 for malformed input leaves an existing
+file as it was.
 
 One reader reads a list of documents with one set of checks: a state or
 witness document is its one-item case, and a family's members are read at
@@ -56,6 +61,8 @@ import functools
 import gc
 import json
 import math
+import os
+import stat
 import sys
 from itertools import chain
 from typing import Callable, Sequence, TypeVar
@@ -280,17 +287,13 @@ class _Output:
     It is created as ``open(path, "w")`` creates a file (mode 0o666 less the
     umask) but not truncated, so an existing file's cached pages are
     overwritten instead of freed.  On exit, whether the write succeeded or
-    not, a regular file that reaches past the descriptor's own offset is cut
-    there: it holds exactly the bytes that reached it, also when a flush
-    failed, and no tail of the old file.  A file that ends there is left
-    alone, which saves a truncation of its own length (about 9 us for 1 MB
-    on ext4).  A pipe, a terminal or a device is never cut.  ``os`` and
-    ``stat`` are imported where they are used: imported at module level,
-    they moved the timings of commands that write no file."""
+    not, a regular file is cut at the descriptor's own offset: it holds
+    exactly the bytes that reached it, also when a flush failed, and no tail
+    of the old file.  A pipe, a terminal or a device is never cut.  A process
+    killed before it exits (SIGKILL, SIGTERM) never reaches the cut, so it can
+    leave the new bytes followed by the old file's tail."""
 
     def __init__(self, path: str) -> None:
-        import os
-
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         self.stream = open(fd, "w", encoding="utf-8", newline="")
 
@@ -298,19 +301,13 @@ class _Output:
         return self.stream
 
     def __exit__(self, *exc_info) -> None:
-        import os
-        import stat
-
         with self.stream:
             fd = self.stream.fileno()
             try:
                 self.stream.flush()
             finally:
-                st = os.fstat(fd)
-                if stat.S_ISREG(st.st_mode):
-                    end = os.lseek(fd, 0, os.SEEK_CUR)
-                    if st.st_size > end:
-                        os.ftruncate(fd, end)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _write_document(

@@ -519,10 +519,21 @@ def written(tmp_path, command):
     return fresh.read_bytes()
 
 
+RUN_CLI = "import sys; from cohwit.cli import run; sys.exit(run(sys.argv[1:]))"
+
+
+def run_child(code, argv, **kwargs):
+    """Run ``code`` in a new interpreter with ``argv``, capturing its bytes."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}, **kwargs,
+    )
+
+
 class TestOutputFile:
     """gen and bloch overwrite an existing --out file in place and cut it to
     the length written, also when the write fails part-way; a target that is
-    not a regular file is never cut."""
+    not a regular file, or a run killed part-way, is never cut."""
 
     @pytest.mark.parametrize("old", ["longer", "shorter"])
     @pytest.mark.parametrize("command", sorted(WRITERS))
@@ -578,7 +589,9 @@ class TestOutputFile:
     def test_refused_write_leaves_exactly_the_bytes_that_reached_the_file(self, tmp_path, argv):
         # A file size limit makes the kernel refuse writes past 64 KiB, within
         # a write or a flush; the file must hold the first 64 KiB of the
-        # output and nothing of the old file.
+        # output and nothing of the old file.  The child starts with SIGXFSZ's
+        # default disposition, which would kill it: the interpreter ignores
+        # SIGXFSZ itself, so the refused write raises instead.
         resource = pytest.importorskip("resource")
         fresh, out = tmp_path / "fresh", tmp_path / "out"
         assert run(argv + [str(fresh)]) == 0
@@ -588,18 +601,43 @@ class TestOutputFile:
         out.write_bytes(b"stale\n" * 500_000)
 
         def limit_file_size():
-            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
             resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
 
-        code = "import sys; from cohwit.cli import run; sys.exit(run(sys.argv[1:]))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv, str(out)], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
-            preexec_fn=limit_file_size, timeout=120,
-        )
+        proc = run_child(RUN_CLI, argv + [str(out)], preexec_fn=limit_file_size)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(b"error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
         assert out.read_bytes() == expected[:limit]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no POSIX signals")
+    @pytest.mark.parametrize("signum", ["SIGTERM", "SIGKILL"])
+    def test_killed_run_leaves_the_new_bytes_then_the_old_tail(self, tmp_path, signum):
+        # A process killed part-way never reaches the cut, so an existing file
+        # keeps the old bytes past what was written, as README says.
+        out = tmp_path / "out"
+        old = b"stale\n" * 500_000
+        out.write_bytes(old)
+        header = b"x,y,z,value,verdict\n"
+        code = (
+            "import os, signal, sys\n"
+            "from cohwit import cli\n"
+            "def killed(stream, *cloud):\n"
+            f"    stream.write({header.decode()!r})\n"
+            "    stream.flush()\n"
+            f"    os.kill(os.getpid(), signal.{signum})\n"
+            "cli.write_bloch_cloud = killed\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n"
+        )
+        proc = run_child(code, WRITERS["bloch"] + [str(out)])
+        assert proc.returncode == -getattr(signal, signum), proc.stderr
+        assert out.read_bytes() == header + old[len(header):]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_bloch_to_a_pipe(self, tmp_path, capsys):
+        # The child's fd 1 is a pipe, which is written as it comes and never cut.
+        proc = run_child(RUN_CLI, WRITERS["bloch"] + ["/dev/stdout"])
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        assert proc.stdout == written(tmp_path, "bloch")
 
     @pytest.mark.parametrize("command", sorted(WRITERS))
     def test_existing_file_keeps_its_inode_and_a_new_one_gets_the_umask_mode(self, tmp_path, capsys, command):
